@@ -125,12 +125,6 @@ def _add_systemic_args(p: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="wacrisk", description=__doc__)
     parser.add_argument("--version", action="version", version=f"wacrisk {__version__}")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("WACRISK_THREADS", "1")),
-        help="worker bound for per-mode computations",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stability", help="per-mode delay-stability verdicts")
@@ -242,15 +236,17 @@ def _cmd_spectral(args) -> int:
 
 
 def _stats_for_args(args, model, spectrum):
-    gains = _gains_from_args(args, spectrum.n)
+    """Pair statistics for the parsed arguments, with the resolved gains."""
+    resolved = resolve_gains(_gains_from_args(args, spectrum.n), spectrum)
     noise = NoiseParams(eta=args.eta, eta_meas=args.etap)
-    return pair_deviations_auto(spectrum, gains, model.damping_ratio, args.tau, noise, model.inertia)
+    stats = pair_deviations_auto(spectrum, resolved, model.damping_ratio, args.tau, noise, model.inertia)
+    return stats, resolved
 
 
 def _cmd_stats(args, argv) -> int:
     model = load_network(args.network)
     spectrum = build_laplacian(model)
-    stats = _stats_for_args(args, model, spectrum)
+    stats, resolved = _stats_for_args(args, model, spectrum)
     _emit(
         args.out,
         ["i", "j", "sigma"],
@@ -258,8 +254,6 @@ def _cmd_stats(args, argv) -> int:
         argv,
     )
     if args.modes_out:
-        gains = _gains_from_args(args, spectrum.n)
-        resolved = resolve_gains(gains, spectrum)
         rows = [
             (l + 1, float(resolved.lambdas[l]), float(resolved.mu[l]), float(resolved.kappa[l]), float(w))
             for l, w in enumerate(stats.mode_weights)
@@ -287,7 +281,7 @@ def _cmd_risk(args, argv) -> int:
         raise ValidationError("risk needs --network (or --from-stats)")
     model = load_network(args.network)
     spectrum = build_laplacian(model)
-    stats = _stats_for_args(args, model, spectrum)
+    stats, _ = _stats_for_args(args, model, spectrum)
     profile = risk_profile(stats, sset)
     rows = [
         (i, j, float(s), float(r))
@@ -297,7 +291,7 @@ def _cmd_risk(args, argv) -> int:
     return 0
 
 
-def _cmd_synth(args, argv, threads) -> int:
+def _cmd_synth(args, argv) -> int:
     model = load_network(args.network)
     spectrum = build_laplacian(model)
     noise = NoiseParams(eta=args.eta, eta_meas=args.etap)
@@ -309,7 +303,6 @@ def _cmd_synth(args, argv, threads) -> int:
         model.inertia,
         gain_box=(0.0, args.mu_max, 0.0, args.kappa_max),
         grid_step=args.grid_step,
-        threads=threads,
     )
     rows = [
         (l + 1, float(result.lambdas[l]), float(result.mu[l]), float(result.kappa[l]), float(result.weights[l]))
@@ -383,7 +376,7 @@ def run(argv: list[str]) -> int:
     if args.command == "risk":
         return _cmd_risk(args, argv)
     if args.command == "synth":
-        return _cmd_synth(args, argv, max(1, args.threads))
+        return _cmd_synth(args, argv)
     if args.command == "tradeoff":
         return _cmd_tradeoff(args, argv)
     if args.command == "simulate":

@@ -445,12 +445,15 @@ class ModeGains:
     K: np.ndarray
 
 
-def resolve_gains(gains: GainSpec, spectrum: LaplacianSpectrum, tol: float = 1e-8) -> ModeGains:
+def resolve_gains(gains: GainSpec | ModeGains, spectrum: LaplacianSpectrum, tol: float = 1e-8) -> ModeGains:
     """Turn a GainSpec into per-mode gain arrays plus dense matrices.
 
     Dense gains that fail the commutation test are rejected outright; every
-    downstream formula requires a shared eigenbasis.
+    downstream formula requires a shared eigenbasis.  Gains already resolved
+    against ``spectrum`` are returned unchanged.
     """
+    if isinstance(gains, ModeGains):
+        return gains
     n = spectrum.n
     q = spectrum.eigenvectors
     lams = spectrum.eigenvalues

@@ -18,7 +18,7 @@ scheduled.
 with a Heun scheme (delay lookups stay on the grid at both stages) from a
 unit velocity kick; its squared time-integral times 2 pi must reproduce
 the spectral integral, which is the package's independent check of the
-quadrature.
+delay-Lyapunov evaluation.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Numerical evaluation of the stationary-variance spectral integral.
+"""Exact evaluation of the stationary-variance spectral integral.
 
 Each stable scalar mode contributes the improper integral over the real
 line of 1 / |c(i r)|^2, where c is the unit-delay characteristic function
@@ -9,17 +9,21 @@ of the mode; expanded, the denominator reads
 
 The integrand is even and positive on the open stability region, decays
 like r^-4, and develops a non-integrable zero of the denominator exactly
-on the region boundary, so the evaluator refuses near-singular tuples
-instead of returning a garbage number.
+on the region boundary, where the evaluator refuses to return a number.
 
-Quadrature policy: adaptive integration on [0, R] with forced breakpoints
-at the resonance radius sqrt(s2 + |k1|) and at the crossing frequencies,
-a second adaptive pass on [R, 4R], and the analytic r^-4 tail bound
-2/(3 (4R)^3) beyond, with R at least max(10, cbrt(4/(3 tol)),
-3 sqrt(s2+|k1|) + k2^2 + s1^2) so the tail estimate is valid and every
-resonance peak is inside the adaptive window.  With the feedback switched
-off (k = 0) the integral has the closed form pi / (s1 s2), which is kept
-as a cross-check in the tests rather than as a special-case fast path.
+Evaluation policy: the integral is 2 pi U(0)[1, 1], the squared H2 norm
+of x' = A0 x + A1 x(t-1) + e2 w, y = e1^T x, for the delay Lyapunov matrix
+U of A0 = [[0, 1], [-s2, -s1]], A1 = [[0, 0], [-k1, -k2]], W = e1 e1^T
+(Kharitonov & Plischke, 2006; Jarlebring, Vanbiervliet & Michiels, IEEE
+TAC 56(4), 2011).  X(t) = U(t) and Z(t) = U(t - 1) solve a linear ODE on
+[0, 1], so one 8x8 matrix exponential and the consistent linear system of
+Z(1) = X(0), Z(0) = X(1)^T and X0 A0 + A0^T X0 + Z0 A1 + A1^T Z0^T = -W
+give U(0) exactly up to rounding.  The system turns singular on the
+stability boundary: its reciprocal condition number, made scale-free by
+scaling the columns with the solution and normalising the rows, decides
+refusal.  An unstable tuple may still give a (meaningless) value, so
+classification stays the gate.  The closed form pi / (s1 s2) at k = 0 is
+a cross-check in the tests.
 """
 
 from __future__ import annotations
@@ -28,25 +32,32 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.linalg import expm
 
 from ._gridopt import grid_minimize
 from .errors import InfeasibleError
-from .stability import ScaledParams, classify, crossing_structure
+from .stability import ScaledParams, classify
 
-# the integral is declared divergent when the denominator minimum falls below
-# this fraction of its natural scale (the healthy minimum is of the order of
-# effective-damping^2 x stiffness, reached at the resonance radius)
-_MIN_DENOMINATOR_REL = 1e-8
+# refusal threshold for the scaled reciprocal condition number, which is
+# about 1e-4 at relative distance 1e-3 from the stability boundary
+_MIN_RCOND = 1e-8
+
+_I2, _I8 = np.eye(2), np.eye(8)
+_TRANSPOSE = np.eye(4)[[0, 2, 1, 3]]  # vec(X^T) = _TRANSPOSE @ vec(X), column-major vec
+_RHS = -np.eye(12)[8]  # -vec(W) in the rows of the algebraic condition
 
 
 @dataclass(frozen=True)
 class SpectralEvaluation:
-    """Value of the mode integral with its accuracy bookkeeping."""
+    """Value of the mode integral with its accuracy bookkeeping: ``rcond``,
+    the scaled reciprocal condition number of the Lyapunov system (about 0.1
+    inside the stability region, falling in proportion to the relative
+    distance to its boundary), and the forward bound value eps growth / rcond.
+    """
 
     value: float
     abs_error_estimate: float
-    truncation_point: float
+    rcond: float
 
 
 def magnitude_sq(r, sp: ScaledParams):
@@ -72,79 +83,72 @@ def integrand(r, sp: ScaledParams):
     return 1.0 / den
 
 
-def _resonance_points(sp: ScaledParams) -> list[float]:
-    pts = [math.sqrt(max(sp.s2 + abs(sp.k1), 0.0))]
-    try:
-        structure = crossing_structure(sp)
-        pts.append(structure.gamma_plus)
-        if structure.gamma_minus is not None:
-            pts.append(structure.gamma_minus)
-    except InfeasibleError:
-        pass
-    return sorted({p for p in pts if p > 0.0})
+def _affine_parts(s1: float, s2: float, k1: float, k2: float) -> np.ndarray:
+    """Generator of the (vec X, vec Z) flow stacked on the algebraic-condition
+    rows: a 12x8 matrix that is affine in the tuple."""
+    a0 = np.array([[0.0, 1.0], [-s2, -s1]])
+    a1 = np.array([[0.0, 0.0], [-k1, -k2]])
+    a0_right, a1_right = np.kron(a0.T, _I2), np.kron(a1.T, _I2)  # vec(X A) = (A^T kron I) vec X
+    a0_left, a1_left = np.kron(_I2, a0.T), np.kron(_I2, a1.T)  # vec(A^T X) = (I kron A^T) vec X
+    generator = np.block([[a0_right, a1_right], [-a1_left, -a0_left]])
+    algebraic = np.hstack([a0_right + a0_left, a1_right + a1_left @ _TRANSPOSE])
+    return np.vstack([generator, algebraic])
 
 
-def _probe_minimum(sp: ScaledParams, hi: float) -> float:
-    """Minimum of the denominator on [0, hi]: coarse grid plus one local refinement
-    so that a near-boundary resonance notch is not stepped over."""
-    r = np.linspace(0.0, hi, 4001)
-    den = magnitude_sq(r, sp)
-    idx = int(np.argmin(den))
-    window = 2.0 * hi / 4000.0
-    fine = np.linspace(max(r[idx] - window, 0.0), r[idx] + window, 2001)
-    return float(min(den.min(), magnitude_sq(fine, sp).min()))
+_PARTS_AT_ZERO = _affine_parts(0.0, 0.0, 0.0, 0.0)
+_PARTS_SLOPES = np.stack([_affine_parts(*row) - _PARTS_AT_ZERO for row in np.eye(4)], axis=-1)
+
+
+def _lyapunov_system(sp: ScaledParams) -> np.ndarray:
+    """12x8 matrix of the boundary conditions on [vec U(0); vec U(-1)]:
+    Z(1) - X(0) = 0, Z(0) - X(1)^T = 0, then the algebraic condition."""
+    parts = _PARTS_AT_ZERO + _PARTS_SLOPES @ np.array([sp.s1, sp.s2, sp.k1, sp.k2])
+    flow = expm(parts[:8])
+    return np.vstack([flow[4:] - _I8[:4], _I8[4:] - _TRANSPOSE @ flow[:4], parts[8:]])
+
+
+def _scaled_rcond(system: np.ndarray, solution: np.ndarray) -> float:
+    """Reciprocal condition number with the columns scaled by the solution
+    and the rows normalised; 0 when that scaling degenerates."""
+    scaled = system * np.abs(solution)
+    norms = np.linalg.norm(scaled, axis=1)
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
+        return 0.0
+    sv = np.linalg.svd(scaled / norms[:, None], compute_uv=False)
+    return float(sv[-1] / sv[0])
 
 
 def evaluate(sp: ScaledParams, rel_tol: float = 1e-6, check_stability: bool = True) -> SpectralEvaluation:
-    """Evaluate the mode integral to the requested relative tolerance.
-
-    Raises InfeasibleError when the tuple is not strictly inside the
-    stability region or when the denominator approaches zero (the integral
-    diverges on the boundary).
+    """Evaluate the mode integral, exact up to rounding: any ``rel_tol`` above
+    the forward bound ``abs_error_estimate / value`` is met.  Raises
+    InfeasibleError when the tuple is not strictly inside the stability
+    region (unless ``check_stability`` is False) or the integral diverges.
     """
     if check_stability and not classify(sp).stable:
         raise InfeasibleError(f"mode tuple {sp} is not strictly inside the stability region")
+    system = _lyapunov_system(sp)
+    # shooting across the unit delay loses accuracy in proportion to the growth
+    # of the flow: near 1 for physical tuples, too large once s1 exceeds 16
+    growth = max(float(np.abs(system[:8]).max()), 1.0)
+    solution = np.linalg.lstsq(system, _RHS, rcond=None)[0] if growth < 1.0 / _MIN_RCOND else np.zeros(8)
+    rcond = _scaled_rcond(system, solution)
+    if not rcond >= _MIN_RCOND * growth:
+        raise InfeasibleError(f"spectral integral diverging or out of range: Lyapunov rcond {rcond:.1e}")
+    value = 2.0 * math.pi * float(solution[3])  # vec index 3 is U(0)[1, 1]
+    if value <= 0.0:
+        raise InfeasibleError(f"mode tuple {sp} has no positive spectral weight: it is not stable")
+    return SpectralEvaluation(value=value, abs_error_estimate=value * 2.0**-52 * growth / rcond, rcond=rcond)
 
-    peaks = _resonance_points(sp)
-    probe_hi = max(peaks[-1] if peaks else 1.0, 1.0) * 2.0 + 5.0
-    stiffness = sp.s2 + abs(sp.k1)
-    den_scale = stiffness * stiffness + (sp.s1 + abs(sp.k2)) ** 2 * stiffness
-    if _probe_minimum(sp, probe_hi) < _MIN_DENOMINATOR_REL * den_scale:
-        raise InfeasibleError("spectral integral diverging: denominator minimum within 1e-8 of zero")
 
-    fn = lambda r: 1.0 / magnitude_sq(r, sp)
-
-    # rough scale to convert the relative tolerance into an absolute one
-    r_rough = max(10.0, 2.0 * probe_hi)
-    rough = quad(fn, 0.0, r_rough, limit=300, points=[p for p in peaks if p < r_rough], full_output=1)[0]
-    tol_abs = max(rel_tol, 1e-12) * max(2.0 * rough, 1e-300)
-
-    radius = max(
-        10.0,
-        (4.0 / (3.0 * tol_abs)) ** (1.0 / 3.0) / 4.0,  # tail applied at 4R below
-        3.0 * math.sqrt(max(sp.s2 + abs(sp.k1), 0.0)) + sp.k2 * sp.k2 + sp.s1 * sp.s1,
-    )
-
-    total = 0.0
-    err = 0.0
-    edges = [0.0] + [p for p in peaks if p < radius] + [radius, 4.0 * radius]
-    for a, b in zip(edges[:-1], edges[1:]):
-        out = quad(fn, a, b, limit=400, epsabs=tol_abs / 8.0, epsrel=rel_tol / 8.0, full_output=1)
-        total += out[0]
-        err += out[1]
-
-    tail_at = 4.0 * radius
-    tail = 1.0 / (3.0 * tail_at**3)
-    # the r^-4 model of the tail is off by O(1/r) oscillatory terms
-    slop = (2.0 * abs(sp.k2) / tail_at + abs(sp.s1**2 + sp.k2**2 - 2.0 * sp.s2) / tail_at**2) * tail
-    total += tail
-    err += slop + tail * 1e-3
-
-    value = 2.0 * total
-    abs_err = 2.0 * err
-    if not math.isfinite(value) or value <= 0.0:
-        raise InfeasibleError("spectral quadrature failed to produce a positive value")
-    return SpectralEvaluation(value=value, abs_error_estimate=abs_err, truncation_point=tail_at)
+def weight_or_inf(sp: ScaledParams) -> float:
+    """Mode integral of a strictly stable tuple, +inf when the tuple is
+    unstable or the integral diverges (the gain-search objective)."""
+    if not classify(sp).stable:
+        return math.inf
+    try:
+        return evaluate(sp, check_stability=False).value
+    except InfeasibleError:
+        return math.inf
 
 
 def minimize_over_gains(
@@ -160,15 +164,4 @@ def minimize_over_gains(
     probes count as +inf.  Returns ((k1, k2), value).  Raises
     InfeasibleError when the box contains no stable point.
     """
-
-    def objective(k1: float, k2: float) -> float:
-        sp = ScaledParams(s1=s1, s2=s2, k1=k1, k2=k2)
-        verdict = classify(sp)
-        if not verdict.stable:
-            return math.inf
-        try:
-            return evaluate(sp, rel_tol=rel_tol, check_stability=False).value
-        except InfeasibleError:
-            return math.inf
-
-    return grid_minimize(objective, box, grid_step)
+    return grid_minimize(lambda k1, k2: weight_or_inf(ScaledParams(s1, s2, k1, k2)), box, grid_step)

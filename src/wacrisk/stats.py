@@ -16,8 +16,9 @@ deviation then reads
 and the full covariance of the pair vector is
 (1/2 pi) B Q diag(weight) Q^T B^T for the complete incidence matrix B.
 
-Two specialisations avoid the quadrature: with zero delay the weight
-collapses to the closed form
+F is read off the delay Lyapunov matrix of the mode, exact up to
+rounding.  Two specialisations simplify the assembly: with zero delay the
+weight collapses to the closed form
 2 pi [eta^2/J^2 + eta_meas^2 (kappa_l^2+mu_l^2)] / (2 (d+kappa_l)(lambda_l+mu_l)),
 and with perfect measurements (eta_meas = 0) the general path reduces to
 the prefactor tau^{3/2} eta / (J sqrt(2 pi)) times the root of the
@@ -37,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .network import GainSpec, LaplacianSpectrum, resolve_gains
-from .spectral import evaluate
+from .network import GainSpec, LaplacianSpectrum, ModeGains, resolve_gains
+from .spectral import weight_or_inf
 from .stability import ScaledParams, classify, delay_free_stable
 
 TWO_PI = 2.0 * math.pi
@@ -111,9 +112,10 @@ def mode_weight(
     """
     if tau <= 0:
         raise ValidationError("tau must be positive; use the delay-free form instead")
-    sp = ScaledParams.from_physical(d, lam, mu, kappa, tau)
-    spectral = evaluate(sp, rel_tol=rel_tol)
-    return tau**3 * noise.mode_intensity_sq(mu, kappa, inertia) * spectral.value
+    value = weight_or_inf(ScaledParams.from_physical(d, lam, mu, kappa, tau))
+    if math.isinf(value):
+        raise InfeasibleError("mode tuple is not strictly inside the stability region or its integral diverges")
+    return tau**3 * noise.mode_intensity_sq(mu, kappa, inertia) * value
 
 
 def _stats_from_weights(spectrum_q: np.ndarray, weights: np.ndarray) -> PairStats:
@@ -133,7 +135,7 @@ def _stats_from_weights(spectrum_q: np.ndarray, weights: np.ndarray) -> PairStat
 
 def pair_deviations(
     spectrum: LaplacianSpectrum,
-    gains: GainSpec,
+    gains: GainSpec | ModeGains,
     d: float,
     tau: float,
     noise: NoiseParams,
@@ -147,19 +149,19 @@ def pair_deviations(
     for l in range(n):
         lam, mu, kappa = resolved.lambdas[l], resolved.mu[l], resolved.kappa[l]
         sp = ScaledParams.from_physical(d, lam, mu, kappa, tau)
-        if not classify(sp).stable:
+        if l == 0:  # the consensus mode never reaches phase differences but must be stable
+            value = 0.0 if classify(sp).stable else math.inf
+        else:
+            value = weight_or_inf(sp)
+        if math.isinf(value):
             raise InfeasibleError(f"mode {l + 1} is unstable at tau={tau}; stationary statistics undefined")
-        if l == 0:
-            continue  # the consensus mode never reaches phase differences
-        weights[l] = tau**3 * noise.mode_intensity_sq(mu, kappa, inertia) * evaluate(
-            sp, rel_tol=rel_tol, check_stability=False
-        ).value
+        weights[l] = tau**3 * noise.mode_intensity_sq(mu, kappa, inertia) * value
     return _stats_from_weights(resolved.eigenvectors, weights)
 
 
 def pair_deviations_no_delay(
     spectrum: LaplacianSpectrum,
-    gains: GainSpec,
+    gains: GainSpec | ModeGains,
     d: float,
     noise: NoiseParams,
     inertia: float,
@@ -180,7 +182,7 @@ def pair_deviations_no_delay(
 
 def pair_deviations_load_noise_only(
     spectrum: LaplacianSpectrum,
-    gains: GainSpec,
+    gains: GainSpec | ModeGains,
     d: float,
     tau: float,
     eta: float,
@@ -195,14 +197,14 @@ def pair_deviations_load_noise_only(
 
 def pair_deviations_auto(
     spectrum: LaplacianSpectrum,
-    gains: GainSpec,
+    gains: GainSpec | ModeGains,
     d: float,
     tau: float,
     noise: NoiseParams,
     inertia: float,
     rel_tol: float = 1e-6,
 ) -> PairStats:
-    """Dispatch on the delay: closed form at tau = 0, quadrature otherwise."""
+    """Dispatch on the delay: closed form at tau = 0, Lyapunov-matrix weights otherwise."""
     if tau == 0.0:
         return pair_deviations_no_delay(spectrum, gains, d, noise, inertia)
     return pair_deviations(spectrum, gains, d, tau, noise, inertia, rel_tol=rel_tol)

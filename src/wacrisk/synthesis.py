@@ -36,7 +36,7 @@ from ._gridopt import grid_minimize
 from .errors import InfeasibleError, ValidationError
 from .network import GainSpec, LaplacianSpectrum, effective_resistance
 from .risk import SystemicSet, risk_profile, risk_value
-from .spectral import evaluate, minimize_over_gains
+from .spectral import minimize_over_gains, weight_or_inf
 from .stability import ScaledParams, classify
 from .stats import NoiseParams, incidence_matrix, pair_deviations
 
@@ -88,14 +88,10 @@ class TradeoffScan:
     omega_hat: float
 
 
-def _mode_weight_objective(lam, d, tau, noise, inertia, rel_tol):
+def _mode_weight_objective(lam, d, tau, noise, inertia):
     def objective(mu: float, kappa: float) -> float:
-        sp = ScaledParams.from_physical(d, lam, mu, kappa, tau)
-        if not classify(sp).stable:
-            return math.inf
-        try:
-            value = evaluate(sp, rel_tol=rel_tol, check_stability=False).value
-        except InfeasibleError:
+        value = weight_or_inf(ScaledParams.from_physical(d, lam, mu, kappa, tau))
+        if math.isinf(value):  # kept apart so that zero noise does not turn it into nan
             return math.inf
         return tau**3 * noise.mode_intensity_sq(mu, kappa, inertia) * value
 
@@ -111,15 +107,12 @@ def synthesize(
     gain_box: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 4.0),
     grid_step: float = 0.05,
     rel_tol: float = 1e-4,
-    threads: int = 1,
 ) -> SynthesisResult:
     """Minimise every non-consensus mode weight over (mu, kappa) in ``gain_box``.
 
     The consensus-mode gains stay at zero so the phase agreement value of
-    the unperturbed loop is preserved.  Per-mode minimisations are
-    independent; ``threads`` bounds their concurrency with a deterministic
-    mode-ordered reduction.  Raises InfeasibleError when some mode has no
-    stable gain inside the box.
+    the unperturbed loop is preserved.  Raises InfeasibleError when some
+    mode has no stable gain inside the box.
     """
     if tau <= 0:
         raise ValidationError("synthesis needs a positive delay; the zero-delay optimum is closed-form")
@@ -128,23 +121,12 @@ def synthesize(
     kappa = np.zeros(n)
     weights = np.zeros(n)
 
-    def solve_mode(l: int):
-        lam = float(spectrum.eigenvalues[l])
-        objective = _mode_weight_objective(lam, d, tau, noise, inertia, rel_tol)
+    for l in range(1, n):
+        objective = _mode_weight_objective(float(spectrum.eigenvalues[l]), d, tau, noise, inertia)
         try:
-            return grid_minimize(objective, gain_box, grid_step)
+            (mu[l], kappa[l]), weights[l] = grid_minimize(objective, gain_box, grid_step)
         except InfeasibleError as exc:
             raise InfeasibleError(f"no stable gain in the box for mode {l + 1}") from exc
-
-    if threads > 1 and n > 2:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve_mode, range(1, n)))
-    else:
-        results = [solve_mode(l) for l in range(1, n)]
-    for l, ((mu_l, kappa_l), value) in enumerate(results, start=1):
-        mu[l], kappa[l], weights[l] = mu_l, kappa_l, value
     q = spectrum.eigenvectors
     M = (q * mu) @ q.T
     K = (q * kappa) @ q.T

@@ -1,13 +1,25 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+import wacrisk
 from wacrisk.errors import InfeasibleError
-from wacrisk.spectral import evaluate, magnitude_sq, minimize_over_gains
-from wacrisk.stability import ScaledParams, classify
+from wacrisk.spectral import evaluate, integrand, magnitude_sq, minimize_over_gains
+from wacrisk.stability import ScaledParams, classify, crossing_structure
+
+from conftest import IEEE39_MODES, IEEE39_PARAMS
+
+# published per-mode optimal (mu, kappa) of the ten-machine study
+IEEE39_OPTIMA = [(0.25, 2.75), (0.20, 2.75), (0.15, 2.75), (0.10, 2.75), (0.10, 2.70),
+                 (0.05, 2.70), (0.05, 2.70), (0.05, 2.70), (0.05, 2.70)]
 
 
 def _random_stable(rng, lo=0.05, hi=3.0):
@@ -49,13 +61,23 @@ def test_error_estimate_honest():
 
 
 def test_truncation_invariance():
-    # tightening the tolerance (which pushes the truncation point out) must
-    # not move the value beyond the looser tolerance
+    # the value is exact up to rounding: the requested tolerance does not move it
     sp = ScaledParams(0.9, 1.7, 0.4, 0.8)
     loose = evaluate(sp, rel_tol=1e-5)
     tight = evaluate(sp, rel_tol=1e-9)
-    assert tight.truncation_point > loose.truncation_point
-    assert loose.value == pytest.approx(tight.value, rel=1e-5)
+    assert loose.value == pytest.approx(tight.value, rel=1e-12)
+    assert tight.abs_error_estimate < 1e-12 * tight.value
+    # the reciprocal condition number falls monotonically towards the phase-gain edge
+    lo, hi = 0.007, 0.009
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if classify(ScaledParams(0.0075, 0.01584, mid, 0.0)).stable:
+            lo = mid
+        else:
+            hi = mid
+    gaps = (1e-1, 1e-2, 1e-3, 1e-4)
+    rconds = [evaluate(ScaledParams(0.0075, 0.01584, lo * (1.0 - gap), 0.0)).rcond for gap in gaps]
+    assert all(b < a for a, b in zip(rconds, rconds[1:]))
 
 
 def test_positivity_on_random_stable_tuples():
@@ -113,6 +135,60 @@ def test_divergence_flag_on_boundary():
             hi = mid
     with pytest.raises(InfeasibleError):
         evaluate(ScaledParams(0.0075, 0.01584, lo, 0.0), rel_tol=1e-6, check_stability=False)
+
+
+def _quad_oracle(sp):
+    """Plain adaptive quadrature of the integrand over [0, inf), with the
+    crossing frequencies and the resonance radius as breakpoints."""
+    points = [math.sqrt(sp.s2 + abs(sp.k1))]
+    try:
+        structure = crossing_structure(sp)
+        points += [g for g in (structure.gamma_plus, structure.gamma_minus) if g is not None]
+    except InfeasibleError:
+        pass  # no crossing frequency
+    split = 4.0 * max(points + [1.0]) + 20.0
+    fn = lambda r: float(integrand(r, sp))
+    head = quad(fn, 0.0, split, points=sorted(points), limit=1000, epsabs=0.0, epsrel=1e-11)[0]
+    tail = quad(fn, split, math.inf, limit=1000, epsabs=1e-10 * head)[0]
+    return 2.0 * (head + tail)
+
+
+def test_matches_independent_quadrature():
+    rng = np.random.default_rng(23)
+    tuples = [_random_stable(rng) for _ in range(40)]
+    p = IEEE39_PARAMS
+    tuples += [
+        ScaledParams.from_physical(p["d"], lam, mu, kappa, p["tau"])
+        for lam, (mu, kappa) in zip(IEEE39_MODES, IEEE39_OPTIMA)
+    ]
+    for sp in tuples:
+        assert evaluate(sp).value == pytest.approx(_quad_oracle(sp), rel=1e-7)
+
+
+def test_consensus_branch_refused():
+    # s2 = k1 = 0 leaves a zero root: the integral diverges even though the
+    # frequency sub-system is stable
+    with pytest.raises(InfeasibleError):
+        evaluate(ScaledParams(1.0, 0.0, 0.0, 0.5))
+
+
+def test_closed_form_at_small_delay():
+    p = IEEE39_PARAMS
+    sp = ScaledParams.from_physical(p["d"], IEEE39_MODES[0], 0.0, 0.0, 1e-3)
+    assert evaluate(sp).value == pytest.approx(math.pi / (sp.s1 * sp.s2), rel=1e-9)
+
+
+def test_unstable_tuple_refused_without_classification():
+    with pytest.raises(InfeasibleError):
+        evaluate(ScaledParams(0.0075, 0.01584, 0.01, 0.0), check_stability=False)
+
+
+def test_import_leaves_integration_module_unloaded():
+    src = str(Path(wacrisk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, wacrisk; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_minimize_prefers_delayed_damping():
