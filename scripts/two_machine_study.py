@@ -22,7 +22,7 @@ import numpy as np
 from wacrisk.errors import InfeasibleError
 from wacrisk.network import GainSpec, GeneratorParams, NetworkModel, build_laplacian
 from wacrisk.risk import SystemicSet, risk_value
-from wacrisk.stats import NoiseParams, pair_deviations_load_noise_only, pair_deviations_no_delay
+from wacrisk.stats import NoiseParams, pair_deviations
 from wacrisk.synthesis import deviation_floor, risk_floor
 
 MODEL = NetworkModel(
@@ -47,7 +47,7 @@ def sync_sweep(spectrum, d, out):
     for mu in np.linspace(0.0, 2.0, 41):
         for kappa in np.linspace(0.0, 3.0, 61):
             try:
-                stats = pair_deviations_no_delay(spectrum, GainSpec.uniform(mu, kappa), d, noise, MODEL.inertia)
+                stats = pair_deviations(spectrum, GainSpec.uniform(mu, kappa), d, 0.0, noise, MODEL.inertia)
                 sigma = float(stats.sigma[0])
             except InfeasibleError:
                 continue
@@ -60,8 +60,8 @@ def delayed_sweep(spectrum, d, out, tau=0.1):
     for mu in np.linspace(-1.0, 30.0, 32):
         for kappa in np.linspace(0.0, 30.0, 31):
             try:
-                stats = pair_deviations_load_noise_only(
-                    spectrum, GainSpec.uniform(mu, kappa), d, tau, 0.7, MODEL.inertia, rel_tol=1e-4
+                stats = pair_deviations(
+                    spectrum, GainSpec.uniform(mu, kappa), d, tau, NoiseParams(0.7), MODEL.inertia
                 )
                 sigma = float(stats.sigma[0])
             except InfeasibleError:
@@ -74,7 +74,7 @@ def risk_window(spectrum, d, out):
     noise = NoiseParams(0.7, 0.3)
     rows = []
     for kappa in np.linspace(0.05, 4.0, 160):
-        stats = pair_deviations_no_delay(spectrum, GainSpec.uniform(0.0, kappa), d, noise, MODEL.inertia)
+        stats = pair_deviations(spectrum, GainSpec.uniform(0.0, kappa), d, 0.0, noise, MODEL.inertia)
         sigma = float(stats.sigma[0])
         rows.append((f"{kappa:.4f}", f"{sigma:.6f}", f"{risk_value(sigma, SET_A):.6g}"))
     write_rows(os.path.join(out, "risk_window.csv"), ["kappa", "sigma", "risk"], rows)

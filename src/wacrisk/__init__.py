@@ -56,9 +56,6 @@ from .stats import (
     incidence_matrix,
     mode_weight,
     pair_deviations,
-    pair_deviations_auto,
-    pair_deviations_load_noise_only,
-    pair_deviations_no_delay,
     pair_list,
 )
 from .synthesis import (

@@ -28,7 +28,7 @@ from .risk import SystemicSet, acceptance_quantile, risk_profile, risk_value
 from .simulate import SimConfig, simulate
 from .spectral import evaluate
 from .stability import ScaledParams, network_verdict
-from .stats import NoiseParams, pair_deviations_auto
+from .stats import NoiseParams, pair_deviations
 from .synthesis import synthesize, tradeoff_scan
 
 
@@ -137,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s2", type=float, required=True)
     p.add_argument("--k1", type=float, default=0.0)
     p.add_argument("--k2", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=1e-6, help="relative tolerance")
 
     p = sub.add_parser("stats", help="stationary pair deviations")
     _add_network_args(p)
@@ -230,7 +229,7 @@ def _cmd_stability(args, argv) -> int:
 
 def _cmd_spectral(args) -> int:
     sp = ScaledParams(s1=args.s1, s2=args.s2, k1=args.k1, k2=args.k2)
-    result = evaluate(sp, rel_tol=args.tol)
+    result = evaluate(sp)
     print(_fmt(result.value))
     return 0
 
@@ -239,7 +238,7 @@ def _stats_for_args(args, model, spectrum):
     """Pair statistics for the parsed arguments, with the resolved gains."""
     resolved = resolve_gains(_gains_from_args(args, spectrum.n), spectrum)
     noise = NoiseParams(eta=args.eta, eta_meas=args.etap)
-    stats = pair_deviations_auto(spectrum, resolved, model.damping_ratio, args.tau, noise, model.inertia)
+    stats = pair_deviations(spectrum, resolved, model.damping_ratio, args.tau, noise, model.inertia)
     return stats, resolved
 
 
@@ -270,11 +269,17 @@ def _cmd_risk(args, argv) -> int:
             header = fh.readline().strip().split(",")
             if header[:3] != ["i", "j", "sigma"]:
                 raise ValidationError(f"{args.from_stats} is not a stats CSV")
-            for line in fh:
+            for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
-                i, j, sigma = line.strip().split(",")[:3]
-                rows.append((int(i), int(j), float(sigma), risk_value(float(sigma), sset)))
+                fields = line.strip().split(",")
+                try:
+                    i, j, sigma = int(fields[0]), int(fields[1]), float(fields[2])
+                except (IndexError, ValueError) as exc:
+                    raise ValidationError(
+                        f"{args.from_stats} line {lineno}: expected i,j,sigma, got {line.strip()!r}"
+                    ) from exc
+                rows.append((i, j, sigma, risk_value(sigma, sset)))
         _emit(args.out, ["i", "j", "sigma", "risk"], rows, argv)
         return 0
     if not args.network:

@@ -69,7 +69,6 @@ class NetworkModel:
     equilibrium_theta: np.ndarray
     susceptance: np.ndarray | None = None
     laplacian: np.ndarray | None = None
-    power_inputs: np.ndarray | None = None
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -111,12 +110,6 @@ class NetworkModel:
             if lap.shape != (n, n):
                 raise ValidationError(f"laplacian must be {n}x{n}, got {lap.shape}")
             object.__setattr__(self, "laplacian", lap)
-
-        if self.power_inputs is not None:
-            p = np.asarray(self.power_inputs, dtype=float)
-            if p.shape != (n,):
-                raise ValidationError(f"power_inputs must have shape ({n},), got {p.shape}")
-            object.__setattr__(self, "power_inputs", p)
 
         inertias = {g.inertia for g in gens}
         dampings = {g.damping for g in gens}
@@ -504,8 +497,7 @@ def load_network(source) -> NetworkModel:
         {"generators": [{"J": .., "beta": .., "E": ..}, ...],
          "susceptance": [[..]],            # optional if laplacian given
          "equilibrium_theta": [..],
-         "laplacian": [[..]],              # optional override
-         "power_inputs": [..]}             # optional
+         "laplacian": [[..]]}              # optional override
     """
     if isinstance(source, dict):
         doc = source
@@ -527,5 +519,4 @@ def load_network(source) -> NetworkModel:
         equilibrium_theta=theta,
         susceptance=doc.get("susceptance"),
         laplacian=doc.get("laplacian"),
-        power_inputs=doc.get("power_inputs"),
     )

@@ -108,7 +108,7 @@ def simulate(
         d = model.damping_ratio
     inertia = model.inertia
     resolved = resolve_gains(gains, spectrum)
-    if require_stable and not network_verdict(spectrum, gains, d, tau).stable:
+    if require_stable and not network_verdict(spectrum, resolved, d, tau).stable:
         raise InfeasibleError("closed loop is unstable; stationary statistics undefined")
 
     n = spectrum.n

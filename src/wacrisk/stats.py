@@ -17,14 +17,16 @@ and the full covariance of the pair vector is
 (1/2 pi) B Q diag(weight) Q^T B^T for the complete incidence matrix B.
 
 F is read off the delay Lyapunov matrix of the mode, exact up to
-rounding.  Two specialisations simplify the assembly: with zero delay the
-weight collapses to the closed form
+rounding.  ``mode_weight`` is the one place that computes a mode weight:
+at zero delay it takes the closed form
 2 pi [eta^2/J^2 + eta_meas^2 (kappa_l^2+mu_l^2)] / (2 (d+kappa_l)(lambda_l+mu_l)),
-and with perfect measurements (eta_meas = 0) the general path reduces to
-the prefactor tau^{3/2} eta / (J sqrt(2 pi)) times the root of the
-weighted spectral sum.  The mode weights are simplified symbolically to
-mu^2 and kappa^2 before evaluation (rather than dividing scaled gains by
-tau powers) to avoid cancellation at small delays.
+and it returns +inf for an unstable mode.  ``pair_deviations`` assembles
+the weights for every delay tau >= 0, and the gain synthesis minimises
+the same function.  With perfect measurements (eta_meas = 0) the pair
+deviation is the prefactor tau^{3/2} eta / (J sqrt(2 pi)) times the root
+of the weighted spectral sum.  The mode weights are simplified
+symbolically to mu^2 and kappa^2 before evaluation (rather than dividing
+scaled gains by tau powers) to avoid cancellation at small delays.
 
 Pair enumeration is row-wise — (1,2), (1,3), ..., (2,3), ... — with
 generator numbering starting at 1.
@@ -103,19 +105,27 @@ def mode_weight(
     tau: float,
     noise: NoiseParams,
     inertia: float,
-    rel_tol: float = 1e-6,
 ) -> float:
-    """Stationary weight of one non-consensus mode under delayed feedback.
+    """Stationary weight of one non-consensus mode: 2 pi times its variance.
 
-    Raises InfeasibleError when the mode tuple is unstable (the stationary
-    law does not exist).
+    The spectral weight of the delay Lyapunov matrix for tau > 0, the
+    synchronous closed form at tau = 0.  Returns +inf when the mode is
+    unstable (its stationary law does not exist) or its integral diverges,
+    so that it serves directly as the gain-search objective.
     """
-    if tau <= 0:
-        raise ValidationError("tau must be positive; use the delay-free form instead")
-    value = weight_or_inf(ScaledParams.from_physical(d, lam, mu, kappa, tau))
-    if math.isinf(value):
-        raise InfeasibleError("mode tuple is not strictly inside the stability region or its integral diverges")
-    return tau**3 * noise.mode_intensity_sq(mu, kappa, inertia) * value
+    if tau < 0:
+        raise ValidationError(f"tau must be nonnegative, got {tau}")
+    if tau == 0.0:
+        stable = delay_free_stable(d, lam, mu, kappa)
+    else:
+        value = weight_or_inf(ScaledParams.from_physical(d, lam, mu, kappa, tau))
+        stable = not math.isinf(value)
+    if not stable:  # kept apart so that zero noise does not turn it into nan
+        return math.inf
+    intensity = noise.mode_intensity_sq(mu, kappa, inertia)
+    if tau == 0.0:
+        return TWO_PI * intensity / (2.0 * (d + kappa) * (lam + mu))
+    return tau**3 * intensity * value
 
 
 def _stats_from_weights(spectrum_q: np.ndarray, weights: np.ndarray) -> PairStats:
@@ -140,71 +150,20 @@ def pair_deviations(
     tau: float,
     noise: NoiseParams,
     inertia: float,
-    rel_tol: float = 1e-6,
 ) -> PairStats:
-    """Stationary pair deviations for the delayed closed loop (tau > 0)."""
+    """Stationary pair deviations of the closed loop at any delay tau >= 0.
+
+    Raises InfeasibleError naming the first unstable mode.  The consensus
+    mode never reaches phase differences; with delay it must still be stable,
+    at zero delay it is not checked.
+    """
     resolved = resolve_gains(gains, spectrum)
-    n = spectrum.n
-    weights = np.zeros(n)
-    for l in range(n):
-        lam, mu, kappa = resolved.lambdas[l], resolved.mu[l], resolved.kappa[l]
-        sp = ScaledParams.from_physical(d, lam, mu, kappa, tau)
-        if l == 0:  # the consensus mode never reaches phase differences but must be stable
-            value = 0.0 if classify(sp).stable else math.inf
-        else:
-            value = weight_or_inf(sp)
-        if math.isinf(value):
+    lams, mu, kappa = resolved.lambdas, resolved.mu, resolved.kappa
+    if tau > 0 and not classify(ScaledParams.from_physical(d, lams[0], mu[0], kappa[0], tau)).stable:
+        raise InfeasibleError(f"mode 1 is unstable at tau={tau}; stationary statistics undefined")
+    weights = np.zeros(spectrum.n)
+    for l in range(1, spectrum.n):
+        weights[l] = mode_weight(lams[l], mu[l], kappa[l], d, tau, noise, inertia)
+        if math.isinf(weights[l]):
             raise InfeasibleError(f"mode {l + 1} is unstable at tau={tau}; stationary statistics undefined")
-        weights[l] = tau**3 * noise.mode_intensity_sq(mu, kappa, inertia) * value
     return _stats_from_weights(resolved.eigenvectors, weights)
-
-
-def pair_deviations_no_delay(
-    spectrum: LaplacianSpectrum,
-    gains: GainSpec | ModeGains,
-    d: float,
-    noise: NoiseParams,
-    inertia: float,
-) -> PairStats:
-    """Closed-form pair deviations for synchronous (zero-delay) feedback."""
-    resolved = resolve_gains(gains, spectrum)
-    n = spectrum.n
-    weights = np.zeros(n)
-    for l in range(1, n):
-        lam, mu, kappa = resolved.lambdas[l], resolved.mu[l], resolved.kappa[l]
-        if not delay_free_stable(d, lam, mu, kappa):
-            raise InfeasibleError(f"mode {l + 1} fails the delay-free stability conditions")
-        weights[l] = TWO_PI * noise.mode_intensity_sq(mu, kappa, inertia) / (
-            2.0 * (d + kappa) * (lam + mu)
-        )
-    return _stats_from_weights(resolved.eigenvectors, weights)
-
-
-def pair_deviations_load_noise_only(
-    spectrum: LaplacianSpectrum,
-    gains: GainSpec | ModeGains,
-    d: float,
-    tau: float,
-    eta: float,
-    inertia: float,
-    rel_tol: float = 1e-6,
-) -> PairStats:
-    """Pair deviations with perfect measurements; same path as the general case."""
-    return pair_deviations(
-        spectrum, gains, d, tau, NoiseParams(eta=eta, eta_meas=0.0), inertia, rel_tol=rel_tol
-    )
-
-
-def pair_deviations_auto(
-    spectrum: LaplacianSpectrum,
-    gains: GainSpec | ModeGains,
-    d: float,
-    tau: float,
-    noise: NoiseParams,
-    inertia: float,
-    rel_tol: float = 1e-6,
-) -> PairStats:
-    """Dispatch on the delay: closed form at tau = 0, Lyapunov-matrix weights otherwise."""
-    if tau == 0.0:
-        return pair_deviations_no_delay(spectrum, gains, d, noise, inertia)
-    return pair_deviations(spectrum, gains, d, tau, noise, inertia, rel_tol=rel_tol)

@@ -4,7 +4,8 @@ Because commuting gains act mode by mode and the pair covariance is a
 positively-weighted sum of mode weights, minimising every mode weight
 separately minimises every pair deviation simultaneously.  The designer
 therefore runs one small 2-D minimisation per non-consensus mode (grid
-seed at the requested step, then a shrinking compass polish), assembles
+seed at the requested step, then a shrinking compass polish) of
+``stats.mode_weight``, the function ``pair_deviations`` sums, assembles
 the optimal matrices through the shared eigenbasis, and leaves the
 consensus mode untouched so the network still agrees on a phase value.
 
@@ -36,11 +37,9 @@ from ._gridopt import grid_minimize
 from .errors import InfeasibleError, ValidationError
 from .network import GainSpec, LaplacianSpectrum, effective_resistance
 from .risk import SystemicSet, risk_profile, risk_value
-from .spectral import minimize_over_gains, weight_or_inf
+from .spectral import minimize_over_gains
 from .stability import ScaledParams, classify
-from .stats import NoiseParams, incidence_matrix, pair_deviations
-
-TWO_PI = 2.0 * math.pi
+from .stats import NoiseParams, _stats_from_weights, mode_weight, pair_deviations
 
 
 @dataclass(frozen=True)
@@ -88,16 +87,6 @@ class TradeoffScan:
     omega_hat: float
 
 
-def _mode_weight_objective(lam, d, tau, noise, inertia):
-    def objective(mu: float, kappa: float) -> float:
-        value = weight_or_inf(ScaledParams.from_physical(d, lam, mu, kappa, tau))
-        if math.isinf(value):  # kept apart so that zero noise does not turn it into nan
-            return math.inf
-        return tau**3 * noise.mode_intensity_sq(mu, kappa, inertia) * value
-
-    return objective
-
-
 def synthesize(
     spectrum: LaplacianSpectrum,
     d: float,
@@ -106,7 +95,6 @@ def synthesize(
     inertia: float,
     gain_box: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 4.0),
     grid_step: float = 0.05,
-    rel_tol: float = 1e-4,
 ) -> SynthesisResult:
     """Minimise every non-consensus mode weight over (mu, kappa) in ``gain_box``.
 
@@ -122,9 +110,11 @@ def synthesize(
     weights = np.zeros(n)
 
     for l in range(1, n):
-        objective = _mode_weight_objective(float(spectrum.eigenvalues[l]), d, tau, noise, inertia)
+        lam = float(spectrum.eigenvalues[l])
         try:
-            (mu[l], kappa[l]), weights[l] = grid_minimize(objective, gain_box, grid_step)
+            (mu[l], kappa[l]), weights[l] = grid_minimize(
+                lambda m, k: mode_weight(lam, m, k, d, tau, noise, inertia), gain_box, grid_step
+            )
         except InfeasibleError as exc:
             raise InfeasibleError(f"no stable gain in the box for mode {l + 1}") from exc
     q = spectrum.eigenvectors
@@ -154,7 +144,6 @@ def deviation_floor(
     inertia: float,
     gain_box: tuple[float, float, float, float] | None = None,
     grid_step: float = 0.05,
-    rel_tol: float = 1e-4,
 ) -> float:
     """Delay-induced lower bound on every pair deviation (perfect measurements).
 
@@ -178,12 +167,10 @@ def deviation_floor(
     for l in range(1, n):
         lam = float(spectrum.eigenvalues[l])
         sp = ScaledParams.from_physical(d, lam, 0.0, 0.0, tau)
-        _, floors[l] = minimize_over_gains(sp.s1, sp.s2, scaled_box, grid_step=scaled_step, rel_tol=rel_tol)
-    b = incidence_matrix(n)
-    bq = b @ spectrum.eigenvectors
-    pair_sums = (bq * bq) @ floors
-    prefactor = tau**1.5 * eta / (inertia * math.sqrt(TWO_PI))
-    return float(prefactor * math.sqrt(pair_sums.min()))
+        _, floors[l] = minimize_over_gains(sp.s1, sp.s2, scaled_box, grid_step=scaled_step)
+    # the floors are mode weights per unit tau^3 (eta / J)^2
+    sigma = _stats_from_weights(spectrum.eigenvectors, floors).sigma
+    return float(tau**1.5 * eta / inertia * sigma.min())
 
 
 def risk_floor(sigma_star: float, sset: SystemicSet) -> LimitReport:
@@ -258,7 +245,7 @@ def tradeoff_scan(
     sset: SystemicSet,
     gain_box: tuple[float, float, float, float],
     grid: tuple[int, int] = (50, 50),
-    rel_tol: float = 1e-3,
+    rel_tol: float = 1e-3,  # unused (the mode weight is exact); perfbench/make_reference.py passes it
 ) -> TradeoffScan:
     """Scan stable consensus gains and record risk x connectivity products.
 
@@ -271,6 +258,8 @@ def tradeoff_scan(
         raise ValidationError("trade-off scan needs a nonzero noise source")
     if tau <= 0:
         raise ValidationError("trade-off scan needs a positive delay")
+    if min(grid) < 1:
+        raise ValidationError(f"trade-off grid counts must be at least 1, got {grid[0]}x{grid[1]}")
     mu_lo, mu_hi, kap_lo, kap_hi = gain_box
     if mu_lo <= 0.0 or kap_lo <= 0.0:
         raise ValidationError("consensus scalings must be strictly positive in the scan box")
@@ -281,7 +270,7 @@ def tradeoff_scan(
         for kappa in np.linspace(kap_lo, kap_hi, grid[1]):
             gains = GainSpec.consensus(mu, kappa)
             try:
-                stats = pair_deviations(spectrum, gains, d, tau, noise, inertia, rel_tol=rel_tol)
+                stats = pair_deviations(spectrum, gains, d, tau, noise, inertia)
             except InfeasibleError:
                 continue
             profile = risk_profile(stats, sset)

@@ -16,12 +16,7 @@ from wacrisk.risk import SystemicSet, risk_profile, risk_search, risk_value
 from wacrisk.simulate import SimConfig, impulse_response, simulate
 from wacrisk.spectral import evaluate
 from wacrisk.stability import ScaledParams, classify, rightmost_root
-from wacrisk.stats import (
-    NoiseParams,
-    pair_deviations,
-    pair_deviations_load_noise_only,
-    pair_deviations_no_delay,
-)
+from wacrisk.stats import NoiseParams, pair_deviations
 from wacrisk.synthesis import deviation_floor, risk_floor, synthesize, tradeoff_scan
 
 from conftest import IEEE39_PARAMS
@@ -37,8 +32,8 @@ def _report(number, text, elapsed, budget):
 
 
 def _sigma_no_delay(spectrum, mu, kappa, eta_meas):
-    stats = pair_deviations_no_delay(
-        spectrum, GainSpec.uniform(mu, kappa), D2, NoiseParams(0.7, eta_meas), J2
+    stats = pair_deviations(
+        spectrum, GainSpec.uniform(mu, kappa), D2, 0.0, NoiseParams(0.7, eta_meas), J2
     )
     return float(stats.sigma[0])
 
@@ -131,8 +126,8 @@ def test_criterion_04_delayed_controls(two_machine_spectrum):
 
     def sigma(mu, kappa):
         try:
-            stats = pair_deviations_load_noise_only(
-                two_machine_spectrum, GainSpec.uniform(mu, kappa), D2, tau, 0.7, J2, rel_tol=1e-5
+            stats = pair_deviations(
+                two_machine_spectrum, GainSpec.uniform(mu, kappa), D2, tau, NoiseParams(0.7), J2
             )
             return float(stats.sigma[0])
         except InfeasibleError:
@@ -331,8 +326,8 @@ def test_criterion_11_limits(two_machine_spectrum):
     for mu in mus:
         for kappa in kappas:
             try:
-                stats = pair_deviations_load_noise_only(
-                    two_machine_spectrum, GainSpec.uniform(float(mu), float(kappa)), D2, tau, eta, J2, rel_tol=1e-4
+                stats = pair_deviations(
+                    two_machine_spectrum, GainSpec.uniform(float(mu), float(kappa)), D2, tau, NoiseParams(eta), J2
                 )
             except InfeasibleError:
                 continue

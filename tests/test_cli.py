@@ -28,7 +28,7 @@ def test_nu_subcommand(capsys):
 
 
 def test_spectral_subcommand(capsys):
-    _run_ok(["spectral", "--s1", "1.0", "--s2", "1.0", "--tol", "1e-8"])
+    _run_ok(["spectral", "--s1", "1.0", "--s2", "1.0"])
     value = float(capsys.readouterr().out.strip())
     assert value == pytest.approx(math.pi, rel=1e-7)
 
@@ -353,3 +353,29 @@ def test_gains_file(two_machine_path, tmp_path):
     )
     _, rows = _read_csv(out)
     assert float(rows[0][2]) == pytest.approx(0.3526, abs=2e-4)
+
+
+@pytest.mark.parametrize("row", ["1,2", "1,2,abc"])
+def test_risk_from_malformed_stats_row(tmp_path, row):
+    stats = tmp_path / "stats.csv"
+    stats.write_text(f"i,j,sigma\n{row}\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wacrisk.cli", "risk", "--from-stats", str(stats), "--zeta", "1.0"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert f"{stats} line 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("grid", ["-5x5", "0x5"])
+def test_tradeoff_bad_grid_counts(two_machine_path, grid):
+    argv = ["tradeoff", "--network", two_machine_path, "--tau", "0.1", "--eta", "0.7", "--zeta", "0.6"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "wacrisk.cli", *argv, f"--grid={grid}"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "grid counts must be at least 1" in proc.stderr

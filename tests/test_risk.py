@@ -16,7 +16,7 @@ from wacrisk.risk import (
     risk_search,
     risk_value,
 )
-from wacrisk.stats import NoiseParams, PairStats, pair_deviations_no_delay, pair_list
+from wacrisk.stats import NoiseParams, PairStats, pair_deviations, pair_list
 
 SET_A = SystemicSet(zeta=math.pi / 3.0, c=1.5, eps=0.1)
 
@@ -149,8 +149,8 @@ def test_risk_profile_two_machine_gain_interval(two_machine_spectrum):
     noise = NoiseParams(0.7, 0.3)
 
     def profile_at(kappa):
-        stats = pair_deviations_no_delay(
-            two_machine_spectrum, GainSpec.uniform(0.0, kappa), 0.075, noise, 2.0
+        stats = pair_deviations(
+            two_machine_spectrum, GainSpec.uniform(0.0, kappa), 0.075, 0.0, noise, 2.0
         )
         return risk_profile(stats, SET_A)
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,15 @@ def test_closed_form_at_small_delay():
 def test_unstable_tuple_refused_without_classification():
     with pytest.raises(InfeasibleError):
         evaluate(ScaledParams(0.0075, 0.01584, 0.01, 0.0), check_stability=False)
+
+
+@pytest.mark.parametrize("s1", [100.0, 800.0])
+def test_strongly_damped_tuple_refused_without_warnings(s1):
+    # the unit-delay flow overflows; the refusal must come without RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibleError):
+            evaluate(ScaledParams(s1, 1.0, 0.0, 0.0))
 
 
 def test_import_leaves_integration_module_unloaded():

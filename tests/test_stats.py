@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wacrisk.errors import InfeasibleError
+from wacrisk.errors import InfeasibleError, ValidationError
 from wacrisk.network import (
     GainSpec,
     GeneratorParams,
@@ -15,9 +15,6 @@ from wacrisk.stats import (
     incidence_matrix,
     mode_weight,
     pair_deviations,
-    pair_deviations_auto,
-    pair_deviations_load_noise_only,
-    pair_deviations_no_delay,
     pair_list,
 )
 
@@ -34,8 +31,8 @@ def test_pair_enumeration_row_wise():
 
 def test_open_loop_two_machine_sigma(two_machine_spectrum):
     # closed form with zero gains
-    stats = pair_deviations_no_delay(
-        two_machine_spectrum, GainSpec.zero(), D2, NoiseParams(0.7, 0.0), J2
+    stats = pair_deviations(
+        two_machine_spectrum, GainSpec.zero(), D2, 0.0, NoiseParams(0.7, 0.0), J2
     )
     assert stats.sigma[0] == pytest.approx(SIGMA_OPEN, abs=1e-3)
     # the small-delay path approaches the same number
@@ -47,8 +44,8 @@ def test_open_loop_two_machine_sigma(two_machine_spectrum):
 
 def test_open_loop_formula_specialisation(two_machine_spectrum):
     # zero gains reduce the closed form to load noise over 2 d lambda
-    stats = pair_deviations_no_delay(
-        two_machine_spectrum, GainSpec.zero(), D2, NoiseParams(0.7, 0.5), J2
+    stats = pair_deviations(
+        two_machine_spectrum, GainSpec.zero(), D2, 0.0, NoiseParams(0.7, 0.5), J2
     )
     expected = math.sqrt(2.0 * (0.7 / J2) ** 2 / (2.0 * D2 * LAM2))
     assert stats.sigma[0] == pytest.approx(expected, rel=1e-12)
@@ -82,8 +79,8 @@ def test_zero_noise_zero_weights(two_machine_spectrum):
 
 def test_synchronous_frequency_optimum(two_machine_spectrum):
     noise = NoiseParams(0.7, 0.3)
-    stats = pair_deviations_no_delay(
-        two_machine_spectrum, GainSpec.uniform(0.0, 1.0941), D2, noise, J2
+    stats = pair_deviations(
+        two_machine_spectrum, GainSpec.uniform(0.0, 1.0941), D2, 0.0, noise, J2
     )
     assert stats.sigma[0] == pytest.approx(0.3526, abs=2e-4)
     # reduction by 65.3 percent from the open-loop deviation
@@ -92,8 +89,8 @@ def test_synchronous_frequency_optimum(two_machine_spectrum):
 
 def test_synchronous_phase_optimum(two_machine_spectrum):
     noise = NoiseParams(0.7, 0.3)
-    stats = pair_deviations_no_delay(
-        two_machine_spectrum, GainSpec.uniform(0.38327, 0.0), D2, noise, J2
+    stats = pair_deviations(
+        two_machine_spectrum, GainSpec.uniform(0.38327, 0.0), D2, 0.0, noise, J2
     )
     assert stats.sigma[0] == pytest.approx(0.9591, abs=2e-4)
 
@@ -119,8 +116,8 @@ def test_unstable_mode_rejected(two_machine_spectrum):
 
 def test_no_delay_requires_delay_free_stability(two_machine_spectrum):
     with pytest.raises(InfeasibleError):
-        pair_deviations_no_delay(
-            two_machine_spectrum, GainSpec.uniform(-2.0, 0.0), D2, NoiseParams(0.7, 0.0), J2
+        pair_deviations(
+            two_machine_spectrum, GainSpec.uniform(-2.0, 0.0), D2, 0.0, NoiseParams(0.7, 0.0), J2
         )
 
 
@@ -129,12 +126,12 @@ def test_load_noise_only_same_path(two_machine_spectrum):
         general = pair_deviations(
             two_machine_spectrum, GainSpec.uniform(0.0, 0.6), D2, tau, NoiseParams(0.7, 0.0), J2
         )
-        special = pair_deviations_load_noise_only(
-            two_machine_spectrum, GainSpec.uniform(0.0, 0.6), D2, tau, 0.7, J2
+        special = pair_deviations(
+            two_machine_spectrum, GainSpec.uniform(0.0, 0.6), D2, tau, NoiseParams(0.7), J2
         )
         assert special.sigma[0] == pytest.approx(general.sigma[0], rel=1e-8)
-    no_delay = pair_deviations_no_delay(
-        two_machine_spectrum, GainSpec.uniform(0.0, 0.6), D2, NoiseParams(0.7, 0.0), J2
+    no_delay = pair_deviations(
+        two_machine_spectrum, GainSpec.uniform(0.0, 0.6), D2, 0.0, NoiseParams(0.7, 0.0), J2
     )
     assert special.sigma[0] == pytest.approx(no_delay.sigma[0], rel=1e-2)
 
@@ -146,8 +143,8 @@ def test_load_noise_only_prefactor(two_machine_spectrum):
     from wacrisk.stability import ScaledParams
 
     tau, eta = 0.1, 0.7
-    stats = pair_deviations_load_noise_only(
-        two_machine_spectrum, GainSpec.uniform(0.0, 1.0), D2, tau, eta, J2
+    stats = pair_deviations(
+        two_machine_spectrum, GainSpec.uniform(0.0, 1.0), D2, tau, NoiseParams(eta), J2
     )
     f_val = evaluate(ScaledParams.from_physical(D2, LAM2, 0.0, 1.0, tau), rel_tol=1e-8).value
     expected = tau**1.5 * eta / (J2 * math.sqrt(2 * math.pi)) * math.sqrt(2.0 * f_val)
@@ -155,8 +152,8 @@ def test_load_noise_only_prefactor(two_machine_spectrum):
 
 
 def test_zero_load_noise_gives_zero(two_machine_spectrum):
-    stats = pair_deviations_load_noise_only(
-        two_machine_spectrum, GainSpec.uniform(0.0, 1.0), D2, 0.1, 0.0, J2
+    stats = pair_deviations(
+        two_machine_spectrum, GainSpec.uniform(0.0, 1.0), D2, 0.1, NoiseParams(0.0), J2
     )
     assert np.allclose(stats.sigma, 0.0)
 
@@ -205,8 +202,15 @@ def test_mode_one_invariance(line3_model, line3_spectrum):
     assert np.allclose(s0.sigma, s1.sigma, rtol=1e-12)
 
 
-def test_auto_dispatch(two_machine_spectrum):
-    noise = NoiseParams(0.7, 0.3)
-    at_zero = pair_deviations_auto(two_machine_spectrum, GainSpec.zero(), D2, 0.0, noise, J2)
-    direct = pair_deviations_no_delay(two_machine_spectrum, GainSpec.zero(), D2, noise, J2)
-    assert at_zero.sigma[0] == direct.sigma[0]
+@pytest.mark.parametrize("tau", [0.1, 0.0])
+def test_unstable_mode_weight_is_inf_at_zero_noise(tau):
+    # an unstable mode has no stationary law: +inf, never 0 * inf = nan
+    w = mode_weight(LAM2, -2.0, 0.0, D2, tau, NoiseParams(0.0, 0.0), J2)
+    assert w == math.inf
+
+
+def test_negative_delay_rejected(two_machine_spectrum):
+    with pytest.raises(ValidationError):
+        mode_weight(LAM2, 0.0, 0.8, D2, -0.05, NoiseParams(0.7, 0.3), J2)
+    with pytest.raises(ValidationError):
+        pair_deviations(two_machine_spectrum, GainSpec.uniform(0.0, 0.8), D2, -0.05, NoiseParams(0.7, 0.3), J2)

@@ -8,7 +8,7 @@ from wacrisk.network import GainSpec, effective_resistance
 from wacrisk.risk import SystemicSet
 from wacrisk.spectral import evaluate
 from wacrisk.stability import ScaledParams, classify
-from wacrisk.stats import NoiseParams, pair_deviations_load_noise_only
+from wacrisk.stats import NoiseParams, mode_weight, pair_deviations
 from wacrisk.synthesis import (
     deviation_floor,
     resistance_bounds,
@@ -54,6 +54,16 @@ def test_synthesize_two_machine_matches_direct_search(two_machine_spectrum):
     assert np.allclose(np.diag(q.T @ result.M @ q), result.mu, atol=1e-12)
 
 
+def test_synthesize_weights_are_mode_weights(two_machine_spectrum):
+    noise = NoiseParams(0.7, 0.3)
+    result = synthesize(
+        two_machine_spectrum, D2, 0.1, noise, J2, gain_box=(0.0, 3.0, 0.0, 3.0), grid_step=0.25
+    )
+    for l in range(1, two_machine_spectrum.n):
+        lam = float(two_machine_spectrum.eigenvalues[l])
+        assert result.weights[l] == mode_weight(lam, result.mu[l], result.kappa[l], D2, 0.1, noise, J2)
+
+
 def test_synthesize_no_stable_gain(two_machine_spectrum):
     # a box of destabilising phase gains only
     with pytest.raises(InfeasibleError):
@@ -84,8 +94,8 @@ def test_deviation_floor_bounds_gain_grid(two_machine_spectrum):
     for mu in np.linspace(-1.2, 40.0, 15):
         for kappa in np.linspace(0.0, 40.0, 15):
             try:
-                stats = pair_deviations_load_noise_only(
-                    two_machine_spectrum, GainSpec.uniform(mu, kappa), D2, tau, eta, J2, rel_tol=1e-5
+                stats = pair_deviations(
+                    two_machine_spectrum, GainSpec.uniform(mu, kappa), D2, tau, NoiseParams(eta), J2
                 )
             except InfeasibleError:
                 continue
@@ -130,6 +140,14 @@ def test_tradeoff_scan_rejects_zero_noise(two_machine_spectrum):
     with pytest.raises(ValidationError):
         tradeoff_scan(
             two_machine_spectrum, D2, 0.1, NoiseParams(0.0, 0.0), J2, SET_A, (0.1, 1.0, 0.1, 1.0)
+        )
+
+
+@pytest.mark.parametrize("grid", [(-5, 5), (0, 5), (5, 0)])
+def test_tradeoff_scan_rejects_empty_grid(two_machine_spectrum, grid):
+    with pytest.raises(ValidationError, match="grid counts"):
+        tradeoff_scan(
+            two_machine_spectrum, D2, 0.1, NoiseParams(0.7, 0.3), J2, SET_A, (0.1, 1.0, 0.1, 1.0), grid=grid
         )
 
 
