@@ -38,7 +38,7 @@ from .risk import (
     risk_value,
 )
 from .simulate import EnsembleStats, ImpulseResponse, SimConfig, impulse_response, simulate
-from .spectral import SpectralEvaluation, evaluate, magnitude_sq, minimize_over_gains
+from .spectral import SpectralEvaluation, evaluate, magnitude_sq
 from .stability import (
     NetworkStability,
     ScaledParams,

@@ -11,24 +11,30 @@ import math
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, ValidationError
+
+# compass-polish rounds; the step halves on every round without a move
+_MAX_POLISH = 60
 
 
-def grid_minimize(objective, box, step, polish_tol=None, max_polish=60):
+def grid_minimize(objective, box, step):
     """Minimise ``objective(x, y)`` over the rectangle ``box``.
 
     ``box`` is (x_lo, x_hi, y_lo, y_hi); the seed grid uses spacing
     ``step`` (a float or an (x_step, y_step) pair) and includes both
     endpoints.  The seed is polished by a shrinking compass search until
-    the step falls below ``polish_tol`` (default step / 64).
+    the polish step falls below min(x_step, y_step) / 64.
 
-    Returns ((x, y), value).  Raises InfeasibleError when every grid probe
-    is infeasible.
+    Returns ((x, y), value).  Raises ValidationError for a reversed or
+    unbounded box or a step that is not a positive real, and
+    InfeasibleError when every grid probe is infeasible.
     """
     x_lo, x_hi, y_lo, y_hi = box
-    if x_hi < x_lo or y_hi < y_lo:
-        raise InfeasibleError("empty search box")
     sx, sy = (step, step) if np.isscalar(step) else step
+    if not (x_lo <= x_hi and y_lo <= y_hi and all(math.isfinite(v) for v in box)):
+        raise ValidationError(f"search box {tuple(box)} must be finite with lo <= hi")
+    if not (0.0 < sx < math.inf and 0.0 < sy < math.inf):
+        raise ValidationError(f"grid step {step} must be a positive real")
     xs = _axis(x_lo, x_hi, sx)
     ys = _axis(y_lo, y_hi, sy)
 
@@ -41,12 +47,10 @@ def grid_minimize(objective, box, step, polish_tol=None, max_polish=60):
     if best is None or not math.isfinite(best_val):
         raise InfeasibleError("no feasible point on the search grid")
 
-    if polish_tol is None:
-        polish_tol = min(sx, sy) / 64.0
     hx, hy = sx / 2.0, sy / 2.0
     x, y = best
-    for _ in range(max_polish):
-        if max(hx, hy) < polish_tol:
+    for _ in range(_MAX_POLISH):
+        if max(hx, hy) < min(sx, sy) / 64.0:
             break
         moved = False
         for dx, dy in ((hx, 0.0), (-hx, 0.0), (0.0, hy), (0.0, -hy), (hx, hy), (-hx, hy), (hx, -hy), (-hx, -hy)):

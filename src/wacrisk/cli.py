@@ -79,14 +79,17 @@ def _gains_from_args(args, n: int) -> GainSpec:
         with open(args.gains, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         mode = doc.get("mode", "eigen")
-        if mode == "eigen":
-            return GainSpec.eigen(doc["mu"], doc["kappa"])
-        if mode == "uniform":
-            return GainSpec.uniform(doc["mu"], doc["kappa"])
-        if mode == "consensus":
-            return GainSpec.consensus(doc["mu"], doc["kappa"])
-        if mode == "dense":
-            return GainSpec.dense(doc["M"], doc["K"])
+        try:
+            if mode == "eigen":
+                return GainSpec.eigen(doc["mu"], doc["kappa"])
+            if mode == "uniform":
+                return GainSpec.uniform(doc["mu"], doc["kappa"])
+            if mode == "consensus":
+                return GainSpec.consensus(doc["mu"], doc["kappa"])
+            if mode == "dense":
+                return GainSpec.dense(doc["M"], doc["K"])
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed gain file {args.gains}: {exc}") from exc
         raise ValidationError(f"unknown gain mode {mode!r} in {args.gains}")
     mu = getattr(args, "mu", 0.0) or 0.0
     kappa = getattr(args, "kappa", 0.0) or 0.0
@@ -275,11 +278,13 @@ def _cmd_risk(args, argv) -> int:
                 fields = line.strip().split(",")
                 try:
                     i, j, sigma = int(fields[0]), int(fields[1]), float(fields[2])
+                    risk = risk_value(sigma, sset)
                 except (IndexError, ValueError) as exc:
                     raise ValidationError(
-                        f"{args.from_stats} line {lineno}: expected i,j,sigma, got {line.strip()!r}"
+                        f"{args.from_stats} line {lineno}: expected i,j,sigma with sigma >= 0,"
+                        f" got {line.strip()!r}"
                     ) from exc
-                rows.append((i, j, sigma, risk_value(sigma, sset)))
+                rows.append((i, j, sigma, risk))
         _emit(args.out, ["i", "j", "sigma", "risk"], rows, argv)
         return 0
     if not args.network:

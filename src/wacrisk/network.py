@@ -38,7 +38,8 @@ CONNECTIVITY_RTOL = 1e-8
 # relative gap under which eigenvalues are treated as a tied group
 _TIE_RTOL = 1e-9
 
-_ROW_SUM_ATOL = 1e-12
+# relative Frobenius norm under which commutators and off-diagonal residuals vanish
+_COMMUTE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -195,7 +196,7 @@ def _deterministic_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lams[order], vecs[:, order]
 
 
-def build_laplacian(model: NetworkModel, connectivity_rtol: float = CONNECTIVITY_RTOL) -> LaplacianSpectrum:
+def build_laplacian(model: NetworkModel) -> LaplacianSpectrum:
     """Assemble the inertia-normalised Laplacian and its spectrum.
 
     Off-diagonal coupling weights are E_i E_j Y_ij cos(theta_i - theta_j) / J;
@@ -230,7 +231,7 @@ def build_laplacian(model: NetworkModel, connectivity_rtol: float = CONNECTIVITY
     lams, vecs = _deterministic_eigh(lap)
     if abs(lams[0]) > 1e-8 * max(1.0, lams[-1]):
         raise ValidationError("smallest eigenvalue is not numerically zero; not a Laplacian")
-    if lams[-1] <= 0 or lams[1] <= connectivity_rtol * lams[-1]:
+    if lams[-1] <= 0 or lams[1] <= CONNECTIVITY_RTOL * lams[-1]:
         raise ValidationError("coupling graph is disconnected (second eigenvalue is zero)")
 
     ones = np.full(n, 1.0 / math.sqrt(n))
@@ -331,10 +332,10 @@ def _split_ties(values: np.ndarray, groups, scale: float):
     return out
 
 
-def check_commuting(L: np.ndarray, M: np.ndarray, K: np.ndarray, tol: float = 1e-8) -> SimultaneousBasis:
+def check_commuting(L: np.ndarray, M: np.ndarray, K: np.ndarray) -> SimultaneousBasis:
     """Check pairwise commutation of three symmetric matrices.
 
-    When all commutators have Frobenius norm below ``tol`` (scaled by the
+    When all commutators have Frobenius norm below 1e-8 (scaled by the
     matrix magnitudes), returns the shared orthogonal eigenbasis aligned to
     the ascending eigenvalues of L together with the per-mode gain values.
     Degenerate eigenspaces of L are refined against M and then K so the
@@ -350,7 +351,7 @@ def check_commuting(L: np.ndarray, M: np.ndarray, K: np.ndarray, tol: float = 1e
     L, M, K = mats
     scale = max(1.0, *(float(np.linalg.norm(A)) for A in mats))
     for A, B in ((L, M), (L, K), (M, K)):
-        if np.linalg.norm(A @ B - B @ A) > tol * scale:
+        if np.linalg.norm(A @ B - B @ A) > _COMMUTE_TOL * scale:
             return SimultaneousBasis(commute=False)
 
     lams, vecs = _deterministic_eigh(L)
@@ -375,7 +376,7 @@ def check_commuting(L: np.ndarray, M: np.ndarray, K: np.ndarray, tol: float = 1e
     for name, A in (("lams", L), ("mu", M), ("kappa", K)):
         diag[name] = np.einsum("ji,jk,ki->i", vecs, A, vecs)
         resid = vecs.T @ A @ vecs - np.diag(diag[name])
-        if np.linalg.norm(resid) > max(tol, 1e-9) * scale * 10:
+        if np.linalg.norm(resid) > _COMMUTE_TOL * scale * 10:
             return SimultaneousBasis(commute=False)
     return SimultaneousBasis(
         commute=True, eigenvectors=vecs, lambdas=diag["lams"], mu=diag["mu"], kappa=diag["kappa"]
@@ -438,7 +439,7 @@ class ModeGains:
     K: np.ndarray
 
 
-def resolve_gains(gains: GainSpec | ModeGains, spectrum: LaplacianSpectrum, tol: float = 1e-8) -> ModeGains:
+def resolve_gains(gains: GainSpec | ModeGains, spectrum: LaplacianSpectrum) -> ModeGains:
     """Turn a GainSpec into per-mode gain arrays plus dense matrices.
 
     Dense gains that fail the commutation test are rejected outright; every
@@ -464,7 +465,7 @@ def resolve_gains(gains: GainSpec | ModeGains, spectrum: LaplacianSpectrum, tol:
         mu = float(gains.mu) * lams
         kappa = float(gains.kappa) * lams
     elif gains.mode == "dense":
-        basis = check_commuting(spectrum.laplacian, gains.M, gains.K, tol=tol)
+        basis = check_commuting(spectrum.laplacian, gains.M, gains.K)
         if not basis.commute:
             raise ValidationError("dense gain matrices do not commute with the Laplacian")
         vecs = basis.eigenvectors.copy()
@@ -507,16 +508,18 @@ def load_network(source) -> NetworkModel:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     try:
-        gens = tuple(
-            GeneratorParams(inertia=float(g["J"]), damping=float(g["beta"]), voltage=float(g["E"]))
-            for g in doc["generators"]
+        return NetworkModel(
+            generators=tuple(
+                GeneratorParams(inertia=float(g["J"]), damping=float(g["beta"]), voltage=float(g["E"]))
+                for g in doc["generators"]
+            ),
+            equilibrium_theta=doc["equilibrium_theta"],
+            susceptance=doc.get("susceptance"),
+            laplacian=doc.get("laplacian"),
         )
-        theta = doc["equilibrium_theta"]
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except KeyError as exc:
         raise ValidationError(f"malformed network document: missing field {exc}") from exc
-    return NetworkModel(
-        generators=gens,
-        equilibrium_theta=theta,
-        susceptance=doc.get("susceptance"),
-        laplacian=doc.get("laplacian"),
-    )
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed network document: {exc}") from exc

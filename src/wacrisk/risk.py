@@ -33,7 +33,7 @@ from .stats import PairStats
 _NU_TOL = 1e-14
 
 
-def acceptance_quantile(eps: float, tol: float = _NU_TOL) -> float:
+def acceptance_quantile(eps: float) -> float:
     """Root nu of the two-sided Gaussian condition for acceptance level eps.
 
     Solved by bracketing bisection on the integral (via erf), not by an
@@ -51,7 +51,7 @@ def acceptance_quantile(eps: float, tol: float = _NU_TOL) -> float:
         hi *= 2.0
         if hi > 1e3:
             raise ValidationError("acceptance quantile bracket failed")
-    while hi - lo > tol:
+    while hi - lo > _NU_TOL:
         mid = 0.5 * (lo + hi)
         if gap(mid) < 0.0:
             lo = mid
@@ -98,8 +98,8 @@ class SystemicSet:
 
 def risk_value(sigma: float, sset: SystemicSet) -> float:
     """Closed-form value-at-risk of a centred Gaussian deviation ``sigma``."""
-    if sigma < 0:
-        raise ValidationError("sigma must be nonnegative")
+    if not sigma >= 0:
+        raise ValidationError(f"sigma must be a nonnegative number, got {sigma}")
     nu = sset.nu
     if sigma <= sset.zero_risk_threshold:
         return 0.0
@@ -115,15 +115,15 @@ def _tail_probability(sigma: float, threshold: float) -> float:
     return math.erfc(threshold / (sigma * math.sqrt(2.0)))
 
 
-def risk_search(sigma: float, sset: SystemicSet, tol: float = 1e-12) -> float:
+def risk_search(sigma: float, sset: SystemicSet) -> float:
     """Value-at-risk straight from its definition.
 
     Bisects the smallest delta > 0 whose unsafe set is reached with
     probability below eps, using only the Gaussian tail; the closed-form
     ``risk_value`` must agree with this wherever it is finite.
     """
-    if sigma < 0:
-        raise ValidationError("sigma must be nonnegative")
+    if not sigma >= 0:
+        raise ValidationError(f"sigma must be a nonnegative number, got {sigma}")
     if sigma == 0.0:
         return 0.0
     eps = sset.eps
@@ -137,7 +137,7 @@ def risk_search(sigma: float, sset: SystemicSet, tol: float = 1e-12) -> float:
         hi *= 2.0
         if hi > 1e12:
             return math.inf
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > 1e-12 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if _tail_probability(sigma, sset.unsafe_threshold(mid)) < eps:
             hi = mid

@@ -56,8 +56,8 @@ class SimConfig:
     phi_omega: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.step <= 0 or self.horizon <= 0:
-            raise ValidationError("step and horizon must be positive")
+        if not (0.0 < self.step < math.inf and 0.0 < self.horizon < math.inf):
+            raise ValidationError(f"step and horizon must be positive reals, got {self.step}, {self.horizon}")
         if not 0.0 < self.burn_in < 1.0:
             raise ValidationError("burn_in must lie in (0, 1)")
         if self.trajectories < 1:
@@ -94,21 +94,17 @@ def simulate(
     tau: float,
     noise: NoiseParams,
     config: SimConfig,
-    d: float | None = None,
-    require_stable: bool = True,
 ) -> EnsembleStats:
-    """Euler-Maruyama ensemble of the delayed closed loop.
+    """Euler-Maruyama ensemble of the delayed closed loop at the model's damping ratio.
 
-    Raises InfeasibleError when stationary statistics are requested for an
-    unstable configuration (set ``require_stable=False`` to force a run for
-    diagnostic purposes).
+    Raises InfeasibleError when the loop is unstable: its stationary
+    statistics are undefined.
     """
     spectrum = build_laplacian(model)
-    if d is None:
-        d = model.damping_ratio
+    d = model.damping_ratio
     inertia = model.inertia
     resolved = resolve_gains(gains, spectrum)
-    if require_stable and not network_verdict(spectrum, resolved, d, tau).stable:
+    if not network_verdict(spectrum, resolved, d, tau).stable:
         raise InfeasibleError("closed loop is unstable; stationary statistics undefined")
 
     n = spectrum.n

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from ._gridopt import grid_minimize
 from .errors import InfeasibleError
 from .stability import ScaledParams, classify
 
@@ -146,24 +145,7 @@ def evaluate(sp: ScaledParams, rel_tol: float = 1e-6, check_stability: bool = Tr
 def weight_or_inf(sp: ScaledParams) -> float:
     """Mode integral of a strictly stable tuple, +inf when the tuple is
     unstable or the integral diverges (the gain-search objective)."""
-    if not classify(sp).stable:
-        return math.inf
     try:
-        return evaluate(sp, check_stability=False).value
+        return evaluate(sp).value
     except InfeasibleError:
         return math.inf
-
-
-def minimize_over_gains(
-    s1: float,
-    s2: float,
-    box: tuple[float, float, float, float],
-    grid_step: float = 0.05,
-) -> tuple[tuple[float, float], float]:
-    """Minimise the mode integral over scaled gains (k1, k2) in ``box``.
-
-    Every probe is checked for stability first; unstable or divergent
-    probes count as +inf.  Returns ((k1, k2), value).  Raises
-    InfeasibleError when the box contains no stable point.
-    """
-    return grid_minimize(lambda k1, k2: weight_or_inf(ScaledParams(s1, s2, k1, k2)), box, grid_step)

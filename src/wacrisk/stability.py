@@ -331,7 +331,6 @@ def network_verdict(
     gains: GainSpec,
     d: float,
     tau: float,
-    band: float = BOUNDARY_BAND,
 ) -> NetworkStability:
     """Mode-by-mode verdict for the closed loop under delay ``tau``.
 
@@ -362,7 +361,7 @@ def network_verdict(
             continue
         sp = ScaledParams.from_physical(d, lam, mu, kappa, tau)
         params.append(sp)
-        verdicts.append(classify(sp, band=band))
+        verdicts.append(classify(sp))
     overall = all(v.stable for v in verdicts)
     if mode_gains.mu[0] == 0.0 and mode_gains.kappa[0] == 0.0:
         n = spectrum.n

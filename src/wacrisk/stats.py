@@ -55,8 +55,8 @@ class NoiseParams:
     eta_meas: float = 0.0
 
     def __post_init__(self):
-        if self.eta < 0 or self.eta_meas < 0:
-            raise ValidationError("noise magnitudes must be nonnegative")
+        if not (0.0 <= self.eta < math.inf and 0.0 <= self.eta_meas < math.inf):
+            raise ValidationError(f"noise magnitudes must be nonnegative reals, got {self.eta}, {self.eta_meas}")
 
     def mode_intensity_sq(self, mu: float, kappa: float, inertia: float) -> float:
         """Squared white-noise intensity driving one mode."""

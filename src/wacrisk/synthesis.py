@@ -37,7 +37,7 @@ from ._gridopt import grid_minimize
 from .errors import InfeasibleError, ValidationError
 from .network import GainSpec, LaplacianSpectrum, effective_resistance
 from .risk import SystemicSet, risk_profile, risk_value
-from .spectral import minimize_over_gains
+from .spectral import weight_or_inf
 from .stability import ScaledParams, classify
 from .stats import NoiseParams, _stats_from_weights, mode_weight, pair_deviations
 
@@ -167,7 +167,9 @@ def deviation_floor(
     for l in range(1, n):
         lam = float(spectrum.eigenvalues[l])
         sp = ScaledParams.from_physical(d, lam, 0.0, 0.0, tau)
-        _, floors[l] = minimize_over_gains(sp.s1, sp.s2, scaled_box, grid_step=scaled_step)
+        _, floors[l] = grid_minimize(
+            lambda k1, k2: weight_or_inf(ScaledParams(sp.s1, sp.s2, k1, k2)), scaled_box, scaled_step
+        )
     # the floors are mode weights per unit tau^3 (eta / J)^2
     sigma = _stats_from_weights(spectrum.eigenvectors, floors).sigma
     return float(tau**1.5 * eta / inertia * sigma.min())
@@ -195,14 +197,13 @@ def resistance_bounds(
     d: float,
     tau: float,
     rays: int = 720,
-    bisect_rtol: float = 1e-6,
 ) -> ResistanceBounds:
     """Lower bounds on the effective resistances of consensus gain networks.
 
     Traces the stability boundary of the top mode in the (mu, kappa)
-    scaling quadrant by bisection along ``rays`` directions from the
-    origin, then bounds Xi_K > (n-1)/(kappa_max * lambda_max) and
-    Xi_M > (n-1)/(mu_max * lambda_max).
+    scaling quadrant by bisection (to relative width 1e-6) along ``rays``
+    directions from the origin, then bounds
+    Xi_K > (n-1)/(kappa_max * lambda_max) and Xi_M > (n-1)/(mu_max * lambda_max).
     """
     if tau <= 0:
         raise ValidationError("resistance bounds are a delay effect; tau must be positive")
@@ -217,7 +218,7 @@ def resistance_bounds(
             lo, hi = hi, hi * 2.0
             if hi > 1e9:
                 raise InfeasibleError("consensus stability region appears unbounded along a ray")
-        while hi - lo > bisect_rtol * hi:
+        while hi - lo > 1e-6 * hi:
             mid = 0.5 * (lo + hi)
             if _consensus_stable(spectrum, d, tau, mid * direction[0], mid * direction[1]):
                 lo = mid
@@ -263,6 +264,8 @@ def tradeoff_scan(
     mu_lo, mu_hi, kap_lo, kap_hi = gain_box
     if mu_lo <= 0.0 or kap_lo <= 0.0:
         raise ValidationError("consensus scalings must be strictly positive in the scan box")
+    if not (mu_lo <= mu_hi and kap_lo <= kap_hi and all(math.isfinite(v) for v in gain_box)):
+        raise ValidationError(f"scan box {tuple(gain_box)} must be finite with lo <= hi")
     xi_l = effective_resistance(spectrum)
     rows = []
     omega_hat = math.inf

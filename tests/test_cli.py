@@ -280,6 +280,22 @@ def test_exit_codes(tmp_path, two_machine_path):
     assert proc.returncode == 2
     assert "disconnected" in proc.stderr
 
+    # non-numeric JSON fields -> validation error naming the input, exit 2
+    doc["generators"][0]["J"] = "abc"
+    bad_network = tmp_path / "non_numeric.json"
+    bad_network.write_text(json.dumps(doc))
+    bad_gains = tmp_path / "non_numeric_gains.json"
+    bad_gains.write_text(json.dumps({"mode": "eigen", "mu": ["a", 1], "kappa": [0.0, 0.0]}))
+    for argv in (["--network", str(bad_network)], ["--network", two_machine_path, "--gains", str(bad_gains)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "wacrisk.cli", "stats", *argv, "--tau", "0.1", "--eta", "0.7"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "malformed" in proc.stderr and "Traceback" not in proc.stderr
+    assert str(bad_gains) in proc.stderr
+
     # unstable configuration where statistics were requested -> exit 3
     proc = subprocess.run(
         [
@@ -355,7 +371,7 @@ def test_gains_file(two_machine_path, tmp_path):
     assert float(rows[0][2]) == pytest.approx(0.3526, abs=2e-4)
 
 
-@pytest.mark.parametrize("row", ["1,2", "1,2,abc"])
+@pytest.mark.parametrize("row", ["1,2", "1,2,abc", "1,2,nan"])
 def test_risk_from_malformed_stats_row(tmp_path, row):
     stats = tmp_path / "stats.csv"
     stats.write_text(f"i,j,sigma\n{row}\n")
@@ -379,3 +395,27 @@ def test_tradeoff_bad_grid_counts(two_machine_path, grid):
     )
     assert proc.returncode == 2
     assert "grid counts must be at least 1" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "--tau", "0.1", "--eta", "nan", "--kappa", "0.5"],
+        ["stats", "--tau", "0.1", "--eta", "inf", "--kappa", "0.5"],
+        ["simulate", "--tau", "0.1", "--eta", "0.7", "--T", "nan"],
+        ["simulate", "--tau", "0.1", "--eta", "0.7", "--h", "nan"],
+        ["synth", "--tau", "0.1", "--eta", "0.7", "--grid-step", "0"],
+        ["synth", "--tau", "0.1", "--eta", "0.7", "--grid-step", "-0.1"],
+        ["synth", "--tau", "0.1", "--eta", "0.7", "--mu-max", "-1"],
+        ["tradeoff", "--tau", "0.1", "--eta", "0.7", "--zeta", "0.6", "--mu-max", "0.01", "--grid", "2x2"],
+    ],
+)
+def test_non_finite_inputs_and_bad_boxes_exit_2(two_machine_path, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "wacrisk.cli", argv[0], "--network", two_machine_path, *argv[1:]],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr

@@ -71,6 +71,14 @@ def test_risk_search_is_equivalent():
     assert risk_search(0.7, SET_A) == math.inf
 
 
+def test_nan_sigma_refused():
+    for fn in (risk_value, risk_search):
+        with pytest.raises(ValidationError):
+            fn(math.nan, SET_A)
+        with pytest.raises(ValidationError):
+            fn(-0.1, SET_A)
+
+
 def test_risk_search_inverts_middle_branch():
     # choose sigma so the infimum lands exactly at delta = 1
     delta0 = 1.0

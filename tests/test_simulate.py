@@ -26,6 +26,11 @@ def test_config_validation():
         SimConfig(step=0.0, horizon=1.0, trajectories=10)
     with pytest.raises(ValidationError):
         SimConfig(step=0.01, horizon=1.0, trajectories=10, burn_in=1.5)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            SimConfig(step=bad, horizon=1.0, trajectories=10)
+        with pytest.raises(ValidationError):
+            SimConfig(step=0.01, horizon=bad, trajectories=10)
 
 
 def test_deterministic_consensus(two_machine_model):

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import wacrisk
-from wacrisk.errors import InfeasibleError
-from wacrisk.spectral import evaluate, integrand, magnitude_sq, minimize_over_gains
+from wacrisk._gridopt import grid_minimize
+from wacrisk.errors import InfeasibleError, ValidationError
+from wacrisk.spectral import evaluate, integrand, magnitude_sq, weight_or_inf
 from wacrisk.stability import ScaledParams, classify, crossing_structure
 
 from conftest import IEEE39_MODES, IEEE39_PARAMS
@@ -207,14 +208,16 @@ def test_minimize_prefers_delayed_damping():
     at_zero = evaluate(ScaledParams(s1, s2, 0.0, 0.0), rel_tol=1e-7).value
     at_k2 = evaluate(ScaledParams(s1, s2, 0.0, 0.3), rel_tol=1e-7).value
     assert at_k2 < at_zero
-    (k1_star, k2_star), best = minimize_over_gains(s1, s2, (-0.5, 0.9, -0.04, 2.5), grid_step=0.1)
+    objective = lambda k1, k2: weight_or_inf(ScaledParams(s1, s2, k1, k2))
+    (k1_star, k2_star), best = grid_minimize(objective, (-0.5, 0.9, -0.04, 2.5), 0.1)
     assert k2_star > 0.0
     assert best <= at_k2
 
 
 def test_minimize_interior_gradient():
     s1, s2 = 0.3, 1.2
-    (k1_star, k2_star), best = minimize_over_gains(s1, s2, (-1.0, 1.1, -0.2, 3.0), grid_step=0.1)
+    objective = lambda k1, k2: weight_or_inf(ScaledParams(s1, s2, k1, k2))
+    (k1_star, k2_star), best = grid_minimize(objective, (-1.0, 1.1, -0.2, 3.0), 0.1)
     # interior optimum: central differences at the reported argmin stay small
     step = 1e-3
     gx = (
@@ -230,4 +233,22 @@ def test_minimize_interior_gradient():
 
 def test_minimize_empty_box():
     with pytest.raises(InfeasibleError):
-        minimize_over_gains(0.05, 1.0, (5.0, 6.0, -8.0, -7.0), grid_step=0.2)
+        grid_minimize(lambda k1, k2: weight_or_inf(ScaledParams(0.05, 1.0, k1, k2)), (5.0, 6.0, -8.0, -7.0), 0.2)
+
+
+@pytest.mark.parametrize(
+    "box, step",
+    [
+        ((0.0, 1.0, 0.0, 1.0), 0.0),
+        ((0.0, 1.0, 0.0, 1.0), -0.1),
+        ((0.0, 1.0, 0.0, 1.0), math.nan),
+        ((0.0, 1.0, 0.0, 1.0), (0.1, math.inf)),
+        ((1.0, 0.0, 0.0, 1.0), 0.1),
+        ((0.0, 1.0, 1.0, 0.0), 0.1),
+        ((0.0, math.nan, 0.0, 1.0), 0.1),
+        ((0.0, math.inf, 0.0, 1.0), 0.1),
+    ],
+)
+def test_grid_minimize_rejects_bad_step_or_box(box, step):
+    with pytest.raises(ValidationError):
+        grid_minimize(lambda x, y: x * x + y * y, box, step)

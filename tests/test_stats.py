@@ -214,3 +214,11 @@ def test_negative_delay_rejected(two_machine_spectrum):
         mode_weight(LAM2, 0.0, 0.8, D2, -0.05, NoiseParams(0.7, 0.3), J2)
     with pytest.raises(ValidationError):
         pair_deviations(two_machine_spectrum, GainSpec.uniform(0.0, 0.8), D2, -0.05, NoiseParams(0.7, 0.3), J2)
+
+
+@pytest.mark.parametrize(
+    "eta, eta_meas", [(-0.1, 0.0), (math.nan, 0.0), (math.inf, 0.0), (0.7, -0.1), (0.7, math.nan), (0.7, math.inf)]
+)
+def test_noise_magnitudes_must_be_nonnegative_reals(eta, eta_meas):
+    with pytest.raises(ValidationError):
+        NoiseParams(eta, eta_meas)

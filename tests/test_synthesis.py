@@ -143,6 +143,15 @@ def test_tradeoff_scan_rejects_zero_noise(two_machine_spectrum):
         )
 
 
+def test_reversed_gain_box_rejected(two_machine_spectrum):
+    noise = NoiseParams(0.7, 0.3)
+    with pytest.raises(ValidationError):
+        synthesize(two_machine_spectrum, D2, 0.1, noise, J2, gain_box=(0.0, -1.0, 0.0, 4.0))
+    for box in ((0.02, 0.01, 0.02, 2.0), (0.02, math.inf, 0.02, 2.0)):
+        with pytest.raises(ValidationError, match="lo <= hi"):
+            tradeoff_scan(two_machine_spectrum, D2, 0.1, noise, J2, SET_A, box)
+
+
 @pytest.mark.parametrize("grid", [(-5, 5), (0, 5), (5, 0)])
 def test_tradeoff_scan_rejects_empty_grid(two_machine_spectrum, grid):
     with pytest.raises(ValidationError, match="grid counts"):
