@@ -74,28 +74,29 @@ def _write_manifest(out_path: str, argv: list[str]) -> None:
     _write_atomic(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
-def _gains_from_args(args, n: int) -> GainSpec:
-    if getattr(args, "gains", None):
-        with open(args.gains, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        mode = doc.get("mode", "eigen")
-        try:
-            if mode == "eigen":
-                return GainSpec.eigen(doc["mu"], doc["kappa"])
-            if mode == "uniform":
-                return GainSpec.uniform(doc["mu"], doc["kappa"])
-            if mode == "consensus":
-                return GainSpec.consensus(doc["mu"], doc["kappa"])
-            if mode == "dense":
-                return GainSpec.dense(doc["M"], doc["K"])
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed gain file {args.gains}: {exc}") from exc
+def _read_json_object(path: str, what: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} {path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _gains_from_args(args) -> GainSpec:
+    """Gains from ``--gains`` or the scalar flags; each gain mode names its GainSpec constructor."""
+    if not args.gains:
+        return getattr(GainSpec, args.gain_mode)(args.mu, args.kappa)
+    doc = _read_json_object(args.gains, "gain file")
+    mode = doc.get("mode", "eigen")
+    if mode not in ("eigen", "uniform", "consensus", "dense"):
         raise ValidationError(f"unknown gain mode {mode!r} in {args.gains}")
-    mu = getattr(args, "mu", 0.0) or 0.0
-    kappa = getattr(args, "kappa", 0.0) or 0.0
-    if args.gain_mode == "consensus":
-        return GainSpec.consensus(mu, kappa)
-    return GainSpec.uniform(mu, kappa)
+    fields = ("M", "K") if mode == "dense" else ("mu", "kappa")
+    try:
+        return getattr(GainSpec, mode)(*(doc[field] for field in fields))
+    except KeyError as exc:
+        raise ValidationError(f"gain file {args.gains} (mode {mode!r}) lacks field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed gain file {args.gains}: {exc}") from exc
 
 
 def _systemic_set(args) -> SystemicSet:
@@ -107,6 +108,7 @@ def _systemic_set(args) -> SystemicSet:
 
 def _add_network_args(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--network", required=required, help="network JSON document")
+    p.add_argument("--tau", type=float, required=required, default=None if required else 0.0, help="delay")
     p.add_argument("--mu", type=float, default=0.0, help="scalar phase gain")
     p.add_argument("--kappa", type=float, default=0.0, help="scalar frequency gain")
     p.add_argument(
@@ -116,6 +118,12 @@ def _add_network_args(p: argparse.ArgumentParser, required: bool = True) -> None
         help="scalar gains act per non-consensus mode (uniform) or as multiples of the Laplacian",
     )
     p.add_argument("--gains", help="JSON gain file (eigen lists, consensus scalars, or dense matrices)")
+    p.add_argument("--out", help="output CSV (stdout when omitted)")
+
+
+def _add_noise_args(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--eta", type=float, required=required, default=None if required else 0.0, help="load noise")
+    p.add_argument("--etap", type=float, default=0.0, help="phase and frequency measurement noise")
 
 
 def _add_systemic_args(p: argparse.ArgumentParser) -> None:
@@ -131,96 +139,97 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stability", help="per-mode delay-stability verdicts")
+    p.set_defaults(func=_cmd_stability)
     _add_network_args(p)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--out")
 
     p = sub.add_parser("spectral", help="evaluate the mode spectral integral")
+    p.set_defaults(func=_cmd_spectral)
     p.add_argument("--s1", type=float, required=True)
     p.add_argument("--s2", type=float, required=True)
     p.add_argument("--k1", type=float, default=0.0)
     p.add_argument("--k2", type=float, default=0.0)
 
     p = sub.add_parser("stats", help="stationary pair deviations")
+    p.set_defaults(func=_cmd_stats)
     _add_network_args(p)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--etap", type=float, default=0.0)
-    p.add_argument("--out")
+    _add_noise_args(p)
     p.add_argument("--modes-out", help="per-mode weight CSV")
 
     p = sub.add_parser("risk", help="value-at-risk of every pair")
+    p.set_defaults(func=_cmd_risk)
     _add_network_args(p, required=False)
-    p.add_argument("--tau", type=float, default=0.0)
-    p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--etap", type=float, default=0.0)
+    _add_noise_args(p, required=False)
     p.add_argument("--from-stats", help="reuse a stats CSV instead of recomputing")
     _add_systemic_args(p)
-    p.add_argument("--out")
 
     p = sub.add_parser("synth", help="per-mode optimal gains")
+    p.set_defaults(func=_cmd_synth)
     _add_network_args(p)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--etap", type=float, default=0.0)
+    _add_noise_args(p)
     p.add_argument("--mu-max", type=float, default=1.0)
     p.add_argument("--kappa-max", type=float, default=4.0)
     p.add_argument("--grid-step", type=float, default=0.05)
-    p.add_argument("--out")
-    p.add_argument("--matrices-out", help="assembled gain matrices as JSON")
+    p.add_argument("--matrices-out", help="assembled gain matrices as JSON (readable by --gains)")
 
     p = sub.add_parser("tradeoff", help="risk x connectivity scan over consensus gains")
+    p.set_defaults(func=_cmd_tradeoff)
     _add_network_args(p)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--etap", type=float, default=0.0)
+    _add_noise_args(p)
     _add_systemic_args(p)
     p.add_argument("--mu-min", type=float, default=0.02)
     p.add_argument("--mu-max", type=float, default=2.0)
     p.add_argument("--kappa-min", type=float, default=0.02)
     p.add_argument("--kappa-max", type=float, default=2.0)
     p.add_argument("--grid", default="50x50", help="scan resolution, e.g. 50x50")
-    p.add_argument("--out")
 
     p = sub.add_parser("simulate", help="Euler-Maruyama ensemble statistics")
+    p.set_defaults(func=_cmd_simulate)
     _add_network_args(p)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--etap", type=float, default=0.0)
+    _add_noise_args(p)
     p.add_argument("--h", type=float, default=0.005, help="integration step request")
     p.add_argument("--T", type=float, default=200.0, help="horizon")
     p.add_argument("--paths", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--burnin", type=float, default=0.5)
-    p.add_argument("--out")
 
     p = sub.add_parser("nu", help="two-sided Gaussian acceptance quantile")
+    p.set_defaults(func=_cmd_nu)
     p.add_argument("--eps", type=float, required=True)
 
     return parser
 
 
-def _cmd_stability(args, argv) -> int:
+def _load(args):
+    """The network model named by ``--network`` and its Laplacian spectrum."""
     model = load_network(args.network)
-    spectrum = build_laplacian(model)
-    gains = _gains_from_args(args, spectrum.n)
-    verdict = network_verdict(spectrum, gains, model.damping_ratio, args.tau)
-    rows = []
-    for idx, (sp, v) in enumerate(zip(verdict.params, verdict.verdicts)):
-        rows.append(
-            (
-                idx + 1,
-                float(verdict.gains.lambdas[idx]),
-                float(verdict.gains.mu[idx]),
-                float(verdict.gains.kappa[idx]),
-                sp.s1,
-                sp.s2,
-                sp.k1,
-                sp.k2,
-                v.region,
-                str(v.stable).lower(),
-            )
-        )
+    return model, build_laplacian(model)
+
+
+def _noise(args) -> NoiseParams:
+    return NoiseParams(eta=args.eta, eta_meas=args.etap)
+
+
+_MODE_HEADER = ["l", "lambda", "mu", "kappa", "frak_f"]
+
+
+def _mode_rows(lambdas, mu, kappa, *columns) -> list[tuple]:
+    """One ``l, lambda, mu, kappa`` row per mode (l from 1), followed by its entry of each column."""
+    return [(l + 1, *(float(v) for v in values)) for l, values in enumerate(zip(lambdas, mu, kappa, *columns))]
+
+
+def _pair_rows(pairs, *columns) -> list[tuple]:
+    """One ``i, j`` row per machine pair, followed by that pair's entry of each column."""
+    return [(i, j, *(float(v) for v in values)) for (i, j), *values in zip(pairs, *columns)]
+
+
+def _cmd_stability(args, argv) -> int:
+    model, spectrum = _load(args)
+    verdict = network_verdict(spectrum, _gains_from_args(args), model.damping_ratio, args.tau)
+    g = verdict.gains
+    rows = [
+        (*mode, sp.s1, sp.s2, sp.k1, sp.k2, v.region, str(v.stable).lower())
+        for mode, sp, v in zip(_mode_rows(g.lambdas, g.mu, g.kappa), verdict.params, verdict.verdicts)
+    ]
     _emit(
         args.out,
         ["mode_index", "lambda", "mu", "kappa", "s1", "s2", "k1", "k2", "region", "stable"],
@@ -230,37 +239,31 @@ def _cmd_stability(args, argv) -> int:
     return 0
 
 
-def _cmd_spectral(args) -> int:
+def _cmd_spectral(args, argv) -> int:
     sp = ScaledParams(s1=args.s1, s2=args.s2, k1=args.k1, k2=args.k2)
-    result = evaluate(sp)
-    print(_fmt(result.value))
+    print(_fmt(evaluate(sp).value))
     return 0
 
 
-def _stats_for_args(args, model, spectrum):
+def _cmd_nu(args, argv) -> int:
+    print(f"{acceptance_quantile(args.eps):.5f}")
+    return 0
+
+
+def _stats_for_args(args):
     """Pair statistics for the parsed arguments, with the resolved gains."""
-    resolved = resolve_gains(_gains_from_args(args, spectrum.n), spectrum)
-    noise = NoiseParams(eta=args.eta, eta_meas=args.etap)
-    stats = pair_deviations(spectrum, resolved, model.damping_ratio, args.tau, noise, model.inertia)
+    model, spectrum = _load(args)
+    resolved = resolve_gains(_gains_from_args(args), spectrum)
+    stats = pair_deviations(spectrum, resolved, model.damping_ratio, args.tau, _noise(args), model.inertia)
     return stats, resolved
 
 
 def _cmd_stats(args, argv) -> int:
-    model = load_network(args.network)
-    spectrum = build_laplacian(model)
-    stats, resolved = _stats_for_args(args, model, spectrum)
-    _emit(
-        args.out,
-        ["i", "j", "sigma"],
-        [(i, j, float(s)) for (i, j), s in zip(stats.pairs, stats.sigma)],
-        argv,
-    )
+    stats, resolved = _stats_for_args(args)
+    _emit(args.out, ["i", "j", "sigma"], _pair_rows(stats.pairs, stats.sigma), argv)
     if args.modes_out:
-        rows = [
-            (l + 1, float(resolved.lambdas[l]), float(resolved.mu[l]), float(resolved.kappa[l]), float(w))
-            for l, w in enumerate(stats.mode_weights)
-        ]
-        _emit(args.modes_out, ["l", "lambda", "mu", "kappa", "frak_f"], rows, argv)
+        rows = _mode_rows(resolved.lambdas, resolved.mu, resolved.kappa, stats.mode_weights)
+        _emit(args.modes_out, _MODE_HEADER, rows, argv)
     return 0
 
 
@@ -285,51 +288,36 @@ def _cmd_risk(args, argv) -> int:
                         f" got {line.strip()!r}"
                     ) from exc
                 rows.append((i, j, sigma, risk))
-        _emit(args.out, ["i", "j", "sigma", "risk"], rows, argv)
-        return 0
-    if not args.network:
+    elif not args.network:
         raise ValidationError("risk needs --network (or --from-stats)")
-    model = load_network(args.network)
-    spectrum = build_laplacian(model)
-    stats, _ = _stats_for_args(args, model, spectrum)
-    profile = risk_profile(stats, sset)
-    rows = [
-        (i, j, float(s), float(r))
-        for (i, j), s, r in zip(stats.pairs, stats.sigma, profile.values)
-    ]
+    else:
+        stats, _ = _stats_for_args(args)
+        rows = _pair_rows(stats.pairs, stats.sigma, risk_profile(stats, sset).values)
     _emit(args.out, ["i", "j", "sigma", "risk"], rows, argv)
     return 0
 
 
 def _cmd_synth(args, argv) -> int:
-    model = load_network(args.network)
-    spectrum = build_laplacian(model)
-    noise = NoiseParams(eta=args.eta, eta_meas=args.etap)
+    model, spectrum = _load(args)
     result = synthesize(
         spectrum,
         model.damping_ratio,
         args.tau,
-        noise,
+        _noise(args),
         model.inertia,
         gain_box=(0.0, args.mu_max, 0.0, args.kappa_max),
         grid_step=args.grid_step,
     )
-    rows = [
-        (l + 1, float(result.lambdas[l]), float(result.mu[l]), float(result.kappa[l]), float(result.weights[l]))
-        for l in range(len(result.lambdas))
-    ]
-    _emit(args.out, ["l", "lambda", "mu", "kappa", "frak_f"], rows, argv)
+    _emit(args.out, _MODE_HEADER, _mode_rows(result.lambdas, result.mu, result.kappa, result.weights), argv)
     if args.matrices_out:
-        doc = {"M": result.M.tolist(), "K": result.K.tolist()}
+        doc = {"mode": "dense", "M": result.M.tolist(), "K": result.K.tolist()}
         _write_atomic(args.matrices_out, json.dumps(doc, indent=2) + "\n")
         _write_manifest(args.matrices_out, argv)
     return 0
 
 
 def _cmd_tradeoff(args, argv) -> int:
-    model = load_network(args.network)
-    spectrum = build_laplacian(model)
-    noise = NoiseParams(eta=args.eta, eta_meas=args.etap)
+    model, spectrum = _load(args)
     sset = _systemic_set(args)
     try:
         nx, ny = (int(v) for v in args.grid.lower().split("x"))
@@ -339,7 +327,7 @@ def _cmd_tradeoff(args, argv) -> int:
         spectrum,
         model.damping_ratio,
         args.tau,
-        noise,
+        _noise(args),
         model.inertia,
         sset,
         gain_box=(args.mu_min, args.mu_max, args.kappa_min, args.kappa_max),
@@ -353,18 +341,12 @@ def _cmd_tradeoff(args, argv) -> int:
 
 def _cmd_simulate(args, argv) -> int:
     model = load_network(args.network)
-    spectrum = build_laplacian(model)
-    gains = _gains_from_args(args, spectrum.n)
-    noise = NoiseParams(eta=args.eta, eta_meas=args.etap)
     config = SimConfig(
         step=args.h, horizon=args.T, trajectories=args.paths, burn_in=args.burnin, seed=args.seed
     )
-    stats = simulate(model, gains, args.tau, noise, config)
-    rows = [
-        (i, j, float(math.sqrt(max(v, 0.0))))
-        for (i, j), v in zip(stats.pairs, stats.pair_variance)
-    ]
-    _emit(args.out, ["i", "j", "sigma"], rows, argv)
+    stats = simulate(model, _gains_from_args(args), args.tau, _noise(args), config)
+    sigma = [math.sqrt(max(v, 0.0)) for v in stats.pair_variance]
+    _emit(args.out, ["i", "j", "sigma"], _pair_rows(stats.pairs, sigma), argv)
     return 0
 
 
@@ -372,41 +354,21 @@ def run(argv: list[str]) -> int:
     if argv and argv[0] == "--from-manifest":
         if len(argv) < 2:
             raise ValidationError("--from-manifest needs a manifest path")
-        with open(argv[1], "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        argv = list(doc["argv"]) + argv[2:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "stability":
-        return _cmd_stability(args, argv)
-    if args.command == "spectral":
-        return _cmd_spectral(args)
-    if args.command == "stats":
-        return _cmd_stats(args, argv)
-    if args.command == "risk":
-        return _cmd_risk(args, argv)
-    if args.command == "synth":
-        return _cmd_synth(args, argv)
-    if args.command == "tradeoff":
-        return _cmd_tradeoff(args, argv)
-    if args.command == "simulate":
-        return _cmd_simulate(args, argv)
-    if args.command == "nu":
-        print(f"{acceptance_quantile(args.eps):.5f}")
-        return 0
-    raise ValidationError(f"unknown command {args.command!r}")
+        recorded = _read_json_object(argv[1], "manifest").get("argv")
+        if not isinstance(recorded, list) or not all(isinstance(a, str) for a in recorded):
+            raise ValidationError(f"manifest {argv[1]} field 'argv' must be a list of strings")
+        argv = recorded + argv[2:]
+    args = build_parser().parse_args(argv)
+    return args.func(args, argv)
 
 
 def main() -> None:
     try:
         code = run(sys.argv[1:])
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        sys.exit(2)
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         sys.exit(3)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     sys.exit(code)

@@ -81,6 +81,8 @@ class NetworkModel:
         theta = np.asarray(self.equilibrium_theta, dtype=float)
         if theta.shape != (n,):
             raise ValidationError(f"equilibrium_theta must have shape ({n},), got {theta.shape}")
+        if not np.all(np.isfinite(theta)):
+            raise ValidationError("equilibrium_theta entries must be finite")
         object.__setattr__(self, "equilibrium_theta", theta)
 
         if self.susceptance is None and self.laplacian is None:
@@ -90,6 +92,8 @@ class NetworkModel:
             y = np.asarray(self.susceptance, dtype=float)
             if y.shape != (n, n):
                 raise ValidationError(f"susceptance must be {n}x{n}, got {y.shape}")
+            if not np.all(np.isfinite(y)):
+                raise ValidationError("susceptance entries must be finite")
             if not np.allclose(y, y.T, atol=1e-12):
                 raise ValidationError("susceptance matrix must be symmetric")
             if np.any(np.abs(np.diag(y)) > 1e-12):
@@ -110,6 +114,8 @@ class NetworkModel:
             lap = np.asarray(self.laplacian, dtype=float)
             if lap.shape != (n, n):
                 raise ValidationError(f"laplacian must be {n}x{n}, got {lap.shape}")
+            if not np.all(np.isfinite(lap)):
+                raise ValidationError("laplacian entries must be finite")
             object.__setattr__(self, "laplacian", lap)
 
         inertias = {g.inertia for g in gens}

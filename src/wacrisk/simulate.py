@@ -62,6 +62,8 @@ class SimConfig:
             raise ValidationError("burn_in must lie in (0, 1)")
         if self.trajectories < 1:
             raise ValidationError("need at least one trajectory")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

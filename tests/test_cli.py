@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from wacrisk.cli import run
+from wacrisk.network import GainSpec
+from wacrisk.stats import NoiseParams, pair_deviations
+from wacrisk.synthesis import synthesize
 
 
 def _run_ok(argv):
@@ -216,6 +219,29 @@ def test_synth_outputs(two_machine_path, tmp_path):
     assert np.linalg.norm(lap @ k - k @ lap) < 1e-10
 
 
+def test_synth_matrices_read_back_by_gains(two_machine_path, two_machine_spectrum, tmp_path):
+    mats = tmp_path / "mk.json"
+    out = tmp_path / "stats.csv"
+    base = ["--network", two_machine_path, "--tau", "0.1", "--eta", "0.7", "--etap", "0.3"]
+    _run_ok(["synth", *base, "--kappa-max", "2.0", "--grid-step", "0.25", "--matrices-out", str(mats)])
+    _run_ok(["stats", *base, "--gains", str(mats), "--out", str(out)])
+
+    d, inertia, noise = 0.075, 2.0, NoiseParams(eta=0.7, eta_meas=0.3)
+    result = synthesize(
+        two_machine_spectrum, d, 0.1, noise, inertia, gain_box=(0.0, 1.0, 0.0, 2.0), grid_step=0.25
+    )
+    expected = pair_deviations(two_machine_spectrum, result.gain_spec(), d, 0.1, noise, inertia).sigma
+    doc = json.loads(mats.read_text())
+    assert doc["mode"] == "dense"
+    dense = GainSpec.dense(doc["M"], doc["K"])
+    assert pair_deviations(two_machine_spectrum, dense, d, 0.1, noise, inertia).sigma == pytest.approx(
+        expected, rel=1e-12
+    )
+    _, rows = _read_csv(out)
+    # the CSV carries 12 significant digits
+    assert [float(r[2]) for r in rows] == pytest.approx(expected, rel=1e-12, abs=5e-13)
+
+
 def test_tradeoff_csv(two_machine_path, tmp_path, capsys):
     out = tmp_path / "scan.csv"
     _run_ok(
@@ -295,6 +321,42 @@ def test_exit_codes(tmp_path, two_machine_path):
         assert proc.returncode == 2
         assert "malformed" in proc.stderr and "Traceback" not in proc.stderr
     assert str(bad_gains) in proc.stderr
+
+    # malformed gain files and manifests -> validation error naming the file and the field, exit 2
+    stats_argv = ["stats", "--network", two_machine_path, "--tau", "0.1", "--eta", "0.7"]
+    cases = [
+        ("gains", [1, 2], "JSON object"),
+        ("gains", {"mode": "eigen", "mu": [0.0, 0.0]}, "'kappa'"),
+        ("gains", {"mode": "dense", "M": [[0.0, 0.0], [0.0, 0.0]]}, "'K'"),
+        ("manifest", [], "JSON object"),
+        ("manifest", {"argv": "stats"}, "'argv'"),
+    ]
+    for idx, (kind, content, field) in enumerate(cases):
+        path = tmp_path / f"bad_{kind}_{idx}.json"
+        path.write_text(json.dumps(content))
+        argv = [*stats_argv, "--gains", str(path)] if kind == "gains" else ["--from-manifest", str(path)]
+        proc = subprocess.run([sys.executable, "-m", "wacrisk.cli", *argv], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert str(path) in proc.stderr and field in proc.stderr and "Traceback" not in proc.stderr
+
+    # non-finite equilibrium angle -> validation error naming the field, exit 2
+    nan_theta = tmp_path / "nan_theta.json"
+    nan_theta.write_text(
+        json.dumps(
+            {
+                "generators": [{"J": 2.0, "beta": 0.15, "E": 1.0} for _ in range(2)],
+                "equilibrium_theta": [0.0, math.nan],
+                "susceptance": [[0.0, 0.66], [0.66, 0.0]],
+            }
+        )
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "wacrisk.cli", "stability", "--network", str(nan_theta), "--tau", "0"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "equilibrium_theta" in proc.stderr
 
     # unstable configuration where statistics were requested -> exit 3
     proc = subprocess.run(
@@ -408,6 +470,7 @@ def test_tradeoff_bad_grid_counts(two_machine_path, grid):
         ["synth", "--tau", "0.1", "--eta", "0.7", "--grid-step", "-0.1"],
         ["synth", "--tau", "0.1", "--eta", "0.7", "--mu-max", "-1"],
         ["tradeoff", "--tau", "0.1", "--eta", "0.7", "--zeta", "0.6", "--mu-max", "0.01", "--grid", "2x2"],
+        ["simulate", "--tau", "0.1", "--eta", "0.7", "--seed", "-1"],
     ],
 )
 def test_non_finite_inputs_and_bad_boxes_exit_2(two_machine_path, argv):

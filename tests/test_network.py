@@ -87,6 +87,22 @@ def test_equilibrium_cone_enforced():
         )
 
 
+@pytest.mark.parametrize(
+    "field, fields",
+    [
+        ("equilibrium_theta", {"equilibrium_theta": [0.0, math.nan], "susceptance": [[0.0, 1.0], [1.0, 0.0]]}),
+        ("susceptance", {"equilibrium_theta": [0.0, 0.0], "susceptance": [[0.0, math.inf], [math.inf, 0.0]]}),
+        ("susceptance", {"equilibrium_theta": [0.0, 0.0], "susceptance": [[0.0, math.nan], [math.nan, 0.0]]}),
+        ("laplacian", {"equilibrium_theta": [0.0, 0.0], "laplacian": [[math.inf, -1.0], [-1.0, 1.0]]}),
+        ("laplacian", {"equilibrium_theta": [0.0, 0.0], "laplacian": [[1.0, math.nan], [-1.0, 1.0]]}),
+    ],
+)
+def test_non_finite_network_fields_rejected(field, fields):
+    gens = tuple(GeneratorParams(1.0, 0.1, 1.0) for _ in range(2))
+    with pytest.raises(ValidationError, match=f"{field} entries must be finite"):
+        NetworkModel(generators=gens, **fields)
+
+
 def test_uniform_parameters_enforced():
     gens = (GeneratorParams(1.0, 0.1, 1.0), GeneratorParams(2.0, 0.1, 1.0))
     with pytest.raises(ValidationError, match="identical"):

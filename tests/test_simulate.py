@@ -31,6 +31,9 @@ def test_config_validation():
             SimConfig(step=bad, horizon=1.0, trajectories=10)
         with pytest.raises(ValidationError):
             SimConfig(step=0.01, horizon=bad, trajectories=10)
+    for bad in (-1, 1.5, "3"):
+        with pytest.raises(ValidationError, match="seed"):
+            SimConfig(step=0.01, horizon=1.0, trajectories=10, seed=bad)
 
 
 def test_deterministic_consensus(two_machine_model):
