@@ -20,9 +20,7 @@ from .network import (
     LaplacianSpectrum,
     ModeGains,
     NetworkModel,
-    SimultaneousBasis,
     build_laplacian,
-    check_commuting,
     effective_resistance,
     kron_reduce,
     load_network,

@@ -23,7 +23,7 @@ import tempfile
 
 from . import __version__
 from .errors import InfeasibleError, ValidationError
-from .network import GainSpec, build_laplacian, load_network, resolve_gains
+from .network import GainSpec, _read_json_object, build_laplacian, load_network, resolve_gains
 from .risk import SystemicSet, acceptance_quantile, risk_profile, risk_value
 from .simulate import SimConfig, simulate
 from .spectral import evaluate
@@ -74,18 +74,19 @@ def _write_manifest(out_path: str, argv: list[str]) -> None:
     _write_atomic(out_path + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
-def _read_json_object(path: str, what: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{what} {path} must hold a JSON object, got {type(doc).__name__}")
-    return doc
+def _given(args, *dests) -> list[str]:
+    """The flags among ``dests`` (all defaulting to None) that the command line set."""
+    return ["--" + dest.replace("_", "-") for dest in dests if getattr(args, dest) is not None]
 
 
 def _gains_from_args(args) -> GainSpec:
     """Gains from ``--gains`` or the scalar flags; each gain mode names its GainSpec constructor."""
-    if not args.gains:
-        return getattr(GainSpec, args.gain_mode)(args.mu, args.kappa)
+    if args.gains is None:
+        mode = args.gain_mode or "uniform"
+        return getattr(GainSpec, mode)(*(0.0 if v is None else v for v in (args.mu, args.kappa)))
+    conflicts = _given(args, "mu", "kappa", "gain_mode")
+    if conflicts:
+        raise ValidationError(f"--gains cannot be combined with {', '.join(conflicts)}")
     doc = _read_json_object(args.gains, "gain file")
     mode = doc.get("mode", "eigen")
     if mode not in ("eigen", "uniform", "consensus", "dense"):
@@ -109,16 +110,18 @@ def _systemic_set(args) -> SystemicSet:
 def _add_network_args(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--network", required=required, help="network JSON document")
     p.add_argument("--tau", type=float, required=required, default=None if required else 0.0, help="delay")
-    p.add_argument("--mu", type=float, default=0.0, help="scalar phase gain")
-    p.add_argument("--kappa", type=float, default=0.0, help="scalar frequency gain")
+    p.add_argument("--out", help="output CSV (stdout when omitted)")
+
+
+def _add_gain_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--mu", type=float, help="scalar phase gain (default 0)")
+    p.add_argument("--kappa", type=float, help="scalar frequency gain (default 0)")
     p.add_argument(
         "--gain-mode",
         choices=("uniform", "consensus"),
-        default="uniform",
-        help="scalar gains act per non-consensus mode (uniform) or as multiples of the Laplacian",
+        help="scalar gains act per non-consensus mode (uniform, the default) or as multiples of the Laplacian",
     )
     p.add_argument("--gains", help="JSON gain file (eigen lists, consensus scalars, or dense matrices)")
-    p.add_argument("--out", help="output CSV (stdout when omitted)")
 
 
 def _add_noise_args(p: argparse.ArgumentParser, required: bool = True) -> None:
@@ -141,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="per-mode delay-stability verdicts")
     p.set_defaults(func=_cmd_stability)
     _add_network_args(p)
+    _add_gain_args(p)
 
     p = sub.add_parser("spectral", help="evaluate the mode spectral integral")
     p.set_defaults(func=_cmd_spectral)
@@ -152,12 +156,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="stationary pair deviations")
     p.set_defaults(func=_cmd_stats)
     _add_network_args(p)
+    _add_gain_args(p)
     _add_noise_args(p)
     p.add_argument("--modes-out", help="per-mode weight CSV")
 
     p = sub.add_parser("risk", help="value-at-risk of every pair")
     p.set_defaults(func=_cmd_risk)
     _add_network_args(p, required=False)
+    _add_gain_args(p)
     _add_noise_args(p, required=False)
     p.add_argument("--from-stats", help="reuse a stats CSV instead of recomputing")
     _add_systemic_args(p)
@@ -185,6 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Euler-Maruyama ensemble statistics")
     p.set_defaults(func=_cmd_simulate)
     _add_network_args(p)
+    _add_gain_args(p)
     _add_noise_args(p)
     p.add_argument("--h", type=float, default=0.005, help="integration step request")
     p.add_argument("--T", type=float, default=200.0, help="horizon")
@@ -196,6 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_nu)
     p.add_argument("--eps", type=float, required=True)
 
+    # a flag a subcommand lacks (synth --mu) must not pass for a longer one it has (--mu-max)
+    for p in sub.choices.values():
+        p.allow_abbrev = False
     return parser
 
 
@@ -270,6 +280,9 @@ def _cmd_stats(args, argv) -> int:
 def _cmd_risk(args, argv) -> int:
     sset = _systemic_set(args)
     if args.from_stats:
+        conflicts = _given(args, "network", "gains", "mu", "kappa", "gain_mode")
+        if conflicts:
+            raise ValidationError(f"--from-stats cannot be combined with {', '.join(conflicts)}")
         rows = []
         with open(args.from_stats, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
@@ -368,7 +381,7 @@ def main() -> None:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         sys.exit(3)
-    except (ValidationError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValidationError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     sys.exit(code)

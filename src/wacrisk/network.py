@@ -18,8 +18,9 @@ Conventions fixed here and relied upon elsewhere:
   decomposition deterministic;
 * gain matrices are accepted as per-mode eigenvalue lists, as scalar
   multiples of the Laplacian ("consensus"), as a uniform gain on every
-  non-consensus mode, or as explicit dense symmetric matrices (which must
-  commute with the Laplacian and with each other).
+  non-consensus mode, or as explicit dense symmetric matrices, which the
+  spectrum's eigenbasis (refined only inside tied eigenvalue groups) must
+  diagonalise; their round-off consensus-mode gains are stored as exactly 0.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ from .errors import ValidationError
 
 # lambda_2 > CONNECTIVITY_RTOL * lambda_n declares the graph connected
 CONNECTIVITY_RTOL = 1e-8
-
-# relative gap under which eigenvalues are treated as a tied group
-_TIE_RTOL = 1e-9
 
 # relative Frobenius norm under which commutators and off-diagonal residuals vanish
 _COMMUTE_TOL = 1e-8
@@ -178,6 +176,20 @@ class LaplacianSpectrum:
         return cls(laplacian=lap, eigenvalues=full, eigenvectors=q)
 
 
+def _split_ties(values: np.ndarray, groups, scale: float):
+    """Split each index slice in ``groups`` of ascending ``values`` at gaps above 1e-8 * scale."""
+    out = []
+    for a, b in groups:
+        start = a
+        while start < b:
+            stop = start + 1
+            while stop < b and values[stop] - values[stop - 1] <= 1e-8 * scale:
+                stop += 1
+            out.append((start, stop))
+            start = stop
+    return out
+
+
 def _deterministic_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """eigh with tie-broken column order and fixed column signs."""
     lams, vecs = np.linalg.eigh(matrix)
@@ -189,16 +201,8 @@ def _deterministic_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vecs = vecs * signs
     # reorder inside numerically tied groups by dominant-component index
     order = np.arange(len(lams))
-    start = 0
-    while start < len(lams):
-        stop = start + 1
-        while stop < len(lams) and lams[stop] - lams[start] <= _TIE_RTOL * scale:
-            stop += 1
-        if stop - start > 1:
-            group = order[start:stop]
-            group = group[np.argsort(dom[group], kind="stable")]
-            order[start:stop] = group
-        start = stop
+    for a, b in _split_ties(lams, [(0, len(lams))], scale):
+        order[a:b] = order[a:b][np.argsort(dom[a:b], kind="stable")]
     return lams[order], vecs[:, order]
 
 
@@ -314,82 +318,6 @@ def effective_resistance(spectrum_or_values) -> float:
 
 
 @dataclass(frozen=True)
-class SimultaneousBasis:
-    """Result of the pairwise commutation check for (L, M, K)."""
-
-    commute: bool
-    eigenvectors: np.ndarray | None = None
-    lambdas: np.ndarray | None = None
-    mu: np.ndarray | None = None
-    kappa: np.ndarray | None = None
-
-
-def _split_ties(values: np.ndarray, groups, scale: float):
-    """Split each index slice in ``groups`` at gaps larger than the tie tolerance."""
-    out = []
-    for a, b in groups:
-        start = a
-        while start < b:
-            stop = start + 1
-            while stop < b and values[stop] - values[stop - 1] <= 1e-8 * scale:
-                stop += 1
-            out.append((start, stop))
-            start = stop
-    return out
-
-
-def check_commuting(L: np.ndarray, M: np.ndarray, K: np.ndarray) -> SimultaneousBasis:
-    """Check pairwise commutation of three symmetric matrices.
-
-    When all commutators have Frobenius norm below 1e-8 (scaled by the
-    matrix magnitudes), returns the shared orthogonal eigenbasis aligned to
-    the ascending eigenvalues of L together with the per-mode gain values.
-    Degenerate eigenspaces of L are refined against M and then K so the
-    basis diagonalises all three matrices.
-    """
-    mats = [np.asarray(A, dtype=float) for A in (L, M, K)]
-    n = mats[0].shape[0]
-    for A in mats:
-        if A.shape != (n, n):
-            raise ValidationError("L, M, K must share one square shape")
-        if not np.allclose(A, A.T, atol=1e-10 * max(1.0, np.abs(A).max())):
-            raise ValidationError("L, M, K must be symmetric")
-    L, M, K = mats
-    scale = max(1.0, *(float(np.linalg.norm(A)) for A in mats))
-    for A, B in ((L, M), (L, K), (M, K)):
-        if np.linalg.norm(A @ B - B @ A) > _COMMUTE_TOL * scale:
-            return SimultaneousBasis(commute=False)
-
-    lams, vecs = _deterministic_eigh(L)
-    lam_scale = max(1.0, abs(lams[-1]), abs(lams[0]))
-    groups = _split_ties(lams, [(0, n)], lam_scale)
-    for matrix in (M, K):
-        mat_scale = max(1.0, float(np.abs(matrix).max()))
-        values = np.empty(n)
-        for a, b in groups:
-            block = vecs[:, a:b]
-            sub = block.T @ matrix @ block
-            sub = 0.5 * (sub + sub.T)
-            if b - a == 1:
-                values[a] = sub[0, 0]
-            else:
-                sub_vals, sub_vecs = _deterministic_eigh(sub)
-                vecs[:, a:b] = block @ sub_vecs
-                values[a:b] = sub_vals
-        groups = _split_ties(values, groups, mat_scale)
-
-    diag = {}
-    for name, A in (("lams", L), ("mu", M), ("kappa", K)):
-        diag[name] = np.einsum("ji,jk,ki->i", vecs, A, vecs)
-        resid = vecs.T @ A @ vecs - np.diag(diag[name])
-        if np.linalg.norm(resid) > _COMMUTE_TOL * scale * 10:
-            return SimultaneousBasis(commute=False)
-    return SimultaneousBasis(
-        commute=True, eigenvectors=vecs, lambdas=diag["lams"], mu=diag["mu"], kappa=diag["kappa"]
-    )
-
-
-@dataclass(frozen=True)
 class GainSpec:
     """Feedback gain matrices in one of four shapes.
 
@@ -432,9 +360,9 @@ class GainSpec:
 class ModeGains:
     """Per-mode gains resolved against a concrete spectrum.
 
-    ``eigenvectors``/``lambdas`` are the shared basis that diagonalises the
-    Laplacian and both gain matrices; for non-dense gain specs they are the
-    spectrum's own decomposition.
+    ``lambdas`` are the spectrum's eigenvalues and ``eigenvectors`` the basis
+    that diagonalises the Laplacian and both gain matrices: the spectrum's
+    own, with dense gains re-diagonalised inside tied eigenvalue groups.
     """
 
     lambdas: np.ndarray
@@ -445,12 +373,51 @@ class ModeGains:
     K: np.ndarray
 
 
+def _dense_mode_gains(M: np.ndarray, K: np.ndarray, spectrum: LaplacianSpectrum) -> ModeGains:
+    """Per-mode values of dense gains in the spectrum's eigenbasis.
+
+    Columns 1..n-1 inside tied Laplacian eigenvalue groups are refined
+    against M and then K; the consensus column stays ones/sqrt(n).  Gains
+    this basis does not diagonalise do not commute with the Laplacian (or
+    with each other) and are rejected.  Consensus-mode gains within
+    round-off of zero become exactly zero, as the Laplacian's own does.
+    """
+    n = spectrum.n
+    for A in (M, K):
+        if A.shape != (n, n):
+            raise ValidationError(f"dense gain matrices must be {n}x{n}, got {A.shape}")
+        if not np.allclose(A, A.T, atol=1e-10 * max(1.0, np.abs(A).max())):
+            raise ValidationError("dense gain matrices must be symmetric")
+    scale = max(1.0, *(float(np.linalg.norm(A)) for A in (spectrum.laplacian, M, K)))
+    vecs = spectrum.eigenvectors.copy()
+    groups = _split_ties(spectrum.eigenvalues, [(1, n)], max(1.0, spectrum.lambda_max))
+    for matrix in (M, K):
+        values = np.empty(n)
+        for a, b in groups:
+            if b - a > 1:
+                block = vecs[:, a:b]
+                sub = block.T @ matrix @ block
+                values[a:b], sub_vecs = _deterministic_eigh(0.5 * (sub + sub.T))
+                vecs[:, a:b] = block @ sub_vecs
+        groups = _split_ties(values, groups, max(1.0, float(np.abs(matrix).max())))
+
+    diags = []
+    for A in (M, K):
+        diag = np.einsum("ji,jk,ki->i", vecs, A, vecs)
+        if np.linalg.norm(vecs.T @ A @ vecs - np.diag(diag)) > _COMMUTE_TOL * scale * 10:
+            raise ValidationError("dense gain matrices do not commute with the Laplacian")
+        if abs(diag[0]) <= _COMMUTE_TOL * scale:
+            diag[0] = 0.0
+        diags.append(diag)
+    return ModeGains(lambdas=spectrum.eigenvalues, mu=diags[0], kappa=diags[1], eigenvectors=vecs, M=M, K=K)
+
+
 def resolve_gains(gains: GainSpec | ModeGains, spectrum: LaplacianSpectrum) -> ModeGains:
     """Turn a GainSpec into per-mode gain arrays plus dense matrices.
 
-    Dense gains that fail the commutation test are rejected outright; every
-    downstream formula requires a shared eigenbasis.  Gains already resolved
-    against ``spectrum`` are returned unchanged.
+    Dense gains that the spectrum's eigenbasis does not diagonalise are
+    rejected outright; every downstream formula requires a shared eigenbasis.
+    Gains already resolved against ``spectrum`` are returned unchanged.
     """
     if isinstance(gains, ModeGains):
         return gains
@@ -471,21 +438,7 @@ def resolve_gains(gains: GainSpec | ModeGains, spectrum: LaplacianSpectrum) -> M
         mu = float(gains.mu) * lams
         kappa = float(gains.kappa) * lams
     elif gains.mode == "dense":
-        basis = check_commuting(spectrum.laplacian, gains.M, gains.K)
-        if not basis.commute:
-            raise ValidationError("dense gain matrices do not commute with the Laplacian")
-        vecs = basis.eigenvectors.copy()
-        lams2 = basis.lambdas.copy()
-        lams2[0] = 0.0
-        vecs[:, 0] = np.full(n, 1.0 / math.sqrt(n)) * math.copysign(1.0, vecs[:, 0].sum())
-        return ModeGains(
-            lambdas=lams2,
-            mu=basis.mu,
-            kappa=basis.kappa,
-            eigenvectors=vecs,
-            M=np.asarray(gains.M, float),
-            K=np.asarray(gains.K, float),
-        )
+        return _dense_mode_gains(np.asarray(gains.M, float), np.asarray(gains.K, float), spectrum)
     else:
         raise ValidationError(f"unknown gain mode {gains.mode!r}")
 
@@ -496,8 +449,20 @@ def resolve_gains(gains: GainSpec | ModeGains, spectrum: LaplacianSpectrum) -> M
     )
 
 
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object held by the file at ``path``; a ValidationError names ``what`` and the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} {path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def load_network(source) -> NetworkModel:
-    """Read a NetworkModel from a JSON file path, file object, or dict.
+    """Read a NetworkModel from a JSON file path or a dict.
 
     Expected document shape::
 
@@ -506,13 +471,7 @@ def load_network(source) -> NetworkModel:
          "equilibrium_theta": [..],
          "laplacian": [[..]]}              # optional override
     """
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+    doc = source if isinstance(source, dict) else _read_json_object(source, "network file")
     try:
         return NetworkModel(
             generators=tuple(

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError, ValidationError
-from .network import GainSpec, NetworkModel, build_laplacian, resolve_gains
+from .network import GainSpec, NetworkModel, build_laplacian
 from .stability import ScaledParams, network_verdict
 from .stats import incidence_matrix, pair_list, NoiseParams
 
@@ -105,8 +105,8 @@ def simulate(
     spectrum = build_laplacian(model)
     d = model.damping_ratio
     inertia = model.inertia
-    resolved = resolve_gains(gains, spectrum)
-    if not network_verdict(spectrum, resolved, d, tau).stable:
+    verdict = network_verdict(spectrum, gains, d, tau)
+    if not verdict.stable:
         raise InfeasibleError("closed loop is unstable; stationary statistics undefined")
 
     n = spectrum.n
@@ -116,7 +116,7 @@ def simulate(
     steps_averaged = total_steps - burn_steps
 
     L = spectrum.laplacian
-    M, K = resolved.M, resolved.K
+    M, K = verdict.gains.M, verdict.gains.K
     b = incidence_matrix(n)
     r = b.shape[0]
 
@@ -138,10 +138,10 @@ def simulate(
     theta_mean_dev = 0.0
     rho_samples = np.zeros(config.trajectories)
 
-    if resolved.mu[0] == 0.0 and resolved.kappa[0] == 0.0:
-        rho_pred = float(phi_theta.sum() / n + phi_omega.sum() / (d * n))
-    else:
+    if verdict.rho_theta_coeff is None:
         rho_pred = 0.0
+    else:
+        rho_pred = float(verdict.rho_theta_coeff * phi_theta.sum() + verdict.rho_omega_coeff * phi_omega.sum())
 
     done = 0
     for chunk_idx in range(n_chunks):

@@ -125,7 +125,7 @@ def evaluate(sp: ScaledParams, rel_tol: float = 1e-6, check_stability: bool = Tr
     region (unless ``check_stability`` is False) or the integral diverges.
     """
     if check_stability and not classify(sp).stable:
-        raise InfeasibleError(f"mode tuple {sp} is not strictly inside the stability region")
+        raise InfeasibleError("mode tuple is not strictly inside the stability region")
     # a strongly damped flow overflows; the growth test below refuses it
     with np.errstate(over="ignore", invalid="ignore"):
         system = _lyapunov_system(sp)
@@ -138,7 +138,7 @@ def evaluate(sp: ScaledParams, rel_tol: float = 1e-6, check_stability: bool = Tr
         raise InfeasibleError(f"spectral integral diverging or out of range: Lyapunov rcond {rcond:.1e}")
     value = 2.0 * math.pi * float(solution[3])  # vec index 3 is U(0)[1, 1]
     if value <= 0.0:
-        raise InfeasibleError(f"mode tuple {sp} has no positive spectral weight: it is not stable")
+        raise InfeasibleError("mode tuple has no positive spectral weight: it is not stable")
     return SpectralEvaluation(value=value, abs_error_estimate=value * 2.0**-52 * growth / rcond, rcond=rcond)
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from ._gridopt import grid_minimize
 from .errors import InfeasibleError, ValidationError
-from .network import GainSpec, LaplacianSpectrum, effective_resistance
+from .network import GainSpec, LaplacianSpectrum, effective_resistance, resolve_gains
 from .risk import SystemicSet, risk_profile, risk_value
 from .spectral import weight_or_inf
 from .stability import ScaledParams, classify
@@ -117,16 +117,9 @@ def synthesize(
             )
         except InfeasibleError as exc:
             raise InfeasibleError(f"no stable gain in the box for mode {l + 1}") from exc
-    q = spectrum.eigenvectors
-    M = (q * mu) @ q.T
-    K = (q * kappa) @ q.T
+    resolved = resolve_gains(GainSpec.eigen(mu, kappa), spectrum)
     return SynthesisResult(
-        lambdas=spectrum.eigenvalues.copy(),
-        mu=mu,
-        kappa=kappa,
-        weights=weights,
-        M=0.5 * (M + M.T),
-        K=0.5 * (K + K.T),
+        lambdas=spectrum.eigenvalues.copy(), mu=mu, kappa=kappa, weights=weights, M=resolved.M, K=resolved.K
     )
 
 

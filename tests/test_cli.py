@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,27 +220,27 @@ def test_synth_outputs(two_machine_path, tmp_path):
     assert np.linalg.norm(lap @ k - k @ lap) < 1e-10
 
 
-def test_synth_matrices_read_back_by_gains(two_machine_path, two_machine_spectrum, tmp_path):
-    mats = tmp_path / "mk.json"
-    out = tmp_path / "stats.csv"
-    base = ["--network", two_machine_path, "--tau", "0.1", "--eta", "0.7", "--etap", "0.3"]
-    _run_ok(["synth", *base, "--kappa-max", "2.0", "--grid-step", "0.25", "--matrices-out", str(mats)])
-    _run_ok(["stats", *base, "--gains", str(mats), "--out", str(out)])
+def test_synth_matrices_read_back_by_gains(two_machine_path, two_machine_spectrum, line3_spectrum, tmp_path):
+    # line3's synthesised matrices carry round-off consensus gains (M 1 ~ 1e-16)
+    line3_path = str(Path(__file__).resolve().parents[1] / "data" / "line3.json")
+    networks = (("two", two_machine_path, two_machine_spectrum), ("line3", line3_path, line3_spectrum))
+    for name, path, spectrum in networks:
+        mats = tmp_path / f"mk_{name}.json"
+        out = tmp_path / f"stats_{name}.csv"
+        base = ["--network", path, "--tau", "0.1", "--eta", "0.7", "--etap", "0.3"]
+        _run_ok(["synth", *base, "--kappa-max", "2.0", "--grid-step", "0.25", "--matrices-out", str(mats)])
+        _run_ok(["stats", *base, "--gains", str(mats), "--out", str(out)])
 
-    d, inertia, noise = 0.075, 2.0, NoiseParams(eta=0.7, eta_meas=0.3)
-    result = synthesize(
-        two_machine_spectrum, d, 0.1, noise, inertia, gain_box=(0.0, 1.0, 0.0, 2.0), grid_step=0.25
-    )
-    expected = pair_deviations(two_machine_spectrum, result.gain_spec(), d, 0.1, noise, inertia).sigma
-    doc = json.loads(mats.read_text())
-    assert doc["mode"] == "dense"
-    dense = GainSpec.dense(doc["M"], doc["K"])
-    assert pair_deviations(two_machine_spectrum, dense, d, 0.1, noise, inertia).sigma == pytest.approx(
-        expected, rel=1e-12
-    )
-    _, rows = _read_csv(out)
-    # the CSV carries 12 significant digits
-    assert [float(r[2]) for r in rows] == pytest.approx(expected, rel=1e-12, abs=5e-13)
+        d, inertia, noise = 0.075, 2.0, NoiseParams(eta=0.7, eta_meas=0.3)
+        result = synthesize(spectrum, d, 0.1, noise, inertia, gain_box=(0.0, 1.0, 0.0, 2.0), grid_step=0.25)
+        expected = pair_deviations(spectrum, result.gain_spec(), d, 0.1, noise, inertia).sigma
+        doc = json.loads(mats.read_text())
+        assert doc["mode"] == "dense"
+        dense = GainSpec.dense(doc["M"], doc["K"])
+        assert pair_deviations(spectrum, dense, d, 0.1, noise, inertia).sigma == pytest.approx(expected, rel=1e-12)
+        _, rows = _read_csv(out)
+        # the CSV carries 12 significant digits
+        assert [float(r[2]) for r in rows] == pytest.approx(expected, rel=1e-12, abs=5e-13)
 
 
 def test_tradeoff_csv(two_machine_path, tmp_path, capsys):
@@ -338,6 +339,18 @@ def test_exit_codes(tmp_path, two_machine_path):
         proc = subprocess.run([sys.executable, "-m", "wacrisk.cli", *argv], capture_output=True, text=True)
         assert proc.returncode == 2
         assert str(path) in proc.stderr and field in proc.stderr and "Traceback" not in proc.stderr
+
+    # files that are not valid JSON -> validation error naming the file, exit 2
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text('{"mode": ')
+    for argv in (
+        [*stats_argv, "--gains", str(truncated)],
+        ["stats", "--network", str(truncated), "--tau", "0.1", "--eta", "0.7"],
+        ["--from-manifest", str(truncated)],
+    ):
+        proc = subprocess.run([sys.executable, "-m", "wacrisk.cli", *argv], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert str(truncated) in proc.stderr and "not valid JSON" in proc.stderr and "Traceback" not in proc.stderr
 
     # non-finite equilibrium angle -> validation error naming the field, exit 2
     nan_theta = tmp_path / "nan_theta.json"
@@ -482,3 +495,45 @@ def test_non_finite_inputs_and_bad_boxes_exit_2(two_machine_path, argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--tau", "0.1", "--eta", "0.7", "--mu", "5"], "unrecognized arguments: --mu 5"),
+        (["tradeoff", "--tau", "0.1", "--eta", "0.7", "--zeta", "0.6", "--gains", "g.json"], "unrecognized"),
+        (["tradeoff", "--tau", "0.1", "--eta", "0.7", "--zeta", "0.6", "--gain-mode", "uniform"], "unrecognized"),
+        (["synth", "--tau", "0.1", "--eta", "0.7", "--kappa", "1"], "unrecognized arguments: --kappa 1"),
+        (["stats", "--tau", "0.1", "--eta", "0.7", "--gains", "GAINS", "--mu", "5"], "combined with --mu"),
+        (["stats", "--tau", "0.1", "--eta", "0.7", "--gains", "GAINS", "--kappa", "0", "--gain-mode", "uniform"],
+         "--gains cannot be combined with --kappa, --gain-mode"),
+        (["simulate", "--tau", "0.1", "--eta", "0.7", "--gains", "GAINS", "--mu", "-0"], "combined with --mu"),
+        (["risk", "--from-stats", "STATS", "--zeta", "1.0"], "--from-stats cannot be combined with --network"),
+        (["risk", "--from-stats", "STATS", "--zeta", "1.0", "--gains", "GAINS"], "--network, --gains"),
+    ],
+)
+def test_gain_flags_only_where_read_and_never_overridden(two_machine_path, tmp_path, argv, message):
+    gains = tmp_path / "gains.json"
+    gains.write_text(json.dumps({"mode": "eigen", "mu": [0.0, 0.0], "kappa": [0.0, 1.0]}))
+    stats = tmp_path / "stats.csv"
+    stats.write_text("i,j,sigma\n1,2,0.3\n")
+    argv = [{"GAINS": str(gains), "STATS": str(stats)}.get(a, a) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "wacrisk.cli", argv[0], "--network", two_machine_path, *argv[1:]],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_scalar_gain_defaults(two_machine_path, capsys):
+    base = ["stability", "--network", two_machine_path, "--tau", "0.1"]
+    _run_ok(base)
+    implicit = capsys.readouterr().out
+    _run_ok([*base, "--mu", "0", "--kappa", "0", "--gain-mode", "uniform"])
+    assert capsys.readouterr().out == implicit
+    # a negative zero reaches the spec as -0.0
+    _run_ok([*base, "--mu", "-0"])
+    assert capsys.readouterr().out.splitlines()[2].split(",")[2] == "-0"

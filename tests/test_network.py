@@ -12,13 +12,16 @@ from wacrisk.network import (
     LaplacianSpectrum,
     NetworkModel,
     build_laplacian,
-    check_commuting,
     effective_resistance,
     kron_reduce,
     load_network,
     reduced_coupling,
     resolve_gains,
 )
+from wacrisk.stability import network_verdict
+from wacrisk.stats import NoiseParams, pair_deviations
+
+from conftest import IEEE39_MODES, IEEE39_PARAMS
 
 
 def test_generator_params_positive():
@@ -213,34 +216,36 @@ def test_effective_resistance_rejects_nonpositive():
 
 def test_commuting_polynomials_in_laplacian(line3_spectrum):
     lap = line3_spectrum.laplacian
-    basis = check_commuting(lap, 2.0 * lap, 0.5 * lap)
-    assert basis.commute
+    basis = resolve_gains(GainSpec.dense(2.0 * lap, 0.5 * lap), line3_spectrum)  # raises unless they commute
     assert np.allclose(basis.mu, 2.0 * basis.lambdas, atol=1e-10)
     assert np.allclose(basis.kappa, 0.5 * basis.lambdas, atol=1e-10)
 
 
 def test_commuting_identity(line3_spectrum):
     lap = line3_spectrum.laplacian
-    basis = check_commuting(lap, np.eye(3), lap)
-    assert basis.commute
+    basis = resolve_gains(GainSpec.dense(np.eye(3), lap), line3_spectrum)  # raises unless they commute
     assert np.allclose(basis.mu, 1.0)
 
 
-def test_non_commuting_detected():
+def test_non_commuting_detected(line3_spectrum):
     # path-graph coupling against an arbitrary symmetric matrix
     lap = np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
+    assert np.array_equal(line3_spectrum.laplacian, lap)
     rng = np.random.default_rng(0)
     m = rng.normal(size=(3, 3))
     m = 0.5 * (m + m.T)
     comm = lap @ m - m @ lap
     assert np.linalg.norm(comm) > 0.1  # oracle: the commutator is plainly nonzero
-    assert not check_commuting(lap, m, lap).commute
+    with pytest.raises(ValidationError, match="commute"):
+        resolve_gains(GainSpec.dense(m, lap), line3_spectrum)
 
 
 def test_commuting_refines_degenerate_eigenspace():
     # complete-graph coupling has a tied eigenvalue pair; a gain matrix that
     # splits the tie must still be diagonalised by the shared basis
     lap = 3.0 * np.eye(3) - np.ones((3, 3))
+    gens = tuple(GeneratorParams(1.0, 0.1, 1.0) for _ in range(3))
+    spectrum = build_laplacian(NetworkModel(generators=gens, equilibrium_theta=np.zeros(3), laplacian=lap))
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     # build a matrix commuting with lap: any matrix sharing the eigenvector
@@ -248,8 +253,7 @@ def test_commuting_refines_degenerate_eigenspace():
     ones = np.full(3, 1.0 / math.sqrt(3.0))
     p = np.eye(3) - np.outer(ones, ones)
     m = 2.0 * np.outer(p @ q[:, 0], p @ q[:, 0]) + 5.0 * np.outer(ones, ones)
-    basis = check_commuting(lap, m, 0.1 * lap)
-    assert basis.commute
+    basis = resolve_gains(GainSpec.dense(m, 0.1 * lap), spectrum)  # raises unless they commute
     for a, diag in ((lap, basis.lambdas), (m, basis.mu)):
         resid = basis.eigenvectors.T @ a @ basis.eigenvectors - np.diag(diag)
         assert np.linalg.norm(resid) < 1e-8
@@ -289,6 +293,36 @@ def test_resolve_dense_commuting(line3_spectrum):
     resolved = resolve_gains(GainSpec.dense(m, k), line3_spectrum)
     assert np.allclose(np.sort(resolved.mu), [0.0, 1.0, 2.0], atol=1e-9)
     assert np.allclose(np.sort(resolved.kappa), [0.0, 0.4, 0.9], atol=1e-9)
+
+
+def _complete4_spectrum():
+    gens = tuple(GeneratorParams(1.0, 0.1, 1.0) for _ in range(4))
+    lap = 4.0 * np.eye(4) - np.ones((4, 4))
+    return build_laplacian(NetworkModel(generators=gens, equilibrium_theta=np.zeros(4), laplacian=lap))
+
+
+@pytest.mark.parametrize("network", ["line3", "complete4", "ieee39"])
+def test_dense_gains_round_trip_through_spectrum_basis(network, line3_spectrum):
+    # dense Q diag(0, g) Q^T keeps round-off consensus gains (M 1 ~ 1e-16);
+    # they resolve to exact zeros and reproduce the eigen-gain statistics
+    spectrum = {
+        "line3": line3_spectrum,
+        "complete4": _complete4_spectrum(),  # triple tied eigenvalue
+        "ieee39": LaplacianSpectrum.from_eigenvalues(IEEE39_MODES),
+    }[network]
+    n = spectrum.n
+    mu = np.concatenate([[0.0], np.linspace(0.2, 0.6, n - 1)])
+    kappa = np.concatenate([[0.0], np.linspace(0.5, 1.5, n - 1)])
+    q = spectrum.eigenvectors
+    dense = GainSpec.dense((q * mu) @ q.T, (q * kappa) @ q.T)
+    resolved = resolve_gains(dense, spectrum)
+    assert resolved.mu[0] == 0.0 and resolved.kappa[0] == 0.0
+    d, tau = IEEE39_PARAMS["d"], IEEE39_PARAMS["tau"]
+    noise = NoiseParams(IEEE39_PARAMS["eta"], IEEE39_PARAMS["eta_meas"])
+    assert network_verdict(spectrum, dense, d, tau).stable
+    expected = pair_deviations(spectrum, GainSpec.eigen(mu, kappa), d, tau, noise, 2.0).sigma
+    sigma = pair_deviations(spectrum, dense, d, tau, noise, 2.0).sigma
+    assert sigma == pytest.approx(expected, rel=1e-12)
 
 
 def test_load_network_laplacian_wins(tmp_path, two_machine_spectrum):
