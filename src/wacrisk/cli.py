@@ -109,7 +109,7 @@ def _systemic_set(args) -> SystemicSet:
 
 def _add_network_args(p: argparse.ArgumentParser, required: bool = True) -> None:
     p.add_argument("--network", required=required, help="network JSON document")
-    p.add_argument("--tau", type=float, required=required, default=None if required else 0.0, help="delay")
+    p.add_argument("--tau", type=float, required=required, help="delay")
     p.add_argument("--out", help="output CSV (stdout when omitted)")
 
 
@@ -125,8 +125,8 @@ def _add_gain_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_noise_args(p: argparse.ArgumentParser, required: bool = True) -> None:
-    p.add_argument("--eta", type=float, required=required, default=None if required else 0.0, help="load noise")
-    p.add_argument("--etap", type=float, default=0.0, help="phase and frequency measurement noise")
+    p.add_argument("--eta", type=float, required=required, help="load noise")
+    p.add_argument("--etap", type=float, help="phase and frequency measurement noise (default 0)")
 
 
 def _add_systemic_args(p: argparse.ArgumentParser) -> None:
@@ -216,7 +216,8 @@ def _load(args):
 
 
 def _noise(args) -> NoiseParams:
-    return NoiseParams(eta=args.eta, eta_meas=args.etap)
+    eta, etap = (0.0 if v is None else v for v in (args.eta, args.etap))
+    return NoiseParams(eta=eta, eta_meas=etap)
 
 
 _MODE_HEADER = ["l", "lambda", "mu", "kappa", "frak_f"]
@@ -264,7 +265,8 @@ def _stats_for_args(args):
     """Pair statistics for the parsed arguments, with the resolved gains."""
     model, spectrum = _load(args)
     resolved = resolve_gains(_gains_from_args(args), spectrum)
-    stats = pair_deviations(spectrum, resolved, model.damping_ratio, args.tau, _noise(args), model.inertia)
+    tau = 0.0 if args.tau is None else args.tau
+    stats = pair_deviations(spectrum, resolved, model.damping_ratio, tau, _noise(args), model.inertia)
     return stats, resolved
 
 
@@ -280,7 +282,7 @@ def _cmd_stats(args, argv) -> int:
 def _cmd_risk(args, argv) -> int:
     sset = _systemic_set(args)
     if args.from_stats:
-        conflicts = _given(args, "network", "gains", "mu", "kappa", "gain_mode")
+        conflicts = _given(args, "network", "gains", "mu", "kappa", "gain_mode", "tau", "eta", "etap")
         if conflicts:
             raise ValidationError(f"--from-stats cannot be combined with {', '.join(conflicts)}")
         rows = []

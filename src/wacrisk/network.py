@@ -461,8 +461,8 @@ def _read_json_object(path, what: str) -> dict:
     return doc
 
 
-def load_network(source) -> NetworkModel:
-    """Read a NetworkModel from a JSON file path or a dict.
+def load_network(path) -> NetworkModel:
+    """Read a NetworkModel from a JSON file.
 
     Expected document shape::
 
@@ -471,7 +471,7 @@ def load_network(source) -> NetworkModel:
          "equilibrium_theta": [..],
          "laplacian": [[..]]}              # optional override
     """
-    doc = source if isinstance(source, dict) else _read_json_object(source, "network file")
+    doc = _read_json_object(path, "network file")
     try:
         return NetworkModel(
             generators=tuple(

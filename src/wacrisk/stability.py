@@ -27,7 +27,8 @@ the whole classification.
 Points within ``band`` of any defining inequality of the selected region
 are reported as boundary and treated as unstable: the classification is an
 if-and-only-if statement for the open region, and marginal tuples are not
-certifiably safe.
+certifiably safe.  A verdict carries no windows; :func:`crossing_structure`
+reports them.  :func:`mode_verdict` is the per-mode rule at every delay.
 """
 
 from __future__ import annotations
@@ -104,7 +105,6 @@ class StabilityVerdict:
     region: str                 # "W0".."W3" when stable, else "none"
     margin: float               # min slack of the best region's inequalities
     boundary: bool              # within the boundary band of that region
-    detail: object = None       # SwitchStructure for W2/W3, None otherwise
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,11 @@ def _arccot(x: float) -> float:
     return math.pi / 2.0 - math.atan(x)
 
 
-def crossing_structure(sp: ScaledParams) -> SwitchStructure:
-    """Crossing frequencies gamma+- > 0 with phases phi+- in [0, 2 pi).
+def _crossings(sp: ScaledParams) -> list[tuple[float, float]]:
+    """(gamma, phi) of each positive crossing frequency, gamma+ first.
 
-    Raises InfeasibleError when no positive crossing frequency exists
-    (the delay-independent case).
+    Empty when no positive crossing frequency exists (the delay-independent
+    case).
     """
     s1, s2, k1, k2 = sp.s1, sp.s2, sp.k1, sp.k2
     delta = k2 * k2 + 2.0 * s2 - s1 * s1
@@ -145,24 +145,28 @@ def crossing_structure(sp: ScaledParams) -> SwitchStructure:
     if prod > 0.0:
         # two-crossing side: both roots exist only for delta > 2 sqrt(prod)
         if delta <= 0.0 or disc <= 0.0:
-            raise InfeasibleError("no positive crossing frequency for this tuple")
+            return []
         root = math.sqrt(disc)
-        g_plus_sq = 0.5 * (delta + root)
-        g_minus_sq = 0.5 * (delta - root)
-        if g_minus_sq <= 0.0:
-            raise InfeasibleError("no positive crossing frequency for this tuple")
-        gamma_plus = math.sqrt(g_plus_sq)
-        gamma_minus = math.sqrt(g_minus_sq)
+        squares = (0.5 * (delta + root), 0.5 * (delta - root))
     else:
         # single-crossing side: the larger root is the only positive one
-        g_plus_sq = 0.5 * (delta + math.sqrt(disc))
-        if g_plus_sq <= 0.0:
-            raise InfeasibleError("no positive crossing frequency for this tuple")
-        gamma_plus = math.sqrt(g_plus_sq)
-        gamma_minus = None
+        squares = (0.5 * (delta + math.sqrt(disc)),)
+    if squares[-1] <= 0.0:
+        return []
+    return [(gamma, _crossing_phase(sp, gamma)) for gamma in map(math.sqrt, squares)]
 
-    phi_plus = _crossing_phase(sp, gamma_plus)
-    if gamma_minus is None:
+
+def crossing_structure(sp: ScaledParams) -> SwitchStructure:
+    """Crossing frequencies gamma+- > 0 with phases phi+- in [0, 2 pi).
+
+    Raises InfeasibleError when no positive crossing frequency exists
+    (the delay-independent case).
+    """
+    crossings = _crossings(sp)
+    if not crossings:
+        raise InfeasibleError("no positive crossing frequency for this tuple")
+    (gamma_plus, phi_plus), *minus = crossings
+    if not minus:
         return SwitchStructure(
             gamma_plus=gamma_plus,
             phi_plus=phi_plus,
@@ -172,7 +176,7 @@ def crossing_structure(sp: ScaledParams) -> SwitchStructure:
             windows=((0.0, phi_plus / gamma_plus),),
         )
 
-    phi_minus = _crossing_phase(sp, gamma_minus)
+    ((gamma_minus, phi_minus),) = minus
     l_star, truncated = _switch_count(gamma_plus, phi_plus, gamma_minus, phi_minus)
     windows = [(0.0, phi_plus / gamma_plus)]
     cap = l_star if l_star is not None else int(math.ceil((gamma_minus - phi_minus) / (2 * math.pi))) + 1
@@ -250,11 +254,7 @@ def _crossing_count(gamma: float, phi: float) -> int:
 
 def _crossing_slack(gamma: float, phi: float) -> float:
     """Distance of the unit multiplier to the nearest cut-off, in frequency units."""
-    m = (gamma - phi) / (2.0 * math.pi)
-    best = math.inf
-    for l in {max(0, math.floor(m)), max(0, math.ceil(m))}:
-        best = min(best, abs(gamma - phi - 2.0 * math.pi * l))
-    return best
+    return abs(gamma - phi - 2.0 * math.pi * max(0, round((gamma - phi) / (2.0 * math.pi))))
 
 
 def classify(sp: ScaledParams, band: float = BOUNDARY_BAND) -> StabilityVerdict:
@@ -292,22 +292,16 @@ def classify(sp: ScaledParams, band: float = BOUNDARY_BAND) -> StabilityVerdict:
     split = s2 - abs(k1)  # > 0 gives two crossing frequencies, <= 0 one
     gap = 2.0 * math.sqrt(max(s2 * s2 - k1 * k1, 0.0)) - (k2 * k2 + 2.0 * s2 - s1 * s1)
 
-    try:
-        detail = crossing_structure(sp)
-    except InfeasibleError:
-        detail = None
-
-    if detail is None:
+    crossings = _crossings(sp)
+    if not crossings:
         # no imaginary crossing: the delay-free verdict holds for every delay
         stable = n0 == 0
         region = "W1" if stable else "none"
         margin = min(hard, a0, split, gap) if stable else a0
     else:
-        count = n0 + 2 * (_crossing_count(detail.gamma_plus, detail.phi_plus))
-        slack = _crossing_slack(detail.gamma_plus, detail.phi_plus)
-        if detail.gamma_minus is not None:
-            count -= 2 * _crossing_count(detail.gamma_minus, detail.phi_minus)
-            slack = min(slack, _crossing_slack(detail.gamma_minus, detail.phi_minus))
+        # gamma+ cut-offs destabilise, gamma- cut-offs restabilise
+        count = n0 + 2 * _crossing_count(*crossings[0]) - 2 * sum(_crossing_count(g, p) for g, p in crossings[1:])
+        slack = min(_crossing_slack(g, p) for g, p in crossings)
         stable = count == 0
         if split <= 0.0:
             region = "W2"
@@ -320,10 +314,26 @@ def classify(sp: ScaledParams, band: float = BOUNDARY_BAND) -> StabilityVerdict:
             margin = -abs(margin) if margin > 0 else margin
 
     if stable and margin > band:
-        return StabilityVerdict(stable=True, region=region, margin=margin, boundary=False, detail=detail)
-    return StabilityVerdict(
-        stable=False, region="none", margin=margin, boundary=abs(margin) <= band, detail=detail
-    )
+        return StabilityVerdict(stable=True, region=region, margin=margin, boundary=False)
+    return StabilityVerdict(stable=False, region="none", margin=margin, boundary=abs(margin) <= band)
+
+
+def mode_verdict(
+    d: float, lam: float, mu: float, kappa: float, tau: float
+) -> tuple[ScaledParams, StabilityVerdict]:
+    """Scaled tuple and verdict of one physical mode: exact for tau > 0; at tau = 0
+    the delay-free rule, under which the consensus mode (lam = mu = 0) converges
+    when kappa + d > 0, with an all-zero tuple and a NaN margin."""
+    if tau < 0:
+        raise ValidationError("tau must be nonnegative")
+    if tau == 0.0:
+        stable = delay_free_stable(d, lam, mu, kappa) or (lam == 0.0 and mu == 0.0 and kappa + d > 0.0)
+        verdict = StabilityVerdict(
+            stable=stable, region="delay-free" if stable else "none", margin=math.nan, boundary=False
+        )
+        return ScaledParams(s1=0.0, s2=0.0, k1=0.0, k2=0.0), verdict
+    sp = ScaledParams.from_physical(d, lam, mu, kappa, tau)
+    return sp, classify(sp)
 
 
 def network_verdict(
@@ -341,27 +351,8 @@ def network_verdict(
     rho_theta_coeff * sum(phi_theta(0)) + rho_omega_coeff * sum(phi_omega(0)).
     """
     mode_gains = resolve_gains(gains, spectrum)
-    if tau < 0:
-        raise ValidationError("tau must be nonnegative")
-    params = []
-    verdicts = []
-    for lam, mu, kappa in zip(mode_gains.lambdas, mode_gains.mu, mode_gains.kappa):
-        if tau == 0.0:
-            stable = delay_free_stable(d, lam, mu, kappa) or (
-                # consensus mode: converges to a constant when mu = 0
-                lam == 0.0 and mu == 0.0 and kappa + d > 0.0
-            )
-            sp = ScaledParams(s1=0.0, s2=0.0, k1=0.0, k2=0.0)
-            verdicts.append(
-                StabilityVerdict(
-                    stable=stable, region="delay-free" if stable else "none", margin=math.nan, boundary=False
-                )
-            )
-            params.append(sp)
-            continue
-        sp = ScaledParams.from_physical(d, lam, mu, kappa, tau)
-        params.append(sp)
-        verdicts.append(classify(sp))
+    modes = zip(mode_gains.lambdas, mode_gains.mu, mode_gains.kappa)
+    params, verdicts = zip(*(mode_verdict(d, lam, mu, kappa, tau) for lam, mu, kappa in modes))
     overall = all(v.stable for v in verdicts)
     if mode_gains.mu[0] == 0.0 and mode_gains.kappa[0] == 0.0:
         n = spectrum.n
@@ -370,8 +361,8 @@ def network_verdict(
         rho_theta = rho_omega = None
     return NetworkStability(
         stable=overall,
-        verdicts=tuple(verdicts),
-        params=tuple(params),
+        verdicts=verdicts,
+        params=params,
         gains=mode_gains,
         rho_theta_coeff=rho_theta,
         rho_omega_coeff=rho_omega,
@@ -393,8 +384,6 @@ def _char_deriv(sp: ScaledParams, z: complex) -> complex:
 
 def _chebyshev_diff(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Chebyshev extreme points on [-1, 1] and the differentiation matrix."""
-    if n == 0:
-        return np.array([1.0]), np.zeros((1, 1))
     x = np.cos(np.pi * np.arange(n + 1) / n)
     c = np.ones(n + 1)
     c[0] = c[-1] = 2.0

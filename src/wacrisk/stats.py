@@ -42,7 +42,7 @@ import numpy as np
 from .errors import InfeasibleError, ValidationError
 from .network import GainSpec, LaplacianSpectrum, ModeGains, resolve_gains
 from .spectral import weight_or_inf
-from .stability import ScaledParams, classify, delay_free_stable
+from .stability import ScaledParams, delay_free_stable, mode_verdict
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,17 +115,15 @@ def mode_weight(
     """
     if tau < 0:
         raise ValidationError(f"tau must be nonnegative, got {tau}")
+    # an unstable mode returns before the intensity product, so zero noise cannot turn inf into nan
     if tau == 0.0:
-        stable = delay_free_stable(d, lam, mu, kappa)
-    else:
-        value = weight_or_inf(ScaledParams.from_physical(d, lam, mu, kappa, tau))
-        stable = not math.isinf(value)
-    if not stable:  # kept apart so that zero noise does not turn it into nan
+        if not delay_free_stable(d, lam, mu, kappa):
+            return math.inf
+        return TWO_PI * noise.mode_intensity_sq(mu, kappa, inertia) / (2.0 * (d + kappa) * (lam + mu))
+    value = weight_or_inf(ScaledParams.from_physical(d, lam, mu, kappa, tau))
+    if math.isinf(value):
         return math.inf
-    intensity = noise.mode_intensity_sq(mu, kappa, inertia)
-    if tau == 0.0:
-        return TWO_PI * intensity / (2.0 * (d + kappa) * (lam + mu))
-    return tau**3 * intensity * value
+    return tau**3 * noise.mode_intensity_sq(mu, kappa, inertia) * value
 
 
 def _stats_from_weights(spectrum_q: np.ndarray, weights: np.ndarray) -> PairStats:
@@ -154,12 +152,12 @@ def pair_deviations(
     """Stationary pair deviations of the closed loop at any delay tau >= 0.
 
     Raises InfeasibleError naming the first unstable mode.  The consensus
-    mode never reaches phase differences; with delay it must still be stable,
-    at zero delay it is not checked.
+    mode never reaches phase differences; it is checked at every delay by the
+    rule of ``network_verdict`` (``stability.mode_verdict``).
     """
     resolved = resolve_gains(gains, spectrum)
     lams, mu, kappa = resolved.lambdas, resolved.mu, resolved.kappa
-    if tau > 0 and not classify(ScaledParams.from_physical(d, lams[0], mu[0], kappa[0], tau)).stable:
+    if not mode_verdict(d, lams[0], mu[0], kappa[0], tau)[1].stable:
         raise InfeasibleError(f"mode 1 is unstable at tau={tau}; stationary statistics undefined")
     weights = np.zeros(spectrum.n)
     for l in range(1, spectrum.n):

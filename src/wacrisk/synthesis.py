@@ -38,7 +38,7 @@ from .errors import InfeasibleError, ValidationError
 from .network import GainSpec, LaplacianSpectrum, effective_resistance, resolve_gains
 from .risk import SystemicSet, risk_profile, risk_value
 from .spectral import weight_or_inf
-from .stability import ScaledParams, classify
+from .stability import ScaledParams, mode_verdict
 from .stats import NoiseParams, _stats_from_weights, mode_weight, pair_deviations
 
 
@@ -181,8 +181,7 @@ def risk_floor(sigma_star: float, sset: SystemicSet) -> LimitReport:
 
 def _consensus_stable(spectrum, d, tau, mu, kappa) -> bool:
     lam_max = spectrum.lambda_max
-    sp = ScaledParams.from_physical(d, lam_max, lam_max * mu, lam_max * kappa, tau)
-    return classify(sp).stable
+    return mode_verdict(d, lam_max, lam_max * mu, lam_max * kappa, tau)[1].stable
 
 
 def resistance_bounds(

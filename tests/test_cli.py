@@ -528,6 +528,41 @@ def test_gain_flags_only_where_read_and_never_overridden(two_machine_path, tmp_p
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command, extra", [("stats", []), ("risk", ["--zeta", "1.0"])])
+def test_unstable_consensus_mode_exits_3_at_zero_delay(two_machine_path, tmp_path, command, extra):
+    gains = tmp_path / "g.json"
+    gains.write_text(json.dumps({"mode": "eigen", "mu": [-0.5, 0.0], "kappa": [0.0, 1.0]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wacrisk.cli", command, "--network", two_machine_path, "--tau", "0", "--eta", "0.7",
+         "--gains", str(gains), *extra],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert "mode 1 is unstable" in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--tau", "--eta", "--etap"])
+def test_risk_from_stats_refuses_network_path_flags(tmp_path, flag):
+    stats = tmp_path / "stats.csv"
+    stats.write_text("i,j,sigma\n1,2,0.3\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wacrisk.cli", "risk", "--from-stats", str(stats), "--zeta", "1.0", flag, "5"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert f"--from-stats cannot be combined with {flag}" in proc.stderr
+
+
+def test_risk_unset_delay_and_measurement_noise_read_zero(two_machine_path, capsys):
+    base = ["risk", "--network", two_machine_path, "--eta", "0.7", "--kappa", "1.0", "--zeta", "1.0"]
+    _run_ok(base)
+    implicit = capsys.readouterr().out
+    _run_ok([*base, "--tau", "0", "--etap", "0"])
+    assert capsys.readouterr().out == implicit
+
+
 def test_scalar_gain_defaults(two_machine_path, capsys):
     base = ["stability", "--network", two_machine_path, "--tau", "0.1"]
     _run_ok(base)

@@ -12,6 +12,7 @@ from wacrisk.stability import (
     classify,
     crossing_structure,
     delay_free_stable,
+    mode_verdict,
     network_verdict,
     rightmost_root,
 )
@@ -260,15 +261,16 @@ def test_window_interlacing():
     while seen < 40:
         sp = ScaledParams(*rng.uniform(0.0, 2.0, 2), *rng.uniform(-2.0, 2.0, 2))
         v = classify(sp)
-        if not (v.stable and v.region == "W3" and v.detail is not None):
+        if not (v.stable and v.region == "W3"):
             continue
-        if v.detail.gamma_minus is None or len(v.detail.windows) < 2:
+        s = crossing_structure(sp)
+        if s.gamma_minus is None or len(s.windows) < 2:
             continue
         seen += 1
-        flat = [b for w in v.detail.windows for b in w]
-        assert all(a < b for a, b in zip(flat[1:-1:1], flat[2::1])), v.detail
-        if v.detail.l_star is not None:
-            assert v.detail.l_star >= 1
+        flat = [b for w in s.windows for b in w]
+        assert all(a < b for a, b in zip(flat[1:-1:1], flat[2::1])), s
+        if s.l_star is not None:
+            assert s.l_star >= 1
 
 
 def test_l_star_interval_width_one():
@@ -334,6 +336,20 @@ def test_network_destabilises_at_large_delay(two_machine_spectrum):
     # membership flips exactly where the mode root crosses the axis
     sp = ScaledParams.from_physical(0.075, 1.584, 0.0, 1.0, 0.5 * (lo + hi))
     assert abs(rightmost_root(sp).real) < 1e-4
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.05])
+@pytest.mark.parametrize(
+    "gains",
+    [GainSpec.uniform(0.3, 1.0), GainSpec.eigen([-0.5, 0.3, 2.0], [0.0, 1.0, -0.2]), GainSpec.consensus(0.1, 0.2)],
+)
+def test_mode_verdict_is_the_network_rule(line3_spectrum, gains, tau):
+    # one per-mode rule: every network_verdict row is the mode_verdict of that mode
+    fields = lambda sp, v: (sp, v.stable, v.region, v.margin.hex(), v.boundary)
+    net = network_verdict(line3_spectrum, gains, 0.075, tau)
+    g = net.gains
+    for l, (lam, mu, kappa) in enumerate(zip(g.lambdas, g.mu, g.kappa)):
+        assert fields(*mode_verdict(0.075, lam, mu, kappa, tau)) == fields(net.params[l], net.verdicts[l])
 
 
 @pytest.mark.parametrize(

@@ -121,6 +121,13 @@ def test_no_delay_requires_delay_free_stability(two_machine_spectrum):
         )
 
 
+def test_unstable_consensus_mode_rejected_at_zero_delay(two_machine_spectrum):
+    # network_verdict's rule for mode 1 holds at tau = 0 too: mu_1 = -0.5 is unstable
+    gains = GainSpec.eigen([-0.5, 0.0], [0.0, 1.0])
+    with pytest.raises(InfeasibleError, match="mode 1 is unstable"):
+        pair_deviations(two_machine_spectrum, gains, D2, 0.0, NoiseParams(0.7, 0.0), J2)
+
+
 def test_load_noise_only_same_path(two_machine_spectrum):
     for tau in (1e-2, 1e-3):
         general = pair_deviations(
