@@ -2,12 +2,16 @@
 
 ``simulate`` integrates the full 2n-dimensional linear stochastic delay
 system with an Euler-Maruyama scheme: the step is snapped to an exact
-divisor of the delay so delayed-state lookups land on grid nodes, and the
-3n independent noise channels enter exactly as the diffusion structure
-prescribes (load noise scaled by eta/J, measurement noise pushed through
-the gain matrices with magnitude eta_meas).  Strong order 0.5 is enough
-because only stationary second moments are compared against the analytic
-formulas.
+divisor of the delay so delayed-state lookups land on grid nodes.  The
+three noise channels (load noise scaled by eta/J, measurement noise pushed
+through the gain matrices with magnitude eta_meas) add one Gaussian
+frequency increment per step with covariance h Sigma,
+Sigma = (eta/J)^2 I + eta_meas^2 (M^T M + K^T K), so each step draws one
+correlated n-dimensional normal with that law instead of 3n independent
+ones.  Sigma is factored in machine coordinates, not in the Laplacian
+eigenbasis, so the ensemble stays independent of the modal assembly it
+checks.  Strong order 0.5 is enough because only stationary second
+moments are compared against the analytic formulas.
 
 Reproducibility: trajectories are processed in fixed-size chunks, each
 with its own counter-based Philox stream spawned from the master seed, so
@@ -60,8 +64,8 @@ class SimConfig:
             raise ValidationError(f"step and horizon must be positive reals, got {self.step}, {self.horizon}")
         if not 0.0 < self.burn_in < 1.0:
             raise ValidationError("burn_in must lie in (0, 1)")
-        if self.trajectories < 1:
-            raise ValidationError("need at least one trajectory")
+        if not isinstance(self.trajectories, (int, np.integer)) or self.trajectories < 1:
+            raise ValidationError(f"need a positive integer number of trajectories, got {self.trajectories!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
@@ -90,6 +94,19 @@ def _snap_step(step: float, tau: float) -> tuple[float, int]:
     return tau / substeps, substeps
 
 
+def _shock_factor(M: np.ndarray, K: np.ndarray, noise: NoiseParams, inertia: float, h: float) -> np.ndarray:
+    """F with F^T F = h Sigma: ``z @ F`` (z standard normal) is one step's frequency shock.
+
+    Sigma is singular when eta = 0 (M 1 = K 1 = 0), so eigenvalues within
+    rounding of zero are clipped to exactly zero.
+    """
+    n = M.shape[0]
+    sigma = (noise.eta / inertia) ** 2 * np.eye(n) + noise.eta_meas**2 * (M.T @ M + K.T @ K)
+    w, v = np.linalg.eigh(h * sigma)
+    w = np.where(w > n * np.finfo(float).eps * w.max(), w, 0.0)
+    return np.sqrt(w)[:, None] * v.T
+
+
 def simulate(
     model: NetworkModel,
     gains: GainSpec,
@@ -98,6 +115,11 @@ def simulate(
     config: SimConfig,
 ) -> EnsembleStats:
     """Euler-Maruyama ensemble of the delayed closed loop at the model's damping ratio.
+
+    Each step draws one n-dimensional standard normal per path and maps it
+    through a factor of the step covariance h Sigma (see ``_shock_factor``),
+    which has the law of the three independent noise channels; Sigma is
+    factored once per call, in machine coordinates.
 
     Raises InfeasibleError when the loop is unstable: its stationary
     statistics are undefined.
@@ -124,10 +146,10 @@ def simulate(
     phi_omega = np.zeros(n) if config.phi_omega is None else np.asarray(config.phi_omega, float)
     if phi_theta.shape != (n,) or phi_omega.shape != (n,):
         raise ValidationError(f"initial history vectors must have shape ({n},)")
+    if not (np.all(np.isfinite(phi_theta)) and np.all(np.isfinite(phi_omega))):
+        raise ValidationError("initial history vectors must be finite")
 
-    load_scale = noise.eta / inertia
-    meas_scale = noise.eta_meas
-    sqrt_h = math.sqrt(h)
+    shock_factor = _shock_factor(M, K, noise, inertia, h)
 
     master = np.random.SeedSequence(config.seed)
     n_chunks = (config.trajectories + _CHUNK - 1) // _CHUNK
@@ -155,6 +177,7 @@ def simulate(
         acc_y2 = np.zeros((paths, r))
         acc_omega = np.zeros((n, n))
         ens_theta_dev = 0.0
+        path_mean = np.full(paths, 1.0 / paths)
 
         for step_idx in range(total_steps):
             slot_delayed = (step_idx - delay_steps) % (delay_steps + 1)
@@ -162,11 +185,7 @@ def simulate(
             omega_del = ring_omega[slot_delayed]
 
             drift = -theta @ L - d * omega - theta_del @ M - omega_del @ K
-            z = rng.standard_normal((3, paths, n))
-            shock = load_scale * z[0]
-            if meas_scale != 0.0:
-                shock = shock + meas_scale * (z[1] @ M + z[2] @ K)
-            omega_new = omega + h * drift + sqrt_h * shock
+            omega_new = omega + h * drift + rng.standard_normal((paths, n)) @ shock_factor
             theta_new = theta + h * omega
 
             theta, omega = theta_new, omega_new
@@ -178,7 +197,7 @@ def simulate(
                 y = theta @ b.T
                 acc_y2 += y * y
                 acc_omega += omega.T @ omega
-                ens_theta_dev = max(ens_theta_dev, float(np.abs(theta.mean(axis=0) - rho_pred).max()))
+                ens_theta_dev = max(ens_theta_dev, float(np.abs(path_mean @ theta - rho_pred).max()))
 
         pair_acc[done : done + paths] = acc_y2 / steps_averaged
         omega_acc += acc_omega / steps_averaged
@@ -229,8 +248,8 @@ def impulse_response(sp: ScaledParams, step: float = 0.002, t_max: float = 4000.
     delay; terminates once the response envelope falls below 1e-8 and
     raises InfeasibleError when it has not decayed by ``t_max`` (or grows).
     """
-    if step > 0.01:
-        raise ValidationError("impulse-response step must be at most 0.01")
+    if not 0.0 < step <= 0.01:
+        raise ValidationError(f"impulse-response step must be a real in (0, 0.01], got {step!r}")
     substeps = int(round(1.0 / step))
     h = 1.0 / substeps
     s1, s2, k1, k2 = sp.s1, sp.s2, sp.k1, sp.k2

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from wacrisk.errors import InfeasibleError, ValidationError
-from wacrisk.network import GainSpec
-from wacrisk.simulate import SimConfig, _snap_step, impulse_response, simulate
+from wacrisk.network import GainSpec, resolve_gains
+from wacrisk.simulate import SimConfig, _shock_factor, _snap_step, impulse_response, simulate
 from wacrisk.spectral import evaluate
 from wacrisk.stability import ScaledParams, classify
 from wacrisk.stats import NoiseParams, pair_deviations
+from wacrisk.synthesis import synthesize
 
 D2, J2 = 0.075, 2.0
 
@@ -34,6 +35,41 @@ def test_config_validation():
     for bad in (-1, 1.5, "3"):
         with pytest.raises(ValidationError, match="seed"):
             SimConfig(step=0.01, horizon=1.0, trajectories=10, seed=bad)
+    for bad in (1.5, math.nan, "3"):
+        with pytest.raises(ValidationError, match="trajectories"):
+            SimConfig(step=0.01, horizon=1.0, trajectories=bad)
+
+
+@pytest.mark.parametrize("phi", [{"phi_theta": [math.nan, 0.0, 0.0]}, {"phi_omega": [0.0, math.inf, 0.0]}])
+def test_non_finite_history_rejected(line3_model, phi):
+    config = SimConfig(step=0.01, horizon=1.0, trajectories=2, **{k: np.array(v) for k, v in phi.items()})
+    with pytest.raises(ValidationError, match="finite"):
+        simulate(line3_model, GainSpec.consensus(0.2, 0.5), 0.05, NoiseParams(0.7, 0.3), config)
+
+
+def _assert_same_law(M, K, noise, h=0.005):
+    # Sigma of the three independent channels (eta/J) z0 + eta' (z1 @ M + z2 @ K)
+    g = np.vstack([noise.eta / J2 * np.eye(M.shape[0]), noise.eta_meas * M, noise.eta_meas * K])
+    target = h * (g.T @ g)
+    factor = _shock_factor(M, K, noise, J2, h)
+    assert np.all(np.isfinite(factor))
+    assert np.linalg.norm(factor.T @ factor - target) <= 1e-13 * np.linalg.norm(target)
+    return factor
+
+
+# eta = 0: M 1 = K 1 = 0 leaves Sigma singular along the consensus direction
+@pytest.mark.parametrize("eta, eta_meas, rank", [(0.7, 0.3, 3), (0.7, 0.0, 3), (0.0, 0.3, 2)])
+def test_shock_factor_law_consensus(line3_spectrum, eta, eta_meas, rank):
+    gains = resolve_gains(GainSpec.consensus(0.2, 0.5), line3_spectrum)
+    factor = _assert_same_law(gains.M, gains.K, NoiseParams(eta, eta_meas))
+    assert np.linalg.matrix_rank(factor) == rank
+
+
+def test_shock_factor_law_synthesised_dense(line3_spectrum):
+    noise = NoiseParams(0.7, 0.3)
+    result = synthesize(line3_spectrum, D2, 0.05, noise, J2, grid_step=0.25)
+    gains = resolve_gains(GainSpec.dense(result.M, result.K), line3_spectrum)
+    _assert_same_law(gains.M, gains.K, noise)
 
 
 def test_deterministic_consensus(two_machine_model):
@@ -147,6 +183,9 @@ def test_impulse_response_closed_form():
 def test_impulse_response_step_validated():
     with pytest.raises(ValidationError):
         impulse_response(ScaledParams(1.0, 1.0, 0.0, 0.0), step=0.05)
+    for bad in (0.0, -0.001, math.nan):
+        with pytest.raises(ValidationError, match="step"):
+            impulse_response(ScaledParams(1.0, 1.0, 0.0, 0.0), step=bad)
 
 
 def test_impulse_response_unstable_raises():
