@@ -22,7 +22,11 @@ The crossing frequencies gamma+- solve |z^2 + s1 z + s2| = |k1 + i k2 z| on
 the imaginary axis and their phases phi+- give the cut-off delays
 (phi + 2 pi l) / gamma.  A spectral-collocation approximation of the
 rightmost characteristic root provides an independent numerical oracle for
-the whole classification.
+the whole classification.  It collocates on a ladder: 32 and then 40
+Chebyshev nodes, accepting the 40-node root when it agrees with the 32-node
+root to 1e-9 (1 + |z|) and no root to its right can lie outside the disc
+the 32-node rung resolves, and falling back to the requested resolution
+(128 by default) otherwise.
 
 Points within ``band`` of any defining inequality of the selected region
 are reported as boundary and treated as unstable: the classification is an
@@ -43,6 +47,9 @@ from .errors import InfeasibleError, ValidationError
 from .network import GainSpec, LaplacianSpectrum, ModeGains, resolve_gains
 
 BOUNDARY_BAND = 1e-9
+
+# node counts of the cheap collocation rungs tried before ``resolution``
+_LADDER = (32, 40)
 
 # window chains longer than this are truncated (reporting only; the root
 # count that decides stability never enumerates windows)
@@ -413,11 +420,50 @@ def rightmost_root(sp: ScaledParams, resolution: int = 128) -> complex:
     the best candidates are polished by Newton iteration on c itself.  For
     the consensus branch (s2 = k1 = 0) the structural root at the origin is
     factored out and the reduced first-order equation is analysed instead.
-    Raises InfeasibleError when no candidate converges.
-    """
-    if resolution < 32:
-        raise ValidationError("resolution must be at least 32")
 
+    The collocation runs on a ladder of node counts: first at 32 and at 40
+    nodes.  The 40-node root z is returned when every root with real part
+    at least that of the 32-node root provably lies in |z| <= 8, the disc
+    the 32-node rung resolves (see ``_modulus_bound``), and the two
+    polished roots agree to 1e-9 (1 + |z|).  Otherwise (a root that may lie
+    beyond the disc, disagreement, or InfeasibleError at either rung) the
+    answer is recomputed at ``resolution`` nodes, so ``resolution`` is the
+    resolution of every root the cheap rungs do not certify; for
+    ``resolution`` <= 40 the ladder is skipped.
+
+    Raises ValidationError unless ``resolution`` is an integer >= 32, and
+    InfeasibleError when no candidate converges at ``resolution`` nodes.
+    """
+    if not isinstance(resolution, (int, np.integer)) or resolution < 32:  # bools are < 32
+        raise ValidationError(f"resolution must be an integer >= 32, got {resolution!r}")
+    if resolution > _LADDER[-1]:
+        try:
+            coarse = _rightmost_at(sp, _LADDER[0])
+            # both rungs see only roots with |z| <= _LADDER[0] / 4; any root right
+            # of ``coarse`` must lie inside that disc for the rungs to find it
+            if _modulus_bound(sp, coarse.real) <= _LADDER[0] / 4.0:
+                fine = _rightmost_at(sp, _LADDER[1])
+                if abs(fine - coarse) <= 1e-9 * (1.0 + abs(fine)):
+                    return fine
+        except InfeasibleError:
+            pass
+    return _rightmost_at(sp, resolution)
+
+
+def _modulus_bound(sp: ScaledParams, x0: float) -> float:
+    """Bound on |z| over the roots of c with Re z >= x0.
+
+    Such a root has |e^(-z)| <= E = e^(-x0), so |z|^2 <= b |z| + c with
+    b = s1 + |k2| E and c = s2 + |k1| E.
+    """
+    e = math.exp(min(-x0, 700.0))
+    b = sp.s1 + abs(sp.k2) * e
+    c = sp.s2 + abs(sp.k1) * e
+    return 0.5 * (b + math.sqrt(b * b + 4.0 * c))
+
+
+def _rightmost_at(sp: ScaledParams, nodes: int) -> complex:
+    """Rightmost root from a collocation on ``nodes`` Chebyshev nodes, Newton-polished."""
     if sp.k1 == 0.0 and sp.k2 == 0.0:
         if sp.s2 == 0.0:
             return complex(-sp.s1) if sp.s1 > 0 else 0j
@@ -436,9 +482,9 @@ def rightmost_root(sp: ScaledParams, resolution: int = 128) -> complex:
         char = lambda z: _char(sp, z)
         deriv = lambda z: _char_deriv(sp, z)
 
-    eigs = np.linalg.eigvals(_collocation_matrix(a0, a1, resolution))
+    eigs = np.linalg.eigvals(_collocation_matrix(a0, a1, nodes))
     # collocation resolves roots of moderate modulus; large spurious ones are dropped
-    eigs = eigs[np.abs(eigs) <= resolution / 4.0]
+    eigs = eigs[np.abs(eigs) <= nodes / 4.0]
     if eigs.size == 0:
         raise InfeasibleError("no resolvable characteristic root candidates")
     candidates = eigs[np.argsort(-eigs.real)][:8]

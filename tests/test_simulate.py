@@ -7,7 +7,7 @@ from wacrisk.errors import InfeasibleError, ValidationError
 from wacrisk.network import GainSpec, resolve_gains
 from wacrisk.simulate import SimConfig, _shock_factor, _snap_step, impulse_response, simulate
 from wacrisk.spectral import evaluate
-from wacrisk.stability import ScaledParams, classify
+from wacrisk.stability import ScaledParams, classify, rightmost_root
 from wacrisk.stats import NoiseParams, pair_deviations
 from wacrisk.synthesis import synthesize
 
@@ -186,6 +186,71 @@ def test_impulse_response_step_validated():
     for bad in (0.0, -0.001, math.nan):
         with pytest.raises(ValidationError, match="step"):
             impulse_response(ScaledParams(1.0, 1.0, 0.0, 0.0), step=bad)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="t_max"):
+            impulse_response(ScaledParams(1.0, 1.0, 0.0, 0.0), t_max=bad)
+    # nothing is allocated up front for the horizon: a decaying response
+    # under a huge t_max is the one under the default
+    sp = ScaledParams(1.0, 1.0, 0.0, 0.0)
+    assert impulse_response(sp, t_max=1e12).integral_sq == impulse_response(sp).integral_sq
+
+
+def _impulse_response_numpy_loop(sp, step=0.002, t_max=4000.0):
+    """The Heun loop on preallocated NumPy arrays, the reference for bit-identity."""
+    substeps = int(round(1.0 / step))
+    h = 1.0 / substeps
+    s1, s2, k1, k2 = sp.s1, sp.s2, sp.k1, sp.k2
+    max_steps = int(t_max / h)
+    x = np.zeros(max_steps + 1)
+    v = np.zeros(max_steps + 1)
+    v[0] = 1.0
+
+    def accel(xi, vi, xd, vd):
+        return -s1 * vi - s2 * xi - k2 * vd - k1 * xd
+
+    integral = 0.0
+    block = max(int(25.0 / h), 1)
+    m = 0
+    while m < max_steps:
+        stop = min(m + block, max_steps)
+        for i in range(m, stop):
+            di = i - substeps
+            xd0 = x[di] if di >= 0 else 0.0
+            vd0 = v[di] if di >= 0 else 0.0
+            a1 = accel(x[i], v[i], xd0, vd0)
+            xp = x[i] + h * v[i]
+            vp = v[i] + h * a1
+            dj = i + 1 - substeps
+            xd1 = x[dj] if dj >= 0 else 0.0
+            vd1 = v[dj] if dj >= 0 else 0.0
+            a2 = accel(xp, vp, xd1, vd1)
+            x[i + 1] = x[i] + 0.5 * h * (v[i] + vp)
+            v[i + 1] = v[i] + 0.5 * h * (a1 + a2)
+            integral += 0.5 * h * (x[i] * x[i] + x[i + 1] * x[i + 1])
+        m = stop
+        peak = float(np.max(np.abs(x[max(0, m - block) : m + 1]))) + float(
+            np.max(np.abs(v[max(0, m - block) : m + 1]))
+        )
+        if peak < 1e-8:
+            return np.arange(m + 1) * h, x[: m + 1].copy(), integral
+    raise AssertionError("reference response did not decay")
+
+
+@pytest.mark.parametrize(
+    "sp",
+    [
+        ScaledParams(1.0, 1.0, 0.3, 0.2),
+        ScaledParams(0.8, 1.7, -0.6, 0.9),
+        ScaledParams(np.float64(2.1), np.float64(0.5), np.float64(0.4), np.float64(-1.2)),
+    ],
+)
+def test_impulse_response_bit_identical_to_numpy_loop(sp):
+    assert rightmost_root(sp).real <= -0.05
+    times, values, integral_sq = _impulse_response_numpy_loop(sp)
+    ir = impulse_response(sp)
+    assert np.array_equal(ir.times, times)
+    assert np.array_equal(ir.values, values)
+    assert ir.integral_sq == integral_sq
 
 
 def test_impulse_response_unstable_raises():

@@ -15,6 +15,7 @@ from wacrisk.stability import (
     mode_verdict,
     network_verdict,
     rightmost_root,
+    _rightmost_at,
 )
 
 # --- table of explicit region predicates, kept independent of classify() ----
@@ -230,6 +231,41 @@ def test_rightmost_root_w0_crossing():
 def test_rightmost_root_resolution_validated():
     with pytest.raises(ValidationError):
         rightmost_root(ScaledParams(1.0, 1.0, 0.0, 0.5), resolution=8)
+    for bad in (40.5, 33.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="resolution"):
+            rightmost_root(ScaledParams(1.0, 1.0, 0.0, 0.5), resolution=bad)
+
+
+def test_rightmost_root_ladder_matches_full_resolution():
+    # the 32/40-node ladder returns a 40-node root only when the two rungs
+    # agree and no root to its right can lie outside the disc they resolve;
+    # either way the answer must be the 128-node root
+    rng = np.random.default_rng(708)
+    tuples = [
+        ScaledParams(1.9012593672172078, 2.7152237339489274, 0.05808097136486934, -2.167463252479364),
+        ScaledParams(0.0, 0.0, 0.0, math.pi / 2.0),
+        ScaledParams(1.0, 1.0, 0.0, 0.0),
+        # rightmost roots near 13j and 17j, outside the disc the low rungs
+        # resolve, while both rungs agree on a root with real part near -4
+        ScaledParams(0.31183145201048545, 169.33057958903026, 3.2770259382044173, -0.18160172726167745),
+        ScaledParams(0.14792203578495655, 327.8506876477108, 1.8328690600325714, 0.5741938831096021),
+    ]
+    while len(tuples) < 65:
+        sp = ScaledParams(*rng.uniform(0.0, 3.0, 2), *rng.uniform(-3.0, 3.0, 2))
+        verdict = classify(sp, band=1e-3)
+        if not (verdict.boundary or abs(verdict.margin) <= 1e-3):
+            tuples.append(sp)
+    for sp in tuples:
+        try:
+            full = _rightmost_at(sp, 128)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                rightmost_root(sp)
+            continue
+        root = rightmost_root(sp)
+        # conjugate roots tie on the real part, so the sign of imag is not compared
+        assert abs(root.real - full.real) <= 1e-10, sp
+        assert abs(abs(root.imag) - abs(full.imag)) <= 1e-10, sp
 
 
 def test_oracle_agreement_sample():
