@@ -42,7 +42,9 @@ from .stability import (
     ScaledParams,
     StabilityVerdict,
     SwitchStructure,
+    Verdicts,
     classify,
+    classify_many,
     crossing_structure,
     delay_free_stable,
     network_verdict,

@@ -24,6 +24,16 @@ scaling the columns with the solution and normalising the rows, decides
 refusal.  An unstable tuple may still give a (meaningless) value, so
 classification stays the gate.  The closed form pi / (s1 s2) at k = 0 is
 a cross-check in the tests.
+
+Array core: :func:`weights` takes arrays of tuples, gates them with one
+``stability.classify_many`` call and solves only the stable ones, in
+blocks of at most ``_BLOCK`` tuples: one stacked ``scipy.linalg.expm``
+call (which exponentiates slice by slice), a batched QR factorisation with
+back substitution for the consistent 12x8 system, and a batched SVD for
+the reciprocal condition number.  Every step acts on each tuple alone, so
+a tuple's value is the same number whatever block it shares.
+:func:`evaluate` is the one-tuple call that also reports the conditioning.
+:func:`magnitude_sq` is the denominator above, for quadrature cross-checks.
 """
 
 from __future__ import annotations
@@ -35,15 +45,20 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import InfeasibleError
-from .stability import ScaledParams, classify
+from .stability import ScaledParams, _as_arrays, classify, classify_many
 
 # refusal threshold for the scaled reciprocal condition number, which is
 # about 1e-4 at relative distance 1e-3 from the stability boundary
 _MIN_RCOND = 1e-8
 
+# tuples per stacked expm / QR / SVD: enough to amortise the per-call overhead
+# (the cost per tuple flattens out by about 85), few enough to bound the
+# working memory of a large grid
+_BLOCK = 128
+
 _I2, _I8 = np.eye(2), np.eye(8)
-_TRANSPOSE = np.eye(4)[[0, 2, 1, 3]]  # vec(X^T) = _TRANSPOSE @ vec(X), column-major vec
-_RHS = -np.eye(12)[8]  # -vec(W) in the rows of the algebraic condition
+_TRANSPOSE_ROWS = [0, 2, 1, 3]
+_TRANSPOSE = np.eye(4)[_TRANSPOSE_ROWS]  # vec(X^T) = _TRANSPOSE @ vec(X), column-major vec
 
 
 @dataclass(frozen=True)
@@ -74,14 +89,6 @@ def magnitude_sq(r, sp: ScaledParams):
     )
 
 
-def integrand(r, sp: ScaledParams):
-    """1 / |c(i r)|^2; raises when the denominator is not strictly positive."""
-    den = magnitude_sq(r, sp)
-    if np.any(den <= 0.0):
-        raise InfeasibleError("nonpositive spectral denominator: tuple on or outside the stability boundary")
-    return 1.0 / den
-
-
 def _affine_parts(s1: float, s2: float, k1: float, k2: float) -> np.ndarray:
     """Generator of the (vec X, vec Z) flow stacked on the algebraic-condition
     rows: a 12x8 matrix that is affine in the tuple."""
@@ -96,56 +103,99 @@ def _affine_parts(s1: float, s2: float, k1: float, k2: float) -> np.ndarray:
 
 _PARTS_AT_ZERO = _affine_parts(0.0, 0.0, 0.0, 0.0)
 _PARTS_SLOPES = np.stack([_affine_parts(*row) - _PARTS_AT_ZERO for row in np.eye(4)], axis=-1)
+# every entry depends on at most one parameter, with slope -2, -1 or 1, so the
+# product of a tuple with the flattened slopes is exact in any summation order
+_SLOPES_BY_PARAMETER = _PARTS_SLOPES.reshape(-1, 4).T
 
 
-def _lyapunov_system(sp: ScaledParams) -> np.ndarray:
-    """12x8 matrix of the boundary conditions on [vec U(0); vec U(-1)]:
-    Z(1) - X(0) = 0, Z(0) - X(1)^T = 0, then the algebraic condition."""
-    parts = _PARTS_AT_ZERO + _PARTS_SLOPES @ np.array([sp.s1, sp.s2, sp.k1, sp.k2])
-    flow = expm(parts[:8])
-    return np.vstack([flow[4:] - _I8[:4], _I8[4:] - _TRANSPOSE @ flow[:4], parts[8:]])
+def _solve(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mode integral, scaled rcond and flow growth of each row (s1, s2, k1, k2).
+
+    Rows go through in blocks of at most ``_BLOCK``; every step acts on each
+    row alone (one ``expm`` per slice, one QR, one SVD), so a row's results do
+    not depend on the block it shares.  A row whose growth reaches
+    1 / _MIN_RCOND is not solved: its rcond is 0.
+    """
+    value, rcond, growth = (np.zeros(len(params)) for _ in range(3))
+    for start in range(0, len(params), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        block = params[rows]
+        # a strongly damped flow overflows; the growth test refuses it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            parts = _PARTS_AT_ZERO + (block @ _SLOPES_BY_PARAMETER).reshape(-1, 12, 8)
+            flow = expm(parts[:, :8])
+            # boundary conditions on [vec U(0); vec U(-1)]: Z(1) - X(0) = 0,
+            # Z(0) - X(1)^T = 0, then the algebraic condition
+            system = np.concatenate([flow[:, 4:] - _I8[:4], _I8[4:] - flow[:, _TRANSPOSE_ROWS], parts[:, 8:]], axis=1)
+            # shooting across the unit delay loses accuracy in proportion to the growth
+            # of the flow: near 1 for physical tuples, too large once s1 exceeds 16
+            growth[rows] = np.maximum(np.abs(system[:, :8]).max(axis=(1, 2)), 1.0)
+            solvable = growth[rows] < 1.0 / _MIN_RCOND
+            solution = np.zeros((len(block), 8))
+            solution[solvable] = _least_squares(system[solvable])
+            value[rows] = 2.0 * math.pi * solution[:, 3]  # vec index 3 is U(0)[1, 1]
+            rcond[rows] = _scaled_rcond(system, solution)
+    return value, rcond, growth
 
 
-def _scaled_rcond(system: np.ndarray, solution: np.ndarray) -> float:
-    """Reciprocal condition number with the columns scaled by the solution
-    and the rows normalised; 0 when that scaling degenerates."""
-    scaled = system * np.abs(solution)
-    norms = np.linalg.norm(scaled, axis=1)
-    if not np.all(np.isfinite(norms) & (norms > 0.0)):
-        return 0.0
-    sv = np.linalg.svd(scaled / norms[:, None], compute_uv=False)
-    return float(sv[-1] / sv[0])
+def _least_squares(system: np.ndarray) -> np.ndarray:
+    """Solution of each consistent 12x8 system against the right-hand side
+    -vec(W) = -e_8 (the first algebraic row): QR, then back substitution."""
+    q, r = np.linalg.qr(system)
+    x = np.full((len(system), 8), math.nan)  # NaN where R is singular: refused downstream
+    regular = np.all(np.diagonal(r, axis1=1, axis2=2) != 0.0, axis=1)
+    # R is upper triangular, so the LU solve does no pivoting and is back substitution
+    x[regular] = np.linalg.solve(r[regular], -q[regular, 8, :, None])[..., 0]  # Q^T (-e_8)
+    return x
+
+
+def _scaled_rcond(system: np.ndarray, solution: np.ndarray) -> np.ndarray:
+    """Reciprocal condition number of each system with the columns scaled by
+    the solution and the rows normalised; 0 where that scaling degenerates."""
+    scaled = system * np.abs(solution)[:, None, :]
+    norms = np.linalg.norm(scaled, axis=2)
+    good = np.all(np.isfinite(norms) & (norms > 0.0), axis=1)
+    rcond = np.zeros(len(system))
+    if good.any():
+        sv = np.linalg.svd(scaled[good] / norms[good][:, :, None], compute_uv=False)
+        rcond[good] = sv[:, -1] / sv[:, 0]
+    return rcond
+
+
+def _accepted(value: np.ndarray, rcond: np.ndarray, growth: np.ndarray) -> np.ndarray:
+    """Rows whose Lyapunov system is well enough conditioned and whose integral is positive."""
+    return (rcond >= _MIN_RCOND * growth) & (value > 0.0)
+
+
+def weights(s1, s2, k1, k2) -> np.ndarray:
+    """Mode integral of each tuple (s1, s2, k1, k2), given as arrays that
+    broadcast; +inf where the tuple is not strictly inside the stability
+    region or its Lyapunov system is refused.  Never NaN, so that it serves
+    directly as a gain-search objective.
+
+    Only the tuples :func:`~wacrisk.stability.classify_many` finds stable
+    are solved; each value equals the ``evaluate`` value of its tuple.
+    """
+    arrays = _as_arrays(s1, s2, k1, k2)
+    out = np.full(arrays[0].shape, math.inf)
+    stable = classify_many(*arrays).stable
+    value, rcond, growth = _solve(np.stack([a[stable] for a in arrays], axis=-1))
+    out[stable] = np.where(_accepted(value, rcond, growth), value, math.inf)
+    return out
 
 
 # rel_tol is unused (the value is exact); callers such as perfbench/workloads.py pass it
 def evaluate(sp: ScaledParams, rel_tol: float = 1e-6, check_stability: bool = True) -> SpectralEvaluation:
-    """Evaluate the mode integral, exact up to rounding: any ``rel_tol`` above
-    the forward bound ``abs_error_estimate / value`` is met.  Raises
-    InfeasibleError when the tuple is not strictly inside the stability
+    """Evaluate the mode integral of one tuple, exact up to rounding: any
+    ``rel_tol`` above the forward bound ``abs_error_estimate / value`` is met.
+    Raises InfeasibleError when the tuple is not strictly inside the stability
     region (unless ``check_stability`` is False) or the integral diverges.
     """
     if check_stability and not classify(sp).stable:
         raise InfeasibleError("mode tuple is not strictly inside the stability region")
-    # a strongly damped flow overflows; the growth test below refuses it
-    with np.errstate(over="ignore", invalid="ignore"):
-        system = _lyapunov_system(sp)
-        # shooting across the unit delay loses accuracy in proportion to the growth
-        # of the flow: near 1 for physical tuples, too large once s1 exceeds 16
-        growth = max(float(np.abs(system[:8]).max()), 1.0)
-        solution = np.linalg.lstsq(system, _RHS, rcond=None)[0] if growth < 1.0 / _MIN_RCOND else np.zeros(8)
-        rcond = _scaled_rcond(system, solution)
+    value, rcond, growth = (float(a[0]) for a in _solve(np.array([[sp.s1, sp.s2, sp.k1, sp.k2]])))
     if not rcond >= _MIN_RCOND * growth:
         raise InfeasibleError(f"spectral integral diverging or out of range: Lyapunov rcond {rcond:.1e}")
-    value = 2.0 * math.pi * float(solution[3])  # vec index 3 is U(0)[1, 1]
     if value <= 0.0:
         raise InfeasibleError("mode tuple has no positive spectral weight: it is not stable")
     return SpectralEvaluation(value=value, abs_error_estimate=value * 2.0**-52 * growth / rcond, rcond=rcond)
-
-
-def weight_or_inf(sp: ScaledParams) -> float:
-    """Mode integral of a strictly stable tuple, +inf when the tuple is
-    unstable or the integral diverges (the gain-search objective)."""
-    try:
-        return evaluate(sp).value
-    except InfeasibleError:
-        return math.inf

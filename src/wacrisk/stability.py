@@ -26,7 +26,12 @@ the whole classification.  It collocates on a ladder: 32 and then 40
 Chebyshev nodes, accepting the 40-node root when it agrees with the 32-node
 root to 1e-9 (1 + |z|) and no root to its right can lie outside the disc
 the 32-node rung resolves, and falling back to the requested resolution
-(128 by default) otherwise.
+(128 by default) otherwise; at that resolution, too, a root that may have
+an unresolved root to its right is refused.
+
+:func:`classify_many` is the classification: closed-form array expressions
+over arrays of tuples, selected with ``np.where``.  :func:`classify` is its
+one-element call and returns a :class:`StabilityVerdict`.
 
 Points within ``band`` of any defining inequality of the selected region
 are reported as boundary and treated as unstable: the classification is an
@@ -40,6 +45,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +53,11 @@ from .errors import InfeasibleError, ValidationError
 from .network import GainSpec, LaplacianSpectrum, ModeGains, resolve_gains
 
 BOUNDARY_BAND = 1e-9
+
+# region labels of a verdict; ``Verdicts.region`` holds indices into this tuple
+REGIONS = ("none", "W0", "W1", "W2", "W3")
+
+_TWO_PI = 2.0 * math.pi
 
 # node counts of the cheap collocation rungs tried before ``resolution``
 _LADDER = (32, 40)
@@ -77,7 +88,14 @@ class ScaledParams:
         """Absorb the delay into the parameters: (d*tau, lam*tau^2; mu*tau^2, kappa*tau)."""
         if tau <= 0:
             raise ValidationError("tau must be positive when scaling parameters")
-        return cls(s1=d * tau, s2=lam * tau * tau, k1=mu * tau * tau, k2=kappa * tau)
+        s1, s2, k1, k2 = scaled_coordinates(d, lam, mu, kappa, tau)
+        return cls(s1=s1, s2=s2, k1=k1, k2=k2)
+
+
+def scaled_coordinates(d, lam, mu, kappa, tau: float):
+    """Delay-suppressed coordinates (d*tau, lam*tau^2, mu*tau^2, kappa*tau) of
+    physical modes, given as floats or arrays; the one place that scales them."""
+    return d * tau, lam * tau * tau, mu * tau * tau, kappa * tau
 
 
 @dataclass(frozen=True)
@@ -128,14 +146,10 @@ class NetworkStability:
     rho_omega_coeff: float | None
 
 
-def delay_free_stable(d: float, lam: float, mu: float, kappa: float) -> bool:
-    """Stability of one non-consensus mode when the feedback has no delay."""
-    return (kappa + d > 0.0) and (lam + mu > 0.0)
-
-
-def _arccot(x: float) -> float:
-    """Decreasing branch of arccot with range (0, pi)."""
-    return math.pi / 2.0 - math.atan(x)
+def delay_free_stable(d, lam, mu, kappa):
+    """Stability of non-consensus modes when the feedback has no delay
+    (floats, or arrays that broadcast)."""
+    return (kappa + d > 0.0) & (lam + mu > 0.0)
 
 
 def _crossings(sp: ScaledParams) -> list[tuple[float, float]]:
@@ -240,32 +254,27 @@ def _switch_count(gp: float, pp: float, gm: float, pm: float) -> tuple[int | Non
     return l_star, False
 
 
-def _w0_margin(sp: ScaledParams) -> float:
-    """Signed slack of the consensus-branch conditions (s2 = k1 = 0 assumed)."""
-    s1, k2 = sp.s1, sp.k2
-    branch1 = s1 - abs(k2)
-    root = math.sqrt(max(k2 * k2 - s1 * s1, 0.0))
-    if k2 > s1 and root > 0.0:
-        branch2 = min(k2 - s1, _arccot(-s1 / root) - root)
-    else:
-        branch2 = k2 - s1  # nonpositive or degenerate; keeps the slack continuous
-    return max(branch1, branch2)
+class Verdicts(NamedTuple):
+    """Array form of :class:`StabilityVerdict`, one entry per tuple;
+    ``region`` indexes ``REGIONS``."""
+
+    stable: np.ndarray
+    region: np.ndarray
+    margin: np.ndarray
+    boundary: np.ndarray
 
 
-def _crossing_count(gamma: float, phi: float) -> int:
-    """Number of cut-off multipliers (phi + 2 pi l)/gamma, l >= 0, at most 1."""
-    if gamma < phi:
-        return 0
-    return int(math.floor((gamma - phi) / (2.0 * math.pi))) + 1
+def _as_arrays(*values) -> list[np.ndarray]:
+    """Float arrays of one common shape (broadcast views only where needed)."""
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    shape = arrays[0].shape
+    if any(a.shape != shape for a in arrays):
+        arrays = np.broadcast_arrays(*arrays)
+    return arrays
 
 
-def _crossing_slack(gamma: float, phi: float) -> float:
-    """Distance of the unit multiplier to the nearest cut-off, in frequency units."""
-    return abs(gamma - phi - 2.0 * math.pi * max(0, round((gamma - phi) / (2.0 * math.pi))))
-
-
-def classify(sp: ScaledParams, band: float = BOUNDARY_BAND) -> StabilityVerdict:
-    """Assign a scaled tuple to its stability region, if any.
+def classify_many(s1, s2, k1, k2, band: float = BOUNDARY_BAND) -> Verdicts:
+    """Verdicts of the tuples (s1, s2, k1, k2), given as arrays that broadcast.
 
     Stability is decided by exact counting of right-half-plane roots: the
     delay-free quadratic z^2 + (s1+k2) z + (s2+k1) contributes 0 or 2
@@ -276,53 +285,91 @@ def classify(sp: ScaledParams, band: float = BOUNDARY_BAND) -> StabilityVerdict:
     verbatim; outside it, the count additionally recognises
     delay-stabilised tuples in the two-crossing regime, which are labelled
     W3 as well.  A permanently negative c(0) = s2 + k1 means a real
-    unstable root no delay can move.
+    unstable root no delay can move.  The consensus branch s2 = k1 = 0 is
+    W0.  Every branch is evaluated on every entry and the verdict selected
+    with ``np.where``, so the crossings, phases, root counts and slacks are
+    closed-form array expressions.
 
-    The verdict is stable only when every defining inequality holds with
-    slack larger than ``band``; tuples inside the band are flagged as
-    boundary and treated as unstable.
+    A tuple is stable only when every defining inequality of its region
+    holds with slack larger than ``band``; tuples inside the band are
+    flagged as boundary and treated as unstable.  Raises ValidationError
+    for non-finite entries or negative s1, s2, as ScaledParams does.
     """
-    s1, s2, k1, k2 = sp.s1, sp.s2, sp.k1, sp.k2
+    s1, s2, k1, k2 = _as_arrays(s1, s2, k1, k2)
+    values = np.array([s1, s2, k1, k2])
+    if not np.isfinite(values).all():
+        raise ValidationError("s1, s2, k1 and k2 must be finite")
+    if not (values[:2] >= 0.0).all():
+        raise ValidationError("s1 and s2 must be nonnegative")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hard = k1 + s2  # sign of c(0); negative means a permanent real unstable root
+        a0 = s1 + k2
+        start_stable = a0 > 0.0  # the delay-free quadratic has no unstable root
+        split = s2 - np.abs(k1)
+        w3 = split > 0.0  # two crossing frequencies: W3 when stable, else W2
+        delta = k2 * k2 + 2.0 * s2 - s1 * s1
+        prod = s2 * s2 - k1 * k1  # product of the squared crossing frequencies
+        gap = 2.0 * np.sqrt(np.maximum(prod, 0.0)) - delta
 
-    if s2 == 0.0 and k1 == 0.0:
-        margin = _w0_margin(sp)
-        if margin > band:
-            return StabilityVerdict(stable=True, region="W0", margin=margin, boundary=False)
-        return StabilityVerdict(stable=False, region="none", margin=margin, boundary=abs(margin) <= band)
+        # squared crossing frequencies (g+^2, g-^2): roots of g^2 - delta g + prod;
+        # with prod > 0 both exist only for delta > 2 sqrt(prod), else only g+
+        disc = delta * delta - 4.0 * prod
+        root = np.sqrt(disc)
+        squares = 0.5 * np.stack([delta + root, delta - root])
+        two = prod > 0.0
+        crossing = np.where(two, (delta > 0.0) & (disc > 0.0) & (squares[1] > 0.0), squares[0] > 0.0)
 
-    hard = k1 + s2  # sign of c(0); negative means a permanent real unstable root
-    if hard <= band:
-        return StabilityVerdict(stable=False, region="none", margin=hard, boundary=abs(hard) <= band)
+        # phases phi+- in [0, 2 pi) at which the delayed term cancels c(i gamma)
+        gamma = np.sqrt(squares)
+        g2 = gamma * gamma
+        denom = k2 * k2 * g2 + k1 * k1
+        cos_val = -(s1 * k2 * g2 + k1 * (s2 - g2)) / denom
+        sin_val = (s1 * k1 * gamma - k2 * gamma * (s2 - g2)) / denom
+        phi = np.mod(np.arctan2(sin_val, cos_val), _TWO_PI)
 
-    a0 = s1 + k2
-    n0 = 0 if a0 > 0.0 else 2
-    split = s2 - abs(k1)  # > 0 gives two crossing frequencies, <= 0 one
-    gap = 2.0 * math.sqrt(max(s2 * s2 - k1 * k1, 0.0)) - (k2 * k2 + 2.0 * s2 - s1 * s1)
-
-    crossings = _crossings(sp)
-    if not crossings:
-        # no imaginary crossing: the delay-free verdict holds for every delay
-        stable = n0 == 0
-        region = "W1" if stable else "none"
-        margin = min(hard, a0, split, gap) if stable else a0
-    else:
+        # cut-offs (phi + 2 pi l)/gamma, l >= 0, below the unit multiplier, and the
+        # distance of the unit multiplier to the nearest cut-off in frequency units
+        turns = (gamma - phi) / _TWO_PI
+        cutoffs = np.where(gamma < phi, 0.0, np.floor(turns) + 1.0)
+        slacks = np.abs(gamma - phi - _TWO_PI * np.maximum(0.0, np.rint(turns)))
         # gamma+ cut-offs destabilise, gamma- cut-offs restabilise
-        count = n0 + 2 * _crossing_count(*crossings[0]) - 2 * sum(_crossing_count(g, p) for g, p in crossings[1:])
-        slack = min(_crossing_slack(g, p) for g, p in crossings)
-        stable = count == 0
-        if split <= 0.0:
-            region = "W2"
-            margin = min(hard, abs(a0), -split, slack)
-        else:
-            region = "W3"
-            margin = min(hard, abs(a0), split, -gap, slack)
-        if not stable:
-            region = "none"
-            margin = -abs(margin) if margin > 0 else margin
+        crossing_stable = np.where(start_stable, 0.0, 2.0) + 2.0 * (cutoffs[0] - np.where(two, cutoffs[1], 0.0)) == 0.0
+        slack = np.where(two, np.minimum(slacks[0], slacks[1]), slacks[0])
+        crossing_margin = np.minimum(
+            np.minimum(np.minimum(hard, np.abs(a0)), np.where(w3, np.minimum(split, -gap), -split)), slack
+        )
+        crossing_margin = np.where(crossing_stable, crossing_margin, np.minimum(crossing_margin, -crossing_margin))
+        # no imaginary crossing: the delay-free verdict holds for every delay
+        free_margin = np.where(start_stable, np.minimum(np.minimum(np.minimum(hard, a0), split), gap), a0)
 
-    if stable and margin > band:
-        return StabilityVerdict(stable=True, region=region, margin=margin, boundary=False)
-    return StabilityVerdict(stable=False, region="none", margin=margin, boundary=abs(margin) <= band)
+        margin = np.where(hard <= band, hard, np.where(crossing, crossing_margin, free_margin))
+        stable = np.where(crossing, crossing_stable, start_stable)
+        region = 2 + crossing * (1 + w3)  # W1, W2 or W3
+
+        w0 = (s2 == 0.0) & (k1 == 0.0)
+        if w0.any():
+            # consensus branch: stable for |k2| < s1 or up to an arccot-type cut-off
+            root = np.sqrt(np.maximum(k2 * k2 - s1 * s1, 0.0))
+            arccot = math.pi / 2.0 - np.arctan(-s1 / root)
+            cut = (k2 > s1) & (root > 0.0)
+            w0_margin = np.maximum(s1 - np.abs(k2), np.where(cut, np.minimum(k2 - s1, arccot - root), k2 - s1))
+            margin = np.where(w0, w0_margin, margin)
+            stable |= w0
+            region = np.where(w0, 1, region)
+
+    stable &= margin > band
+    return Verdicts(stable=stable, region=region * stable, margin=margin, boundary=~stable & (np.abs(margin) <= band))
+
+
+def _as_verdicts(v: Verdicts) -> list[StabilityVerdict]:
+    """One StabilityVerdict per entry of ``v``, in flattened order."""
+    rows = zip(*(a.ravel().tolist() for a in v))
+    return [StabilityVerdict(stable=s, region=REGIONS[r], margin=m, boundary=b) for s, r, m, b in rows]
+
+
+def classify(sp: ScaledParams, band: float = BOUNDARY_BAND) -> StabilityVerdict:
+    """Verdict of one scaled tuple: a one-element :func:`classify_many`."""
+    return _as_verdicts(classify_many(sp.s1, sp.s2, sp.k1, sp.k2, band))[0]
 
 
 def mode_verdict(
@@ -358,8 +405,14 @@ def network_verdict(
     rho_theta_coeff * sum(phi_theta(0)) + rho_omega_coeff * sum(phi_omega(0)).
     """
     mode_gains = resolve_gains(gains, spectrum)
-    modes = zip(mode_gains.lambdas, mode_gains.mu, mode_gains.kappa)
-    params, verdicts = zip(*(mode_verdict(d, lam, mu, kappa, tau) for lam, mu, kappa in modes))
+    lams, mu, kappa = mode_gains.lambdas, mode_gains.mu, mode_gains.kappa
+    if tau > 0.0:
+        # every mode in one classification; the same verdicts as mode_verdict
+        coords = scaled_coordinates(d, lams, mu, kappa, tau)
+        params = tuple(ScaledParams(*row) for row in zip(*(np.broadcast_to(c, lams.shape).tolist() for c in coords)))
+        verdicts = tuple(_as_verdicts(classify_many(*coords)))
+    else:
+        params, verdicts = zip(*(mode_verdict(d, lam, m, k, tau) for lam, m, k in zip(lams, mu, kappa)))
     overall = all(v.stable for v in verdicts)
     if mode_gains.mu[0] == 0.0 and mode_gains.kappa[0] == 0.0:
         n = spectrum.n
@@ -421,30 +474,32 @@ def rightmost_root(sp: ScaledParams, resolution: int = 128) -> complex:
     the consensus branch (s2 = k1 = 0) the structural root at the origin is
     factored out and the reduced first-order equation is analysed instead.
 
+    A collocation on N nodes resolves the roots in |z| <= N / 4, and it
+    refuses its root z unless every root with real part at least Re z
+    provably lies in that disc (see ``_modulus_bound``).  c has real
+    coefficients, so of a conjugate pair the root with imag >= 0 is
+    returned.
+
     The collocation runs on a ladder of node counts: first at 32 and at 40
-    nodes.  The 40-node root z is returned when every root with real part
-    at least that of the 32-node root provably lies in |z| <= 8, the disc
-    the 32-node rung resolves (see ``_modulus_bound``), and the two
-    polished roots agree to 1e-9 (1 + |z|).  Otherwise (a root that may lie
-    beyond the disc, disagreement, or InfeasibleError at either rung) the
-    answer is recomputed at ``resolution`` nodes, so ``resolution`` is the
-    resolution of every root the cheap rungs do not certify; for
-    ``resolution`` <= 40 the ladder is skipped.
+    nodes.  The 40-node root z is returned when both rungs resolve their
+    roots and the two polished roots agree to 1e-9 (1 + |z|).  Otherwise
+    (disagreement, or InfeasibleError at either rung) the answer is
+    recomputed at ``resolution`` nodes, so ``resolution`` is the resolution
+    of every root the cheap rungs do not certify; for ``resolution`` <= 40
+    the ladder is skipped.
 
     Raises ValidationError unless ``resolution`` is an integer >= 32, and
-    InfeasibleError when no candidate converges at ``resolution`` nodes.
+    InfeasibleError when no candidate converges at ``resolution`` nodes or
+    a root right of the answer may lie beyond the disc they resolve.
     """
     if not isinstance(resolution, (int, np.integer)) or resolution < 32:  # bools are < 32
         raise ValidationError(f"resolution must be an integer >= 32, got {resolution!r}")
     if resolution > _LADDER[-1]:
         try:
             coarse = _rightmost_at(sp, _LADDER[0])
-            # both rungs see only roots with |z| <= _LADDER[0] / 4; any root right
-            # of ``coarse`` must lie inside that disc for the rungs to find it
-            if _modulus_bound(sp, coarse.real) <= _LADDER[0] / 4.0:
-                fine = _rightmost_at(sp, _LADDER[1])
-                if abs(fine - coarse) <= 1e-9 * (1.0 + abs(fine)):
-                    return fine
+            fine = _rightmost_at(sp, _LADDER[1])
+            if abs(fine - coarse) <= 1e-9 * (1.0 + abs(fine)):
+                return fine
         except InfeasibleError:
             pass
     return _rightmost_at(sp, resolution)
@@ -453,13 +508,17 @@ def rightmost_root(sp: ScaledParams, resolution: int = 128) -> complex:
 def _modulus_bound(sp: ScaledParams, x0: float) -> float:
     """Bound on |z| over the roots of c with Re z >= x0.
 
-    Such a root has |e^(-z)| <= E = e^(-x0), so |z|^2 <= b |z| + c with
-    b = s1 + |k2| E and c = s2 + |k1| E.
+    Such a root has |e^(-z)| <= E = e^(-x0), so z (z + s1) = -s2 - (k2 z + k1) e^(-z)
+    gives |z|^2 <= b |z| + c with b = s1 + |k2| E and c = s2 + |k1| E, and,
+    since |z + s1| >= Re z + s1 >= x0 + s1, also |z| <= c / a wherever
+    a = x0 + s1 - |k2| E is positive (strongly damped tuples).
     """
     e = math.exp(min(-x0, 700.0))
     b = sp.s1 + abs(sp.k2) * e
     c = sp.s2 + abs(sp.k1) * e
-    return 0.5 * (b + math.sqrt(b * b + 4.0 * c))
+    bound = 0.5 * (b + math.sqrt(b * b + 4.0 * c))
+    a = x0 + sp.s1 - abs(sp.k2) * e
+    return min(bound, c / a) if a > 0.0 else bound
 
 
 def _rightmost_at(sp: ScaledParams, nodes: int) -> complex:
@@ -468,7 +527,8 @@ def _rightmost_at(sp: ScaledParams, nodes: int) -> complex:
         if sp.s2 == 0.0:
             return complex(-sp.s1) if sp.s1 > 0 else 0j
         roots = np.roots([1.0, sp.s1, sp.s2])
-        return complex(roots[np.argmax(roots.real)])
+        z = roots[np.argmax(roots.real)]
+        return complex(z.real, abs(z.imag))
 
     if sp.s2 == 0.0 and sp.k1 == 0.0:
         # factor out the structural zero root; analyse z + s1 + k2 e^(-z)
@@ -511,4 +571,14 @@ def _rightmost_at(sp: ScaledParams, nodes: int) -> complex:
             refined.append(z)
     if not refined:
         raise InfeasibleError("Newton refinement of the rightmost root did not converge")
-    return max(refined, key=lambda z: z.real)
+    # c has real coefficients: of a conjugate pair, return the root with imag >= 0
+    z = max((complex(z.real, abs(z.imag)) for z in refined), key=lambda z: z.real)
+    # the collocation sees only roots with |z| <= nodes / 4; a root right of z
+    # outside that disc would go unseen
+    bound = _modulus_bound(sp, z.real)
+    if bound > nodes / 4.0:
+        raise InfeasibleError(
+            f"a root right of {z:.3g} may lie beyond |z| = {nodes / 4.0:g}, unresolved at {nodes} nodes;"
+            f" about {math.ceil(4.0 * bound)} nodes would resolve it"
+        )
+    return z

@@ -20,9 +20,11 @@ F is read off the delay Lyapunov matrix of the mode, exact up to
 rounding.  ``mode_weight`` is the one place that computes a mode weight:
 at zero delay it takes the closed form
 2 pi [eta^2/J^2 + eta_meas^2 (kappa_l^2+mu_l^2)] / (2 (d+kappa_l)(lambda_l+mu_l)),
-and it returns +inf for an unstable mode.  ``pair_deviations`` assembles
-the weights for every delay tau >= 0, and the gain synthesis minimises
-the same function.  With perfect measurements (eta_meas = 0) the pair
+and it returns +inf for an unstable mode.  It takes arrays of modes and
+gains and evaluates them in one call of ``spectral.weights``.
+``pair_deviations`` assembles the weights for every delay tau >= 0 (its
+n-1 modes in one call), and the gain synthesis minimises the same
+function over whole grids.  With perfect measurements (eta_meas = 0) the pair
 deviation is the prefactor tau^{3/2} eta / (J sqrt(2 pi)) times the root
 of the weighted spectral sum.  The mode weights are simplified
 symbolically to mu^2 and kappa^2 before evaluation (rather than dividing
@@ -41,8 +43,8 @@ import numpy as np
 
 from .errors import InfeasibleError, ValidationError
 from .network import GainSpec, LaplacianSpectrum, ModeGains, resolve_gains
-from .spectral import weight_or_inf
-from .stability import ScaledParams, delay_free_stable, mode_verdict
+from .spectral import weights
+from .stability import delay_free_stable, mode_verdict, scaled_coordinates
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,33 +99,29 @@ def incidence_matrix(n: int) -> np.ndarray:
     return b
 
 
-def mode_weight(
-    lam: float,
-    mu: float,
-    kappa: float,
-    d: float,
-    tau: float,
-    noise: NoiseParams,
-    inertia: float,
-) -> float:
-    """Stationary weight of one non-consensus mode: 2 pi times its variance.
+def mode_weight(lam, mu, kappa, d: float, tau: float, noise: NoiseParams, inertia: float):
+    """Stationary weight of non-consensus modes: 2 pi times their variance.
 
-    The spectral weight of the delay Lyapunov matrix for tau > 0, the
-    synchronous closed form at tau = 0.  Returns +inf when the mode is
-    unstable (its stationary law does not exist) or its integral diverges,
-    so that it serves directly as the gain-search objective.
+    ``lam``, ``mu`` and ``kappa`` are floats or arrays that broadcast; the
+    result is a float or an array of their common shape.  The spectral
+    weight of the delay Lyapunov matrix for tau > 0, the synchronous closed
+    form at tau = 0.  Returns +inf (never NaN, even at zero noise) where the
+    mode is unstable (its stationary law does not exist) or its integral
+    diverges, so that it serves directly as the gain-search objective.
     """
     if tau < 0:
         raise ValidationError(f"tau must be nonnegative, got {tau}")
-    # an unstable mode returns before the intensity product, so zero noise cannot turn inf into nan
-    if tau == 0.0:
-        if not delay_free_stable(d, lam, mu, kappa):
-            return math.inf
-        return TWO_PI * noise.mode_intensity_sq(mu, kappa, inertia) / (2.0 * (d + kappa) * (lam + mu))
-    value = weight_or_inf(ScaledParams.from_physical(d, lam, mu, kappa, tau))
-    if math.isinf(value):
-        return math.inf
-    return tau**3 * noise.mode_intensity_sq(mu, kappa, inertia) * value
+    lam, mu, kappa = (np.asarray(v, dtype=float) for v in (lam, mu, kappa))
+    intensity = noise.mode_intensity_sq(mu, kappa, inertia)
+    # an unstable mode keeps +inf instead of the product, so zero noise cannot turn inf into nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if tau == 0.0:
+            stable = delay_free_stable(d, lam, mu, kappa)
+            weight = np.where(stable, TWO_PI * intensity / (2.0 * (d + kappa) * (lam + mu)), math.inf)
+        else:
+            value = weights(*scaled_coordinates(d, lam, mu, kappa, tau))
+            weight = np.where(np.isinf(value), math.inf, tau**3 * intensity * value)
+    return weight if weight.ndim else float(weight)
 
 
 def _stats_from_weights(spectrum_q: np.ndarray, weights: np.ndarray) -> PairStats:
@@ -160,8 +158,8 @@ def pair_deviations(
     if not mode_verdict(d, lams[0], mu[0], kappa[0], tau)[1].stable:
         raise InfeasibleError(f"mode 1 is unstable at tau={tau}; stationary statistics undefined")
     weights = np.zeros(spectrum.n)
-    for l in range(1, spectrum.n):
-        weights[l] = mode_weight(lams[l], mu[l], kappa[l], d, tau, noise, inertia)
-        if math.isinf(weights[l]):
-            raise InfeasibleError(f"mode {l + 1} is unstable at tau={tau}; stationary statistics undefined")
+    weights[1:] = mode_weight(lams[1:], mu[1:], kappa[1:], d, tau, noise, inertia)
+    unstable = np.flatnonzero(np.isinf(weights))
+    if unstable.size:
+        raise InfeasibleError(f"mode {unstable[0] + 1} is unstable at tau={tau}; stationary statistics undefined")
     return _stats_from_weights(resolved.eigenvectors, weights)

@@ -37,9 +37,9 @@ from ._gridopt import grid_minimize
 from .errors import InfeasibleError, ValidationError
 from .network import GainSpec, LaplacianSpectrum, effective_resistance, resolve_gains
 from .risk import SystemicSet, risk_profile, risk_value
-from .spectral import weight_or_inf
-from .stability import ScaledParams, mode_verdict
-from .stats import NoiseParams, _stats_from_weights, mode_weight, pair_deviations
+from .spectral import weights
+from .stability import ScaledParams, classify_many, mode_verdict, scaled_coordinates
+from .stats import NoiseParams, _stats_from_weights, mode_weight
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,8 @@ def deviation_floor(
 ) -> float:
     """Delay-induced lower bound on every pair deviation (perfect measurements).
 
-    Minimises the spectral integral of each mode over the stable gains and
+    Minimises the spectral integral of each mode (``spectral.weights``, so
+    unstable probes cost only their classification) over the stable gains and
     combines the minima through the eigenvector pair weights: no gain choice
     can push any sigma_ij below the returned value.  By default the
     minimisation covers the whole (compact) stability region of each mode;
@@ -160,9 +161,7 @@ def deviation_floor(
     for l in range(1, n):
         lam = float(spectrum.eigenvalues[l])
         sp = ScaledParams.from_physical(d, lam, 0.0, 0.0, tau)
-        _, floors[l] = grid_minimize(
-            lambda k1, k2: weight_or_inf(ScaledParams(sp.s1, sp.s2, k1, k2)), scaled_box, scaled_step
-        )
+        _, floors[l] = grid_minimize(lambda k1, k2: weights(sp.s1, sp.s2, k1, k2), scaled_box, scaled_step)
     # the floors are mode weights per unit tau^3 (eta / J)^2
     sigma = _stats_from_weights(spectrum.eigenvectors, floors).sigma
     return float(tau**1.5 * eta / inertia * sigma.min())
@@ -179,11 +178,6 @@ def risk_floor(sigma_star: float, sset: SystemicSet) -> LimitReport:
     return LimitReport(sigma_star=sigma_star, regime="floored", risk_floor=risk_value(sigma_star, sset))
 
 
-def _consensus_stable(spectrum, d, tau, mu, kappa) -> bool:
-    lam_max = spectrum.lambda_max
-    return mode_verdict(d, lam_max, lam_max * mu, lam_max * kappa, tau)[1].stable
-
-
 def resistance_bounds(
     spectrum: LaplacianSpectrum,
     d: float,
@@ -194,33 +188,43 @@ def resistance_bounds(
 
     Traces the stability boundary of the top mode in the (mu, kappa)
     scaling quadrant by bisection (to relative width 1e-6) along ``rays``
-    directions from the origin, then bounds
+    directions from the origin, all rays stepping in lockstep through one
+    ``classify_many`` call per step, then bounds
     Xi_K > (n-1)/(kappa_max * lambda_max) and Xi_M > (n-1)/(mu_max * lambda_max).
     """
     if tau <= 0:
         raise ValidationError("resistance bounds are a delay effect; tau must be positive")
-    if not _consensus_stable(spectrum, d, tau, 0.0, 0.0):
+    if not mode_verdict(d, spectrum.lambda_max, 0.0, 0.0, tau)[1].stable:
         raise InfeasibleError("no stable consensus gains: the open loop top mode is already unstable")
-    kappa_max = 0.0
-    mu_max = 0.0
-    for angle in np.linspace(0.0, math.pi / 2.0, rays):
-        direction = (math.cos(angle), math.sin(angle))
-        lo, hi = 0.0, 1.0
-        while _consensus_stable(spectrum, d, tau, hi * direction[0], hi * direction[1]):
-            lo, hi = hi, hi * 2.0
-            if hi > 1e9:
-                raise InfeasibleError("consensus stability region appears unbounded along a ray")
-        while hi - lo > 1e-6 * hi:
-            mid = 0.5 * (lo + hi)
-            if _consensus_stable(spectrum, d, tau, mid * direction[0], mid * direction[1]):
-                lo = mid
-            else:
-                hi = mid
-        boundary = 0.5 * (lo + hi)
-        mu_max = max(mu_max, boundary * direction[0])
-        kappa_max = max(kappa_max, boundary * direction[1])
-    n = spectrum.n
     lam_max = spectrum.lambda_max
+    angles = np.linspace(0.0, math.pi / 2.0, rays)
+    cos = np.array([math.cos(a) for a in angles])
+    sin = np.array([math.sin(a) for a in angles])
+
+    def stable(scale, idx):
+        # mode_verdict of the top mode at consensus gains (scale * cos, scale * sin) on rays idx
+        mu, kappa = lam_max * (scale * cos[idx]), lam_max * (scale * sin[idx])
+        return classify_many(*scaled_coordinates(d, lam_max, mu, kappa, tau)).stable
+
+    # every ray runs its own doubling and bisection; the rays step in lockstep
+    lo, hi = np.zeros(rays), np.ones(rays)
+    idx = np.arange(rays)
+    while idx.size:
+        idx = idx[stable(hi[idx], idx)]
+        lo[idx], hi[idx] = hi[idx], hi[idx] * 2.0
+        if np.any(hi[idx] > 1e9):
+            raise InfeasibleError("consensus stability region appears unbounded along a ray")
+    idx = np.flatnonzero(hi - lo > 1e-6 * hi)
+    while idx.size:
+        mid = 0.5 * (lo[idx] + hi[idx])
+        inside = stable(mid, idx)
+        lo[idx[inside]] = mid[inside]
+        hi[idx[~inside]] = mid[~inside]
+        idx = idx[hi[idx] - lo[idx] > 1e-6 * hi[idx]]
+    boundary = 0.5 * (lo + hi)
+    mu_max = max(0.0, float(np.max(boundary * cos)))
+    kappa_max = max(0.0, float(np.max(boundary * sin)))
+    n = spectrum.n
     return ResistanceBounds(
         bound_kappa=(n - 1) / (kappa_max * lam_max),
         bound_mu=(n - 1) / (mu_max * lam_max),
@@ -244,8 +248,10 @@ def tradeoff_scan(
 
     Each row holds (mu, kappa, min risk entry, Xi_K, Xi_M, product) for
     the consensus gains M = mu L, K = kappa L; omega_hat is the smallest
-    product over the scan.  Zero noise is rejected: the risk would vanish
-    identically and the product would be trivially zero.
+    product over the scan.  The weights of every grid point and mode come
+    from one ``mode_weight`` call; the consensus mode, on which consensus
+    gains vanish, is checked once.  Zero noise is rejected: the risk would
+    vanish identically and the product would be trivially zero.
     """
     if noise.eta == 0.0 and noise.eta_meas == 0.0:
         raise ValidationError("trade-off scan needs a nonzero noise source")
@@ -259,23 +265,23 @@ def tradeoff_scan(
     if not (mu_lo <= mu_hi and kap_lo <= kap_hi and all(math.isfinite(v) for v in gain_box)):
         raise ValidationError(f"scan box {tuple(gain_box)} must be finite with lo <= hi")
     xi_l = effective_resistance(spectrum)
+    # consensus gains vanish on the consensus mode (eigenvalue 0): one check covers the grid
+    if not mode_verdict(d, 0.0, 0.0, 0.0, tau)[1].stable:
+        raise InfeasibleError("no stable consensus gains inside the scan box")
+    mus, kappas = np.meshgrid(np.linspace(mu_lo, mu_hi, grid[0]), np.linspace(kap_lo, kap_hi, grid[1]), indexing="ij")
+    mus, kappas = mus.ravel(), kappas.ravel()
+    lams = spectrum.eigenvalues[1:]
+    grid_weights = mode_weight(lams, np.outer(mus, lams), np.outer(kappas, lams), d, tau, noise, inertia)
     rows = []
-    omega_hat = math.inf
-    for mu in np.linspace(mu_lo, mu_hi, grid[0]):
-        for kappa in np.linspace(kap_lo, kap_hi, grid[1]):
-            gains = GainSpec.consensus(mu, kappa)
-            try:
-                stats = pair_deviations(spectrum, gains, d, tau, noise, inertia)
-            except InfeasibleError:
-                continue
-            profile = risk_profile(stats, sset)
-            min_risk = float(np.min(profile.values))
-            xi_k = xi_l / kappa
-            xi_m = xi_l / mu
-            product = min_risk * math.sqrt(xi_k + xi_m)
-            rows.append((mu, kappa, min_risk, xi_k, xi_m, product))
-            if product < omega_hat:
-                omega_hat = product
+    for mu, kappa, mode_weights in zip(mus, kappas, grid_weights):
+        if np.isinf(mode_weights).any():
+            continue
+        stats = _stats_from_weights(spectrum.eigenvectors, np.concatenate([[0.0], mode_weights]))
+        min_risk = float(np.min(risk_profile(stats, sset).values))
+        xi_k = xi_l / kappa
+        xi_m = xi_l / mu
+        rows.append((mu, kappa, min_risk, xi_k, xi_m, min_risk * math.sqrt(xi_k + xi_m)))
     if not rows:
         raise InfeasibleError("no stable consensus gains inside the scan box")
-    return TradeoffScan(rows=np.array(rows), omega_hat=omega_hat)
+    rows = np.array(rows)
+    return TradeoffScan(rows=rows, omega_hat=float(rows[:, 5].min()))

@@ -54,7 +54,7 @@ def test_criterion_02_synchronous_controls(two_machine_spectrum):
         except InfeasibleError:
             return math.inf
 
-    (mu_p, _), sigma_phase = grid_minimize(lambda m, _: sigma(m, 0.0), (0.0, 3.0, 0.0, 0.0), (0.02, 1.0))
+    (mu_p, _), sigma_phase = grid_minimize(np.vectorize(lambda m, _: sigma(m, 0.0), otypes=[float]), (0.0, 3.0, 0.0, 0.0), (0.02, 1.0))
     assert sigma_phase == pytest.approx(0.9591, abs=5e-3)
     reduction_phase = 1.0 - sigma_phase / SIGMA_OPEN
     assert reduction_phase == pytest.approx(0.0555, abs=5e-3)
@@ -70,11 +70,11 @@ def test_criterion_02_synchronous_controls(two_machine_spectrum):
     crossover = 0.5 * (lo + hi)
     assert crossover == pytest.approx(0.87, abs=0.02)
 
-    (_, kap_f), sigma_freq = grid_minimize(lambda _, k: sigma(0.0, k), (0.0, 0.0, 0.0, 5.0), (1.0, 0.02))
+    (_, kap_f), sigma_freq = grid_minimize(np.vectorize(lambda _, k: sigma(0.0, k), otypes=[float]), (0.0, 0.0, 0.0, 5.0), (1.0, 0.02))
     reduction_freq = 1.0 - sigma_freq / SIGMA_OPEN
     assert reduction_freq == pytest.approx(0.653, abs=5e-3)
 
-    _, sigma_joint = grid_minimize(sigma, (0.0, 3.0, 0.0, 5.0), (0.05, 0.05))
+    _, sigma_joint = grid_minimize(np.vectorize(sigma, otypes=[float]), (0.0, 3.0, 0.0, 5.0), (0.05, 0.05))
     reduction_joint = 1.0 - sigma_joint / SIGMA_OPEN
     assert reduction_joint == pytest.approx(0.6866, abs=5e-3)
     _report(
@@ -134,15 +134,15 @@ def test_criterion_04_delayed_controls(two_machine_spectrum):
             return math.inf
 
     # the phase loop can only add effective damping through a negative gain
-    (mu_p, _), sigma_phase = grid_minimize(lambda m, _: sigma(m, 0.0), (-1.5, 2.0, 0.0, 0.0), (0.05, 1.0))
+    (mu_p, _), sigma_phase = grid_minimize(np.vectorize(lambda m, _: sigma(m, 0.0), otypes=[float]), (-1.5, 2.0, 0.0, 0.0), (0.05, 1.0))
     reduction_phase = 1.0 - sigma_phase / SIGMA_OPEN
     assert reduction_phase == pytest.approx(0.0658, abs=0.01)
 
-    (_, kap_f), sigma_freq = grid_minimize(lambda _, k: sigma(0.0, k), (0.0, 0.0, 0.0, 40.0), (1.0, 0.5))
+    (_, kap_f), sigma_freq = grid_minimize(np.vectorize(lambda _, k: sigma(0.0, k), otypes=[float]), (0.0, 0.0, 0.0, 40.0), (1.0, 0.5))
     reduction_freq = 1.0 - sigma_freq / SIGMA_OPEN
     assert reduction_freq == pytest.approx(0.9245, abs=0.01)
 
-    (mu_j, kap_j), sigma_joint = grid_minimize(sigma, (-1.5, 40.0, 0.0, 40.0), (1.0, 1.0))
+    (mu_j, kap_j), sigma_joint = grid_minimize(np.vectorize(sigma, otypes=[float]), (-1.5, 40.0, 0.0, 40.0), (1.0, 1.0))
     reduction_joint = 1.0 - sigma_joint / SIGMA_OPEN
     assert reduction_joint == pytest.approx(0.9696, abs=0.01)
     _report(

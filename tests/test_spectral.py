@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 import wacrisk
-from wacrisk._gridopt import grid_minimize
+from wacrisk._gridopt import _MAX_POLISH, _axis, grid_minimize
 from wacrisk.errors import InfeasibleError, ValidationError
-from wacrisk.spectral import evaluate, integrand, magnitude_sq, weight_or_inf
+from wacrisk.spectral import _MIN_RCOND, _PARTS_AT_ZERO, _PARTS_SLOPES, _TRANSPOSE, evaluate, magnitude_sq, weights
 from wacrisk.stability import ScaledParams, classify, crossing_structure
 
 from conftest import IEEE39_MODES, IEEE39_PARAMS
@@ -29,6 +30,14 @@ def _random_stable(rng, lo=0.05, hi=3.0):
         sp = ScaledParams(*rng.uniform(lo, hi, 2), *rng.uniform(-3.0, 3.0, 2))
         if classify(sp).stable:
             return sp
+
+
+def integrand(r, sp):
+    """1 / |c(i r)|^2; raises when the denominator is not strictly positive."""
+    den = magnitude_sq(r, sp)
+    if np.any(den <= 0.0):
+        raise InfeasibleError("nonpositive spectral denominator: tuple on or outside the stability boundary")
+    return 1.0 / den
 
 
 def test_integrand_at_zero_frequency():
@@ -208,7 +217,7 @@ def test_minimize_prefers_delayed_damping():
     at_zero = evaluate(ScaledParams(s1, s2, 0.0, 0.0), rel_tol=1e-7).value
     at_k2 = evaluate(ScaledParams(s1, s2, 0.0, 0.3), rel_tol=1e-7).value
     assert at_k2 < at_zero
-    objective = lambda k1, k2: weight_or_inf(ScaledParams(s1, s2, k1, k2))
+    objective = lambda k1, k2: weights(s1, s2, k1, k2)
     (k1_star, k2_star), best = grid_minimize(objective, (-0.5, 0.9, -0.04, 2.5), 0.1)
     assert k2_star > 0.0
     assert best <= at_k2
@@ -216,7 +225,7 @@ def test_minimize_prefers_delayed_damping():
 
 def test_minimize_interior_gradient():
     s1, s2 = 0.3, 1.2
-    objective = lambda k1, k2: weight_or_inf(ScaledParams(s1, s2, k1, k2))
+    objective = lambda k1, k2: weights(s1, s2, k1, k2)
     (k1_star, k2_star), best = grid_minimize(objective, (-1.0, 1.1, -0.2, 3.0), 0.1)
     # interior optimum: central differences at the reported argmin stay small
     step = 1e-3
@@ -233,7 +242,7 @@ def test_minimize_interior_gradient():
 
 def test_minimize_empty_box():
     with pytest.raises(InfeasibleError):
-        grid_minimize(lambda k1, k2: weight_or_inf(ScaledParams(0.05, 1.0, k1, k2)), (5.0, 6.0, -8.0, -7.0), 0.2)
+        grid_minimize(lambda k1, k2: weights(0.05, 1.0, k1, k2), (5.0, 6.0, -8.0, -7.0), 0.2)
 
 
 @pytest.mark.parametrize(
@@ -252,3 +261,163 @@ def test_minimize_empty_box():
 def test_grid_minimize_rejects_bad_step_or_box(box, step):
     with pytest.raises(ValidationError):
         grid_minimize(lambda x, y: x * x + y * y, box, step)
+
+
+# --- batched weights against the one-tuple least-squares path they replaced ----
+
+
+def _lstsq_weight(sp):
+    """Mode integral from one 12x8 least-squares solve (numpy.linalg.lstsq), +inf when refused."""
+    if not classify(sp).stable:
+        return math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = _PARTS_AT_ZERO + _PARTS_SLOPES @ np.array([sp.s1, sp.s2, sp.k1, sp.k2])
+        flow = expm(parts[:8])
+        eye = np.eye(8)
+        system = np.vstack([flow[4:] - eye[:4], eye[4:] - _TRANSPOSE @ flow[:4], parts[8:]])
+        growth = max(float(np.abs(system[:8]).max()), 1.0)
+        if not growth < 1.0 / _MIN_RCOND:
+            return math.inf
+        solution = np.linalg.lstsq(system, -np.eye(12)[8], rcond=None)[0]
+        scaled = system * np.abs(solution)
+        norms = np.linalg.norm(scaled, axis=1)
+        if not np.all(np.isfinite(norms) & (norms > 0.0)):
+            return math.inf
+        sv = np.linalg.svd(scaled / norms[:, None], compute_uv=False)
+    value = 2.0 * math.pi * float(solution[3])
+    return value if sv[-1] / sv[0] >= _MIN_RCOND * growth and value > 0.0 else math.inf
+
+
+def _mixed_tuples(count, seed):
+    """Stable and unstable tuples of the two sampling ranges the tests use."""
+    rng = np.random.default_rng(seed)
+    p = IEEE39_PARAMS
+    tau = p["tau"]
+    generic = np.column_stack([rng.uniform(0.0, 3.0, (count, 2)), rng.uniform(-3.0, 3.0, (count, 2))])
+    ieee = np.column_stack([
+        np.full(count, p["d"] * tau),
+        rng.uniform(24.0, 104.0, count) * tau * tau,
+        rng.uniform(0.0, 1.0, count) * tau * tau,
+        rng.uniform(0.0, 4.0, count) * tau,
+    ])
+    mixed = np.empty((2 * count, 4))
+    mixed[0::2], mixed[1::2] = generic, ieee
+    return mixed
+
+
+def test_batched_weights_match_least_squares_path():
+    tuples = _mixed_tuples(300, 31)
+    got = weights(*tuples.T)
+    want = np.array([_lstsq_weight(ScaledParams(*row)) for row in tuples])
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert finite.sum() > 350
+    assert np.max(np.abs(got[finite] - want[finite]) / want[finite]) <= 1e-13
+
+
+def test_batched_weights_do_not_depend_on_the_batch():
+    # alone, or at any position of calls of 1, 7, 128 and 300 tuples (the last
+    # spans several stacked blocks), each tuple's weight is the same number
+    tuples = _mixed_tuples(150, 32)
+    alone = np.array([weights(*row)[()] for row in tuples])
+    assert np.isfinite(alone).sum() > 150 and np.isinf(alone).any()
+    for size in (1, 7, 128, 300):
+        for shift in (0, 3, 101):
+            rolled = np.roll(tuples, shift, axis=0)
+            batched = np.concatenate([weights(*rolled[i : i + size].T) for i in range(0, len(rolled), size)])
+            assert np.array_equal(batched, np.roll(alone, shift)), (size, shift)
+    for row, value in zip(tuples, alone):
+        try:
+            assert evaluate(ScaledParams(*row)).value == value
+        except InfeasibleError:
+            assert value == math.inf
+
+
+def test_weights_broadcast_and_refuse_without_nan():
+    k1 = np.linspace(-0.5, 3.0, 8)[:, None]
+    k2 = np.linspace(-1.0, 4.0, 6)
+    w = weights(0.5, 1.0, k1, k2)
+    assert w.shape == (8, 6)
+    assert not np.isnan(w).any() and np.isinf(w).any() and np.isfinite(w).any()
+    # strongly damped tuples overflow the flow; refused without warnings or NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(weights([100.0, 800.0], 1.0, 0.0, 0.0) == math.inf)
+    assert weights(np.zeros(0), 1.0, 0.0, 0.0).shape == (0,)
+
+
+# --- speculative compass polish against a one-point-at-a-time walk --------------
+
+
+def _reference_walk(objective, box, step):
+    """grid_minimize as a scalar loop: row-major seed scan, then a compass
+    polish that probes one direction at a time."""
+    x_lo, x_hi, y_lo, y_hi = box
+    sx, sy = (step, step) if np.isscalar(step) else step
+    best, best_val = None, math.inf
+    for x in _axis(x_lo, x_hi, sx):
+        for y in _axis(y_lo, y_hi, sy):
+            val = objective(x, y)
+            if val < best_val:
+                best, best_val = (x, y), val
+    if best is None or not math.isfinite(best_val):
+        raise InfeasibleError("no feasible point on the search grid")
+    hx, hy = sx / 2.0, sy / 2.0
+    x, y = best
+    for _ in range(_MAX_POLISH):
+        if max(hx, hy) < min(sx, sy) / 64.0:
+            break
+        moved = False
+        for dx, dy in ((hx, 0.0), (-hx, 0.0), (0.0, hy), (0.0, -hy), (hx, hy), (-hx, hy), (hx, -hy), (-hx, -hy)):
+            cx = min(max(x + dx, x_lo), x_hi)
+            cy = min(max(y + dy, y_lo), y_hi)
+            val = objective(cx, cy)
+            if val < best_val:
+                x, y, best_val = cx, cy, val
+                moved = True
+        if not moved:
+            hx /= 2.0
+            hy /= 2.0
+    return (x, y), best_val
+
+
+def _terraced(x, y):
+    # flat terraces (ties everywhere) around a tilted bowl, infeasible in one corner
+    value = np.floor(4.0 * ((x - 0.3) ** 2 + 2.0 * (y - 0.7) ** 2)) / 4.0 + 0.01 * np.abs(x + y - 1.0)
+    return np.where((x > 0.9) & (y > 0.9), math.inf, value)
+
+
+def _lattice(seed):
+    """Integers on the quarter lattice of [-1, 1]^2, 20 off it: local minima and
+    ties everywhere, so the result depends on the order in which the polish
+    accepts moves within a round.  The step-1 seed grid has its minimum at 0."""
+    table = np.random.default_rng(seed).integers(0, 10, (9, 9)).astype(float)
+    table[::4, ::4] = 9.0
+    table[4, 4] = 8.0
+
+    def objective(x, y):
+        i, j = 4.0 * (x + 1.0), 4.0 * (y + 1.0)
+        on = (i == np.round(i)) & (j == np.round(j))
+        out = np.full(np.shape(x), 20.0)
+        out[on] = table[np.round(i[on]).astype(int), np.round(j[on]).astype(int)]
+        return out
+
+    return objective
+
+
+@pytest.mark.parametrize(
+    "objective, box, step",
+    [
+        (_lattice(28), (-1.0, 1.0, -1.0, 1.0), 1.0),
+        (_lattice(412), (-1.0, 1.0, -1.0, 1.0), 1.0),
+        (lambda k1, k2: weights(0.3, 1.2, k1, k2), (-1.0, 1.1, -0.2, 3.0), 0.1),
+        (lambda k1, k2: weights(0.05, 1.0, k1, k2), (-0.5, 0.9, -0.04, 2.5), (0.1, 0.3)),
+        (lambda k1, k2: weights(0.0075, 0.01584, k1, k2), (0.0, 0.02, 0.0, 0.1), (0.002, 0.01)),
+        (_terraced, (-1.0, 1.0, -1.0, 1.0), 0.125),
+        (_terraced, (-1.0, 1.0, 0.5, 0.5), (0.1, 1.0)),
+        (lambda x, y: np.abs(x - 0.37) + np.abs(y + 0.21), (-1.0, 1.0, -1.0, 1.0), 0.25),
+    ],
+)
+def test_grid_minimize_equals_one_point_walk(objective, box, step):
+    scalar = lambda x, y: float(objective(np.array([x]), np.array([y]))[0])
+    assert grid_minimize(objective, box, step) == _reference_walk(scalar, box, step)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,13 +9,18 @@ from hypothesis import strategies as st
 from wacrisk.errors import InfeasibleError, ValidationError
 from wacrisk.network import GainSpec
 from wacrisk.stability import (
+    REGIONS,
     ScaledParams,
+    StabilityVerdict,
+    _crossings,
     classify,
+    classify_many,
     crossing_structure,
     delay_free_stable,
     mode_verdict,
     network_verdict,
     rightmost_root,
+    _modulus_bound,
     _rightmost_at,
 )
 
@@ -82,6 +88,129 @@ def _in_w3(sp):
         if s.gamma_minus > s.phi_minus + 2 * (l - 1) * math.pi and s.gamma_plus < s.phi_plus + 2 * l * math.pi:
             return True
     return False
+
+
+# --- scalar classification, kept as the oracle of the array kernel ------------
+
+
+def _w0_margin(sp):
+    """Signed slack of the consensus-branch conditions (s2 = k1 = 0 assumed)."""
+    s1, k2 = sp.s1, sp.k2
+    branch1 = s1 - abs(k2)
+    root = math.sqrt(max(k2 * k2 - s1 * s1, 0.0))
+    if k2 > s1 and root > 0.0:
+        branch2 = min(k2 - s1, math.pi / 2.0 - math.atan(-s1 / root) - root)
+    else:
+        branch2 = k2 - s1  # nonpositive or degenerate; keeps the slack continuous
+    return max(branch1, branch2)
+
+
+def _crossing_count(gamma, phi):
+    """Number of cut-off multipliers (phi + 2 pi l)/gamma, l >= 0, at most 1."""
+    if gamma < phi:
+        return 0
+    return int(math.floor((gamma - phi) / (2.0 * math.pi))) + 1
+
+
+def _crossing_slack(gamma, phi):
+    """Distance of the unit multiplier to the nearest cut-off, in frequency units."""
+    return abs(gamma - phi - 2.0 * math.pi * max(0, round((gamma - phi) / (2.0 * math.pi))))
+
+
+def _scalar_classify(sp, band=1e-9):
+    """The one-tuple-at-a-time classification the array kernel replaced."""
+    s1, s2, k1, k2 = sp.s1, sp.s2, sp.k1, sp.k2
+
+    if s2 == 0.0 and k1 == 0.0:
+        margin = _w0_margin(sp)
+        if margin > band:
+            return StabilityVerdict(stable=True, region="W0", margin=margin, boundary=False)
+        return StabilityVerdict(stable=False, region="none", margin=margin, boundary=abs(margin) <= band)
+
+    hard = k1 + s2
+    if hard <= band:
+        return StabilityVerdict(stable=False, region="none", margin=hard, boundary=abs(hard) <= band)
+
+    a0 = s1 + k2
+    n0 = 0 if a0 > 0.0 else 2
+    split = s2 - abs(k1)
+    gap = 2.0 * math.sqrt(max(s2 * s2 - k1 * k1, 0.0)) - (k2 * k2 + 2.0 * s2 - s1 * s1)
+
+    crossings = _crossings(sp)
+    if not crossings:
+        stable = n0 == 0
+        region = "W1" if stable else "none"
+        margin = min(hard, a0, split, gap) if stable else a0
+    else:
+        count = n0 + 2 * _crossing_count(*crossings[0]) - 2 * sum(_crossing_count(g, p) for g, p in crossings[1:])
+        slack = min(_crossing_slack(g, p) for g, p in crossings)
+        stable = count == 0
+        if split <= 0.0:
+            region = "W2"
+            margin = min(hard, abs(a0), -split, slack)
+        else:
+            region = "W3"
+            margin = min(hard, abs(a0), split, -gap, slack)
+        if not stable:
+            region = "none"
+            margin = -abs(margin) if margin > 0 else margin
+
+    if stable and margin > band:
+        return StabilityVerdict(stable=True, region=region, margin=margin, boundary=False)
+    return StabilityVerdict(stable=False, region="none", margin=margin, boundary=abs(margin) <= band)
+
+
+def _assert_kernel_matches_oracle(tuples, band=1e-9):
+    # region, stable and boundary exactly; the margin up to the last bits of the
+    # transcendental functions (NumPy and libm round arctan2 differently)
+    s1, s2, k1, k2 = np.array(tuples, dtype=float).T
+    v = classify_many(s1, s2, k1, k2, band)
+    for i, row in enumerate(tuples):
+        sp = ScaledParams(*row)
+        try:
+            want = _scalar_classify(sp, band)
+        except InfeasibleError:  # crossing phase undefined: the oracle gives no verdict
+            continue
+        got = (bool(v.stable[i]), REGIONS[v.region[i]], bool(v.boundary[i]))
+        assert got == (want.stable, want.region, want.boundary), (sp, want, v.margin[i])
+        assert v.margin[i] == pytest.approx(want.margin, rel=1e-9, abs=1e-12), (sp, want, v.margin[i])
+        stable, region, boundary = got
+        assert classify(sp, band) == StabilityVerdict(stable, region, float(v.margin[i]), boundary)
+
+
+_magnitudes = st.one_of(st.just(0.0), st.floats(0.0, 40.0), st.floats(0.0, 1e-6), st.floats(0.0, 1e3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    s1=_magnitudes,
+    s2=_magnitudes,
+    k1=st.one_of(_magnitudes, _magnitudes.map(lambda v: -v)),
+    k2=st.one_of(_magnitudes, _magnitudes.map(lambda v: -v)),
+    band=st.sampled_from([1e-9, 1e-3]),
+)
+def test_classify_many_matches_scalar_oracle(s1, s2, k1, k2, band):
+    _assert_kernel_matches_oracle([(s1, s2, k1, k2)], band)
+
+
+def test_classify_many_matches_scalar_oracle_on_criterion_07_sample():
+    # the stream acceptance criterion 07 draws from; its 1000 tuples are among
+    # the first 1001 draws, skipped ones included
+    rng = np.random.default_rng(707)
+    drawn = [(*rng.uniform(0.0, 3.0, 2), *rng.uniform(-3.0, 3.0, 2)) for _ in range(1200)]
+    for band in (1e-9, 1e-3):
+        _assert_kernel_matches_oracle(drawn, band)
+
+
+def test_classify_many_broadcasts_and_validates():
+    v = classify_many(0.5, 1.0, np.linspace(-2.0, 2.0, 5)[:, None], np.linspace(-1.0, 3.0, 4))
+    assert v.stable.shape == v.region.shape == v.margin.shape == v.boundary.shape == (5, 4)
+    empty = classify_many(np.zeros(0), 1.0, 0.0, 0.0)
+    assert empty.stable.shape == (0,)
+    with pytest.raises(ValidationError):
+        classify_many([0.5, -0.1], 1.0, 0.0, 0.0)
+    with pytest.raises(ValidationError):
+        classify_many(0.5, 1.0, [0.0, math.nan], 0.0)
 
 
 # --- delay-free conditions ----------------------------------------------------
@@ -268,6 +397,56 @@ def test_rightmost_root_ladder_matches_full_resolution():
         assert abs(abs(root.imag) - abs(full.imag)) <= 1e-10, sp
 
 
+def test_rightmost_root_refuses_unresolved_roots():
+    # the rightmost roots lie near -0.14 +- 44.8j, outside the disc |z| <= 32
+    # that 128 nodes resolve; the collocation finds a root near -5.93 +- 30.3j
+    # and cannot rule out roots to its right
+    sp = ScaledParams(0.2, 2000.0, 0.0, 0.1)
+    with pytest.raises(InfeasibleError, match="unresolved at 128 nodes") as refusal:
+        rightmost_root(sp)
+    # the refusal names a resolution whose disc holds every root right of the one it saw
+    nodes = int(re.search(r"about (\d+) nodes would resolve it", str(refusal.value)).group(1))
+    assert nodes > 128
+    for resolution in (nodes, 256):
+        root = rightmost_root(sp, resolution=resolution)
+        assert root.real == pytest.approx(-0.14108666, abs=1e-6)
+        assert root.imag == pytest.approx(44.76162016, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "sp",
+    [
+        ScaledParams(40.0, 1.0, 0.1, 0.1),
+        ScaledParams(60.0, 3.0, -0.5, 2.0),
+        ScaledParams(100.0, 50.0, 10.0, -5.0),
+    ],
+)
+def test_strongly_damped_roots_resolved_at_default_resolution(sp):
+    # s1 alone exceeds the disc |z| <= 32 of 128 nodes, but with Re z >= x0 a
+    # root also has |z| <= c / (x0 + s1 - |k2| e^(-x0)), which keeps these
+    # small real roots resolved at the default resolution
+    root = rightmost_root(sp)
+    assert _modulus_bound(sp, root.real) <= 1.0
+    assert abs(root) <= _modulus_bound(sp, root.real) * (1.0 + 1e-12)
+    full = _rightmost_at(sp, 256)
+    assert abs(root - full) <= 1e-10 * (1.0 + abs(full))
+
+
+def test_rightmost_root_canonical_conjugate():
+    # of a conjugate pair the root with imag >= 0 comes back, at every resolution,
+    # so the 32- and 40-node rungs agree whenever their roots do
+    rng = np.random.default_rng(709)
+    for _ in range(40):
+        sp = ScaledParams(*rng.uniform(0.0, 3.0, 2), *rng.uniform(-3.0, 3.0, 2))
+        try:
+            rungs = [_rightmost_at(sp, nodes) for nodes in (32, 40, 128)]
+        except InfeasibleError:
+            continue
+        assert all(z.imag >= 0.0 for z in rungs), sp
+        assert abs(rungs[1] - rungs[2]) <= 1e-9 * (1.0 + abs(rungs[2])), sp
+    assert rightmost_root(ScaledParams(1.0, 1.0, 0.0, 0.0)).imag > 0.0
+
+
 def test_oracle_agreement_sample():
     # small pilot of the full acceptance sweep
     rng = np.random.default_rng(99)
@@ -400,12 +579,8 @@ def test_stable_gain_region_connected_and_bounded(s1, s2, k1_hi, k2_hi):
 
     k1s = np.linspace(-s2 - 0.4, k1_hi, 211)
     k2s = np.linspace(-s1 - 0.4, k2_hi, 173)
-    stable = np.zeros((len(k1s), len(k2s)), dtype=bool)
-    for i, k1 in enumerate(k1s):
-        for j, k2 in enumerate(k2s):
-            if k2 + s1 <= 0:
-                continue
-            stable[i, j] = classify(ScaledParams(s1, s2, k1, k2)).stable
+    k1_grid, k2_grid = np.meshgrid(k1s, k2s, indexing="ij")
+    stable = classify_many(s1, s2, k1_grid, k2_grid).stable & (k2_grid + s1 > 0)
     labels, count = ndimage.label(stable)
     assert count == 1
     assert not (stable[0, :].any() or stable[-1, :].any() or stable[:, 0].any() or stable[:, -1].any())

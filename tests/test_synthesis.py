@@ -5,9 +5,9 @@ import pytest
 
 from wacrisk.errors import InfeasibleError, ValidationError
 from wacrisk.network import GainSpec, effective_resistance
-from wacrisk.risk import SystemicSet
+from wacrisk.risk import SystemicSet, risk_profile
 from wacrisk.spectral import evaluate
-from wacrisk.stability import ScaledParams, classify
+from wacrisk.stability import ScaledParams, classify, mode_verdict
 from wacrisk.stats import NoiseParams, mode_weight, pair_deviations
 from wacrisk.synthesis import (
     deviation_floor,
@@ -197,3 +197,53 @@ def test_tradeoff_scan_floored_set_positive(two_machine_spectrum):
         assert len(finite) > 0
         scans.append(scan.omega_hat)
     assert scans[1] >= scans[0] * 0.98  # delay does not improve the trade-off
+
+
+def _per_ray_bounds(spectrum, d, tau, rays):
+    """resistance_bounds as one doubling-then-bisection loop per ray."""
+    lam_max = spectrum.lambda_max
+    stable = lambda mu, kappa: mode_verdict(d, lam_max, lam_max * mu, lam_max * kappa, tau)[1].stable
+    mu_max = kappa_max = 0.0
+    for angle in np.linspace(0.0, math.pi / 2.0, rays):
+        direction = (math.cos(angle), math.sin(angle))
+        lo, hi = 0.0, 1.0
+        while stable(hi * direction[0], hi * direction[1]):
+            lo, hi = hi, hi * 2.0
+        while hi - lo > 1e-6 * hi:
+            mid = 0.5 * (lo + hi)
+            if stable(mid * direction[0], mid * direction[1]):
+                lo = mid
+            else:
+                hi = mid
+        boundary = 0.5 * (lo + hi)
+        mu_max = max(mu_max, boundary * direction[0])
+        kappa_max = max(kappa_max, boundary * direction[1])
+    return mu_max, kappa_max
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.35])
+def test_resistance_bounds_lockstep_equals_per_ray_bisection(two_machine_spectrum, line3_spectrum, tau):
+    for spectrum in (two_machine_spectrum, line3_spectrum):
+        bounds = resistance_bounds(spectrum, D2, tau, rays=37)
+        assert (bounds.mu_max, bounds.kappa_max) == _per_ray_bounds(spectrum, D2, tau, 37)
+
+
+def test_tradeoff_scan_equals_per_point_pair_deviations(two_machine_spectrum, line3_spectrum):
+    # one weight call over the grid gives the rows of a pair_deviations call per gain pair
+    noise, sset = NoiseParams(0.7, 0.3), SystemicSet(zeta=0.6, c=1.5, eps=0.1)
+    box, grid = (0.05, 3.0, 0.05, 6.0), (9, 11)
+    for spectrum in (two_machine_spectrum, line3_spectrum):
+        xi_l = effective_resistance(spectrum)
+        rows = []
+        for mu in np.linspace(box[0], box[1], grid[0]):
+            for kappa in np.linspace(box[2], box[3], grid[1]):
+                try:
+                    stats = pair_deviations(spectrum, GainSpec.consensus(mu, kappa), D2, 0.1, noise, J2)
+                except InfeasibleError:
+                    continue
+                min_risk = float(np.min(risk_profile(stats, sset).values))
+                rows.append((mu, kappa, min_risk, xi_l / kappa, xi_l / mu, min_risk * math.sqrt(xi_l / kappa + xi_l / mu)))
+        scan = tradeoff_scan(spectrum, D2, 0.1, noise, J2, sset, gain_box=box, grid=grid)
+        assert 0 < len(rows) < grid[0] * grid[1]
+        assert np.array_equal(scan.rows, np.array(rows))
+        assert scan.omega_hat == min(row[5] for row in rows)
