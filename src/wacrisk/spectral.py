@@ -27,8 +27,9 @@ a cross-check in the tests.
 
 Array core: :func:`weights` takes arrays of tuples, gates them with one
 ``stability.classify_many`` call and solves only the stable ones, in
-blocks of at most ``_BLOCK`` tuples: one stacked ``scipy.linalg.expm``
-call (which exponentiates slice by slice), a batched QR factorisation with
+blocks of at most ``_BLOCK`` tuples: one stacked Pade-13 scaling-and-
+squaring matrix exponential with a scaling exponent per slice (Higham,
+SIAM J. Matrix Anal. Appl. 26(4), 2005), a batched QR factorisation with
 back substitution for the consistent 12x8 system, and a batched SVD for
 the reciprocal condition number.  Every step acts on each tuple alone, so
 a tuple's value is the same number whatever block it shares.
@@ -42,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InfeasibleError
 from .stability import ScaledParams, _as_arrays, classify, classify_many
@@ -55,6 +55,15 @@ _MIN_RCOND = 1e-8
 # (the cost per tuple flattens out by about 85), few enough to bound the
 # working memory of a large grid
 _BLOCK = 128
+
+# degree-13 Pade coefficients b_0 ... b_13 of exp, and the 1-norm up to which
+# that approximant is exact to double rounding (Higham 2005, table 2.3)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
 _I2, _I8 = np.eye(2), np.eye(8)
 _TRANSPOSE_ROWS = [0, 2, 1, 3]
@@ -108,11 +117,56 @@ _PARTS_SLOPES = np.stack([_affine_parts(*row) - _PARTS_AT_ZERO for row in np.eye
 _SLOPES_BY_PARAMETER = _PARTS_SLOPES.reshape(-1, 4).T
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of each slice of a stack of square matrices.
+
+    Degree-13 Pade approximant with scaling and squaring (Higham 2005) and a
+    scaling exponent per slice: each slice is scaled to 1-norm at most
+    theta_13 and squared back its own number of times, so its result does not
+    depend on the stack it shares.  The approximant is taken as
+    I + 2 (V - U)^-1 U, which equals (V - U)^-1 (V + U) and gives exp(0) = I
+    exactly.  A slice with a non-finite norm or a singular Pade denominator
+    V - U comes back NaN, one that overflows while squaring comes back
+    non-finite, and neither disturbs the other slices.
+    """
+    b = _PADE13
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    finite = np.isfinite(norm)
+    s = np.ceil(np.log2(np.maximum(np.where(finite, norm, 0.0) / _THETA13, 1.0))).astype(int)
+    a = np.ldexp(np.where(finite[:, None, None], a, 0.0), -s[:, None, None])  # exact: powers of two
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = eye + _solve_each(v - u, 2.0 * u)
+    r[~finite] = math.nan
+    for k in range(int(s.max(initial=0))):
+        r = np.where((s > k)[:, None, None], r @ r, r)
+    return r
+
+
+def _solve_each(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lhs^-1 rhs for each slice; NaN for a singular slice instead of an
+    error for the whole stack."""
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, math.nan)
+        for i, (left, right) in enumerate(zip(lhs, rhs)):
+            try:
+                out[i] = np.linalg.solve(left, right)
+            except np.linalg.LinAlgError:
+                pass  # singular: stays NaN
+        return out
+
+
 def _solve(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mode integral, scaled rcond and flow growth of each row (s1, s2, k1, k2).
 
     Rows go through in blocks of at most ``_BLOCK``; every step acts on each
-    row alone (one ``expm`` per slice, one QR, one SVD), so a row's results do
+    row alone (one exponential per slice, one QR, one SVD), so a row's results do
     not depend on the block it shares.  A row whose growth reaches
     1 / _MIN_RCOND is not solved: its rcond is 0.
     """
@@ -123,7 +177,7 @@ def _solve(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # a strongly damped flow overflows; the growth test refuses it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             parts = _PARTS_AT_ZERO + (block @ _SLOPES_BY_PARAMETER).reshape(-1, 12, 8)
-            flow = expm(parts[:, :8])
+            flow = _expm(parts[:, :8])
             # boundary conditions on [vec U(0); vec U(-1)]: Z(1) - X(0) = 0,
             # Z(0) - X(1)^T = 0, then the algebraic condition
             system = np.concatenate([flow[:, 4:] - _I8[:4], _I8[4:] - flow[:, _TRANSPOSE_ROWS], parts[:, 8:]], axis=1)

@@ -15,7 +15,18 @@ from scipy.linalg import expm
 import wacrisk
 from wacrisk._gridopt import _MAX_POLISH, _axis, grid_minimize
 from wacrisk.errors import InfeasibleError, ValidationError
-from wacrisk.spectral import _MIN_RCOND, _PARTS_AT_ZERO, _PARTS_SLOPES, _TRANSPOSE, evaluate, magnitude_sq, weights
+from wacrisk.spectral import (
+    _MIN_RCOND,
+    _PARTS_AT_ZERO,
+    _PARTS_SLOPES,
+    _THETA13,
+    _TRANSPOSE,
+    _expm,
+    _solve_each,
+    evaluate,
+    magnitude_sq,
+    weights,
+)
 from wacrisk.stability import ScaledParams, classify, crossing_structure
 
 from conftest import IEEE39_MODES, IEEE39_PARAMS
@@ -204,11 +215,15 @@ def test_strongly_damped_tuple_refused_without_warnings(s1):
 
 
 def test_import_leaves_integration_module_unloaded():
+    # the runtime needs numpy only: neither the package nor its CLI loads any scipy module
     src = str(Path(wacrisk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, wacrisk; print('scipy.integrate' in sys.modules)"
+    probe = (
+        "import sys, wacrisk, wacrisk.cli; "
+        "print('scipy.integrate' in sys.modules, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False []"
 
 
 def test_minimize_prefers_delayed_damping():
@@ -331,6 +346,46 @@ def test_batched_weights_do_not_depend_on_the_batch():
             assert evaluate(ScaledParams(*row)).value == value
         except InfeasibleError:
             assert value == math.inf
+    # a tuple whose flow overflows while squaring leaves its block-mate untouched
+    p = IEEE39_PARAMS
+    physical = ScaledParams.from_physical(p["d"], IEEE39_MODES[0], *IEEE39_OPTIMA[0], p["tau"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mixed = weights([800.0, physical.s1], [1.0, physical.s2], [0.0, physical.k1], [0.0, physical.k2])
+        assert mixed[0] == math.inf
+        assert mixed[1] == weights(physical.s1, physical.s2, physical.k1, physical.k2)
+
+
+def _flow_generators(params):
+    return np.stack([(_PARTS_AT_ZERO + _PARTS_SLOPES @ row)[:8] for row in params])
+
+
+def test_expm_matches_scipy_on_flow_generators():
+    tuples = _mixed_tuples(300, 31)
+    stable = tuples[[classify(ScaledParams(*row)).stable for row in tuples]]
+    # stiff stable modes: 1-norms of 29 to 61 need s = 3 or 4 squarings after scaling to theta_13
+    stiff = np.array([[1.0, 25.0, 2.0, 1.0], [0.2, 40.0, 1.0, 0.5], [0.1, 60.0, 0.5, 0.2]])
+    generators = _flow_generators(np.vstack([stable, stiff]))
+    assert len(stable) > 350
+    assert np.all(np.abs(generators[-3:]).sum(axis=1).max(axis=1) > 4.0 * _THETA13)
+    got = _expm(generators)
+    for mine, flow in zip(got, generators):
+        want = expm(flow)
+        assert np.abs(mine - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(_expm(np.zeros((2, 8, 8))), np.stack([np.eye(8)] * 2))
+
+
+def test_expm_bad_slice_leaves_the_stack_intact():
+    generators = _flow_generators(_mixed_tuples(4, 33)[:3])
+    alone = np.stack([_expm(g[None])[0] for g in generators])
+    bad = np.stack([generators[0], np.full((8, 8), math.nan), generators[1], np.full((8, 8), math.inf), generators[2]])
+    got = _expm(bad)
+    assert np.isnan(got[[1, 3]]).all()
+    assert np.array_equal(got[[0, 2, 4]], alone)
+    # a singular slice of a batched solve gives NaN there, not an error for the stack
+    lhs = np.stack([2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3)])
+    solved = _solve_each(lhs, np.stack([np.eye(3)] * 3))
+    assert np.array_equal(solved[[0, 2]], [0.5 * np.eye(3), np.eye(3)]) and np.isnan(solved[1]).all()
 
 
 def test_weights_broadcast_and_refuse_without_nan():
