@@ -13,6 +13,12 @@ eigenbasis, so the ensemble stays independent of the modal assembly it
 checks.  Strong order 0.5 is enough because only stationary second
 moments are compared against the analytic formulas.
 
+The ensemble state is one ``(2n, paths)`` array, rows theta then omega and
+one column per path, so a step is two small matrix products over all paths
+at once: ``step_now = [[I, hI], [-hL^T, (1-hd)I]]`` on the current state
+and ``step_delayed = -h[M^T K^T]`` on the delayed one, added into the omega
+rows together with the shock.
+
 Reproducibility: trajectories are processed in fixed-size chunks, each
 with its own counter-based Philox stream spawned from the master seed, so
 the ensemble output is bit-identical no matter how the chunks are
@@ -122,6 +128,13 @@ def simulate(
     which has the law of the three independent noise channels; Sigma is
     factored once per call, in machine coordinates.
 
+    Each chunk keeps its ``(2n, paths)`` states in a ring of
+    ``delay_steps + 2`` slots: ``step_now`` writes the next state straight
+    into its slot, then ``step_delayed`` and the shock are added to its
+    omega rows in place.  With two slots more than the delay, the slot
+    written is never the current or the delayed one (tau = 0 included), so
+    no step reads a slot it is overwriting.
+
     Raises InfeasibleError when the loop is unstable: its stationary
     statistics are undefined.
     """
@@ -150,8 +163,6 @@ def simulate(
     if not (np.all(np.isfinite(phi_theta)) and np.all(np.isfinite(phi_omega))):
         raise ValidationError("initial history vectors must be finite")
 
-    shock_factor = _shock_factor(M, K, noise, inertia, h)
-
     master = np.random.SeedSequence(config.seed)
     n_chunks = (config.trajectories + _CHUNK - 1) // _CHUNK
     children = master.spawn(n_chunks)
@@ -166,43 +177,45 @@ def simulate(
     else:
         rho_pred = float(verdict.rho_theta_coeff * phi_theta.sum() + verdict.rho_omega_coeff * phi_omega.sum())
 
+    step_now = np.block([[np.eye(n), h * np.eye(n)], [-h * L.T, (1.0 - h * d) * np.eye(n)]])
+    step_delayed = -h * np.hstack([M.T, K.T])
+    shock_t = _shock_factor(M, K, noise, inertia, h).T   # the shock of draws z is F^T z^T
+    slots = delay_steps + 2
+
     done = 0
     for chunk_idx in range(n_chunks):
         paths = min(_CHUNK, config.trajectories - done)
         rng = np.random.Generator(np.random.Philox(children[chunk_idx]))
-        theta = np.tile(phi_theta, (paths, 1))
-        omega = np.tile(phi_omega, (paths, 1))
-        ring_theta = np.tile(phi_theta, (delay_steps + 1, paths, 1)).reshape(delay_steps + 1, paths, n)
-        ring_omega = np.tile(phi_omega, (delay_steps + 1, paths, 1)).reshape(delay_steps + 1, paths, n)
+        ring = np.empty((slots, 2 * n, paths))
+        ring[:, :n] = phi_theta[:, None]
+        ring[:, n:] = phi_omega[:, None]
+        z = np.empty((paths, n))
+        kick = np.empty((n, paths))
+        y = np.empty((r, paths))
 
-        acc_y2 = np.zeros((paths, r))
+        acc_y2 = np.zeros((r, paths))
         acc_omega = np.zeros((n, n))
         ens_theta_dev = 0.0
         path_mean = np.full(paths, 1.0 / paths)
 
         for step_idx in range(total_steps):
-            slot_delayed = (step_idx - delay_steps) % (delay_steps + 1)
-            theta_del = ring_theta[slot_delayed]
-            omega_del = ring_omega[slot_delayed]
-
-            drift = -theta @ L - d * omega - theta_del @ M - omega_del @ K
-            omega_new = omega + h * drift + rng.standard_normal((paths, n)) @ shock_factor
-            theta_new = theta + h * omega
-
-            theta, omega = theta_new, omega_new
-            slot_new = (step_idx + 1) % (delay_steps + 1)
-            ring_theta[slot_new] = theta
-            ring_omega[slot_new] = omega
+            state = ring[(step_idx + 1) % slots]
+            np.matmul(step_now, ring[step_idx % slots], out=state)
+            theta, omega = state[:n], state[n:]
+            np.matmul(step_delayed, ring[(step_idx - delay_steps) % slots], out=kick)
+            omega += kick
+            np.matmul(shock_t, rng.standard_normal(out=z).T, out=kick)
+            omega += kick
 
             if step_idx + 1 > burn_steps:
-                y = theta @ b.T
+                np.matmul(b, theta, out=y)
                 acc_y2 += y * y
-                acc_omega += omega.T @ omega
-                ens_theta_dev = max(ens_theta_dev, float(np.abs(path_mean @ theta - rho_pred).max()))
+                acc_omega += omega @ omega.T
+                ens_theta_dev = max(ens_theta_dev, float(np.abs(theta @ path_mean - rho_pred).max()))
 
-        pair_acc[done : done + paths] = acc_y2 / steps_averaged
+        pair_acc[done : done + paths] = (acc_y2 / steps_averaged).T
         omega_acc += acc_omega / steps_averaged
-        rho_samples[done : done + paths] = theta.mean(axis=1)
+        rho_samples[done : done + paths] = theta.mean(axis=0)
         theta_mean_dev = max(theta_mean_dev, ens_theta_dev)
         done += paths
 

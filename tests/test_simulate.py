@@ -1,14 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from wacrisk.errors import InfeasibleError, ValidationError
-from wacrisk.network import GainSpec, resolve_gains
-from wacrisk.simulate import SimConfig, _shock_factor, _snap_step, impulse_response, simulate
+from wacrisk.network import GainSpec, build_laplacian, resolve_gains
+from wacrisk.simulate import _CHUNK, SimConfig, _shock_factor, _snap_step, impulse_response, simulate
 from wacrisk.spectral import evaluate
-from wacrisk.stability import ScaledParams, classify, rightmost_root
-from wacrisk.stats import NoiseParams, pair_deviations
+from wacrisk.stability import ScaledParams, classify, network_verdict, rightmost_root
+from wacrisk.stats import NoiseParams, incidence_matrix, pair_deviations
 from wacrisk.synthesis import synthesize
 
 D2, J2 = 0.075, 2.0
@@ -105,12 +106,20 @@ def test_deterministic_consensus_with_delay(two_machine_model):
     assert stats.rho_hat == pytest.approx(0.2, abs=1e-3)
 
 
+def _assert_identical(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), field.name
+        else:
+            assert x == y, field.name
+
+
 def test_reproducibility(line3_model):
     config = SimConfig(step=0.01, horizon=20.0, trajectories=300, seed=7)
     a = simulate(line3_model, GainSpec.consensus(0.2, 0.5), 0.05, NoiseParams(0.7, 0.3), config)
     b = simulate(line3_model, GainSpec.consensus(0.2, 0.5), 0.05, NoiseParams(0.7, 0.3), config)
-    assert np.array_equal(a.pair_variance, b.pair_variance)
-    assert a.rho_hat == b.rho_hat
+    _assert_identical(a, b)
     c = simulate(
         line3_model,
         GainSpec.consensus(0.2, 0.5),
@@ -119,6 +128,106 @@ def test_reproducibility(line3_model):
         SimConfig(step=0.01, horizon=20.0, trajectories=300, seed=8),
     )
     assert not np.array_equal(a.pair_variance, c.pair_variance)
+    # two chunks, each with its own stream and its own ring
+    config = SimConfig(step=0.01, horizon=2.0, trajectories=_CHUNK + 3, seed=7)
+    a = simulate(line3_model, GainSpec.consensus(0.2, 0.5), 0.05, NoiseParams(0.7, 0.3), config)
+    b = simulate(line3_model, GainSpec.consensus(0.2, 0.5), 0.05, NoiseParams(0.7, 0.3), config)
+    _assert_identical(a, b)
+
+
+def _simulate_row_loop(model, gains, tau, noise, config):
+    """The Euler-Maruyama ensemble on (paths, n) theta and omega rows with a
+    ``delay_steps + 1`` slot ring: the reference for ``simulate``'s fused
+    column-layout step.  Same draws, same chunks; only the rounding differs."""
+    spectrum = build_laplacian(model)
+    d = model.damping_ratio
+    verdict = network_verdict(spectrum, gains, d, tau)
+    n = spectrum.n
+    h, delay_steps = _snap_step(config.step, tau)
+    total_steps = max(int(round(config.horizon / h)), delay_steps + 2)
+    burn_steps = int(config.burn_in * total_steps)
+    steps_averaged = total_steps - burn_steps
+    L, M, K = spectrum.laplacian, verdict.gains.M, verdict.gains.K
+    b = incidence_matrix(n)
+    phi_theta = np.zeros(n) if config.phi_theta is None else np.asarray(config.phi_theta, float)
+    phi_omega = np.zeros(n) if config.phi_omega is None else np.asarray(config.phi_omega, float)
+    shock_factor = _shock_factor(M, K, noise, model.inertia, h)
+    rho_pred = 0.0
+    if verdict.rho_theta_coeff is not None:
+        rho_pred = float(verdict.rho_theta_coeff * phi_theta.sum() + verdict.rho_omega_coeff * phi_omega.sum())
+
+    n_chunks = (config.trajectories + _CHUNK - 1) // _CHUNK
+    children = np.random.SeedSequence(config.seed).spawn(n_chunks)
+    pair_acc = np.zeros((config.trajectories, b.shape[0]))
+    omega_acc = np.zeros((n, n))
+    rho_samples = np.zeros(config.trajectories)
+    drift_max = 0.0
+    done = 0
+    for chunk_idx in range(n_chunks):
+        paths = min(_CHUNK, config.trajectories - done)
+        rng = np.random.Generator(np.random.Philox(children[chunk_idx]))
+        theta = np.tile(phi_theta, (paths, 1))
+        omega = np.tile(phi_omega, (paths, 1))
+        ring_theta = np.tile(phi_theta, (delay_steps + 1, paths, 1))
+        ring_omega = np.tile(phi_omega, (delay_steps + 1, paths, 1))
+        acc_y2 = np.zeros((paths, b.shape[0]))
+        acc_omega = np.zeros((n, n))
+        path_mean = np.full(paths, 1.0 / paths)
+        for step_idx in range(total_steps):
+            slot_delayed = (step_idx - delay_steps) % (delay_steps + 1)
+            theta_del, omega_del = ring_theta[slot_delayed], ring_omega[slot_delayed]
+            drift = -theta @ L - d * omega - theta_del @ M - omega_del @ K
+            omega_new = omega + h * drift + rng.standard_normal((paths, n)) @ shock_factor
+            theta_new = theta + h * omega
+            theta, omega = theta_new, omega_new
+            slot_new = (step_idx + 1) % (delay_steps + 1)
+            ring_theta[slot_new] = theta
+            ring_omega[slot_new] = omega
+            if step_idx + 1 > burn_steps:
+                y = theta @ b.T
+                acc_y2 += y * y
+                acc_omega += omega.T @ omega
+                drift_max = max(drift_max, float(np.abs(path_mean @ theta - rho_pred).max()))
+        pair_acc[done : done + paths] = acc_y2 / steps_averaged
+        omega_acc += acc_omega / steps_averaged
+        rho_samples[done : done + paths] = theta.mean(axis=1)
+        done += paths
+
+    root_t = math.sqrt(config.trajectories)
+    return {
+        "pair_variance": pair_acc.mean(axis=0),
+        "pair_variance_se": pair_acc.std(axis=0, ddof=1) / root_t,
+        "omega_second_moment": omega_acc / config.trajectories,
+        "rho_hat": float(rho_samples.mean()),
+        "rho_hat_se": float(rho_samples.std(ddof=1) / root_t),
+        "mean_drift": drift_max,
+    }
+
+
+_HISTORY = {"phi_theta": np.array([0.3, -0.1, 0.2]), "phi_omega": np.array([0.05, 0.0, -0.02])}
+
+
+# tau 0 is a one-slot ring in the reference.  eta = 0 leaves Sigma singular:
+# the consensus direction then gets rounding noise only, and rho_hat_se
+# (about 1e-17) is compared through the absolute floor
+@pytest.mark.parametrize(
+    "tau, noise, paths, history",
+    [
+        (0.0, NoiseParams(0.7, 0.3), 200, {}),
+        (0.05, NoiseParams(0.7, 0.3), 200, _HISTORY),
+        (0.05, NoiseParams(0.7, 0.3), _CHUNK + 3, {}),
+        (0.05, NoiseParams(0.7, 0.0), 200, _HISTORY),
+        (0.05, NoiseParams(0.0, 0.3), 200, _HISTORY),
+    ],
+    ids=["tau0", "history", "two_chunks", "load_only", "eta0"],
+)
+def test_simulate_matches_row_layout_loop(line3_model, tau, noise, paths, history):
+    gains = GainSpec.consensus(0.2, 0.5)
+    config = SimConfig(step=0.005, horizon=2.0, trajectories=paths, seed=11, **history)
+    want = _simulate_row_loop(line3_model, gains, tau, noise, config)
+    got = simulate(line3_model, gains, tau, noise, config)
+    for field, value in want.items():
+        np.testing.assert_allclose(getattr(got, field), value, rtol=1e-12, atol=1e-15, err_msg=field)
 
 
 def test_unstable_loop_rejected(two_machine_model):
