@@ -22,9 +22,7 @@ from .network import (
     NetworkModel,
     build_laplacian,
     effective_resistance,
-    kron_reduce,
     load_network,
-    reduced_coupling,
     resolve_gains,
 )
 from .risk import (

@@ -254,52 +254,6 @@ def build_laplacian(model: NetworkModel) -> LaplacianSpectrum:
     return LaplacianSpectrum(laplacian=lap, eigenvalues=lams, eigenvectors=vecs)
 
 
-def kron_reduce(full_admittance: np.ndarray, generator_buses) -> np.ndarray:
-    """Schur-complement elimination of every bus not in ``generator_buses``.
-
-    Returns the reduced (complex) admittance matrix over the generator
-    buses, in their given order.  Raises ValidationError when the interior
-    block is singular.
-    """
-    y = np.asarray(full_admittance)
-    n = y.shape[0]
-    if y.shape != (n, n):
-        raise ValidationError("admittance matrix must be square")
-    if not np.allclose(y, y.T, atol=1e-10):
-        raise ValidationError("admittance matrix must be symmetric")
-    keep = list(generator_buses)
-    if len(set(keep)) != len(keep) or any(b < 0 or b >= n for b in keep):
-        raise ValidationError("generator bus indices must be distinct and in range")
-    drop = [b for b in range(n) if b not in set(keep)]
-    if not drop:
-        return y.copy()
-    ygg = y[np.ix_(keep, keep)]
-    ygi = y[np.ix_(keep, drop)]
-    yii = y[np.ix_(drop, drop)]
-    try:
-        interior = np.linalg.solve(yii, ygi.T)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError("interior bus block is singular") from exc
-    if not np.all(np.isfinite(interior)):
-        raise ValidationError("interior bus block is singular")
-    reduced = ygg - ygi @ interior
-    return 0.5 * (reduced + reduced.T)
-
-
-def reduced_coupling(reduced_admittance: np.ndarray) -> np.ndarray:
-    """Coupling susceptance matrix (zero diagonal, nonnegative) from a
-    Kron-reduced, purely reactive admittance matrix."""
-    y = np.asarray(reduced_admittance)
-    if np.iscomplexobj(y) and np.abs(y.real).max(initial=0.0) > 1e-9 * max(1.0, np.abs(y).max()):
-        raise ValidationError("admittance is not purely reactive; transfer conductance unsupported")
-    b = y.imag if np.iscomplexobj(y) else np.asarray(y, dtype=float)
-    coupling = b.copy()
-    np.fill_diagonal(coupling, 0.0)
-    if np.any(coupling < -1e-12):
-        raise ValidationError("reduced network has a negative coupling susceptance")
-    return np.clip(coupling, 0.0, None)
-
-
 def effective_resistance(spectrum_or_values) -> float:
     """Sum of inverse nonzero mode eigenvalues.
 

@@ -239,13 +239,13 @@ def weights(s1, s2, k1, k2) -> np.ndarray:
 
 
 # rel_tol is unused (the value is exact); callers such as perfbench/workloads.py pass it
-def evaluate(sp: ScaledParams, rel_tol: float = 1e-6, check_stability: bool = True) -> SpectralEvaluation:
+def evaluate(sp: ScaledParams, rel_tol: float = 1e-6) -> SpectralEvaluation:
     """Evaluate the mode integral of one tuple, exact up to rounding: any
     ``rel_tol`` above the forward bound ``abs_error_estimate / value`` is met.
     Raises InfeasibleError when the tuple is not strictly inside the stability
-    region (unless ``check_stability`` is False) or the integral diverges.
+    region or the integral diverges.
     """
-    if check_stability and not classify(sp).stable:
+    if not classify(sp).stable:
         raise InfeasibleError("mode tuple is not strictly inside the stability region")
     value, rcond, growth = (float(a[0]) for a in _solve(np.array([[sp.s1, sp.s2, sp.k1, sp.k2]])))
     if not rcond >= _MIN_RCOND * growth:

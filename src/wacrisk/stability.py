@@ -31,13 +31,17 @@ an unresolved root to its right is refused.
 
 :func:`classify_many` is the classification: closed-form array expressions
 over arrays of tuples, selected with ``np.where``.  :func:`classify` is its
-one-element call and returns a :class:`StabilityVerdict`.
+one-element call and returns a :class:`StabilityVerdict`.  The crossings
+gamma+- and phases phi+- are computed in one array helper, which both
+:func:`classify_many` and :func:`crossing_structure` call.
 
 Points within ``band`` of any defining inequality of the selected region
 are reported as boundary and treated as unstable: the classification is an
 if-and-only-if statement for the open region, and marginal tuples are not
 certifiably safe.  A verdict carries no windows; :func:`crossing_structure`
-reports them.  :func:`mode_verdict` is the per-mode rule at every delay.
+reports them.  :func:`mode_verdicts` is the per-mode rule at every delay,
+over arrays of physical modes: :func:`classify_many` for tau > 0 and the
+delay-free rule at tau = 0.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .network import GainSpec, LaplacianSpectrum, ModeGains, resolve_gains
 BOUNDARY_BAND = 1e-9
 
 # region labels of a verdict; ``Verdicts.region`` holds indices into this tuple
-REGIONS = ("none", "W0", "W1", "W2", "W3")
+REGIONS = ("none", "W0", "W1", "W2", "W3", "delay-free")
 
 _TWO_PI = 2.0 * math.pi
 
@@ -127,7 +131,7 @@ class StabilityVerdict:
     """Classification of one scaled tuple."""
 
     stable: bool
-    region: str                 # "W0".."W3" when stable, else "none"
+    region: str                 # "W0".."W3" (or "delay-free" at tau = 0) when stable, else "none"
     margin: float               # min slack of the best region's inequalities
     boundary: bool              # within the boundary band of that region
 
@@ -152,90 +156,70 @@ def delay_free_stable(d, lam, mu, kappa):
     return (kappa + d > 0.0) & (lam + mu > 0.0)
 
 
-def _crossings(sp: ScaledParams) -> list[tuple[float, float]]:
-    """(gamma, phi) of each positive crossing frequency, gamma+ first.
+def _crossings_many(s1, s2, k1, k2):
+    """(gamma, phi, crossing, two, gap) of tuples given as NumPy arrays or
+    scalars of one shape: the one place the crossings are computed.
 
-    Empty when no positive crossing frequency exists (the delay-independent
-    case).
+    ``gamma`` and ``phi`` stack (gamma+, gamma-) and their phases in [0, 2 pi)
+    on a new leading axis; entries that do not exist are meaningless.
+    ``crossing`` marks tuples with a positive crossing frequency, ``two`` the
+    side prod > 0 where gamma- can exist, and ``gap`` = 2 sqrt(prod) - delta
+    is the slack of the two-crossing condition delta > 2 sqrt(prod).
     """
-    s1, s2, k1, k2 = sp.s1, sp.s2, sp.k1, sp.k2
-    delta = k2 * k2 + 2.0 * s2 - s1 * s1
-    prod = s2 * s2 - k1 * k1  # product of the squared crossing frequencies
-    disc = delta * delta - 4.0 * prod
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        delta = k2 * k2 + 2.0 * s2 - s1 * s1
+        prod = s2 * s2 - k1 * k1  # product of the squared crossing frequencies
+        gap = 2.0 * np.sqrt(np.maximum(prod, 0.0)) - delta
 
-    if prod > 0.0:
-        # two-crossing side: both roots exist only for delta > 2 sqrt(prod)
-        if delta <= 0.0 or disc <= 0.0:
-            return []
-        root = math.sqrt(disc)
-        squares = (0.5 * (delta + root), 0.5 * (delta - root))
-    else:
-        # single-crossing side: the larger root is the only positive one
-        squares = (0.5 * (delta + math.sqrt(disc)),)
-    if squares[-1] <= 0.0:
-        return []
-    return [(gamma, _crossing_phase(sp, gamma)) for gamma in map(math.sqrt, squares)]
+        # squared crossing frequencies (g+^2, g-^2): roots of g^2 - delta g + prod;
+        # with prod > 0 both exist only for delta > 2 sqrt(prod), else only g+
+        disc = delta * delta - 4.0 * prod
+        root = np.sqrt(disc)
+        squares = 0.5 * np.stack([delta + root, delta - root])
+        two = prod > 0.0
+        crossing = np.where(two, (delta > 0.0) & (disc > 0.0) & (squares[1] > 0.0), squares[0] > 0.0)
+
+        # phases phi+- in [0, 2 pi) at which the delayed term cancels c(i gamma)
+        gamma = np.sqrt(squares)
+        g2 = gamma * gamma
+        denom = k2 * k2 * g2 + k1 * k1
+        cos_val = -(s1 * k2 * g2 + k1 * (s2 - g2)) / denom
+        sin_val = (s1 * k1 * gamma - k2 * gamma * (s2 - g2)) / denom
+        phi = np.mod(np.arctan2(sin_val, cos_val), _TWO_PI)
+    return gamma, phi, crossing, two, gap
 
 
 def crossing_structure(sp: ScaledParams) -> SwitchStructure:
     """Crossing frequencies gamma+- > 0 with phases phi+- in [0, 2 pi).
 
     Raises InfeasibleError when no positive crossing frequency exists
-    (the delay-independent case).
+    (the delay-independent case), or when k1 = k2 = 0 leaves a phase undefined.
     """
-    crossings = _crossings(sp)
-    if not crossings:
+    gamma, phi, crossing, two, _ = _crossings_many(*np.array([sp.s1, sp.s2, sp.k1, sp.k2], dtype=float))
+    if not crossing:
         raise InfeasibleError("no positive crossing frequency for this tuple")
-    (gamma_plus, phi_plus), *minus = crossings
-    if not minus:
-        return SwitchStructure(
-            gamma_plus=gamma_plus,
-            phi_plus=phi_plus,
-            gamma_minus=None,
-            phi_minus=None,
-            l_star=None,
-            windows=((0.0, phi_plus / gamma_plus),),
-        )
-
-    ((gamma_minus, phi_minus),) = minus
-    l_star, truncated = _switch_count(gamma_plus, phi_plus, gamma_minus, phi_minus)
+    present = gamma[: 2 if two else 1]
+    if np.any(sp.k2 * sp.k2 * present * present + sp.k1 * sp.k1 <= 0.0):
+        raise InfeasibleError("crossing phase undefined for vanishing gains")
+    (gamma_plus, gamma_minus), (phi_plus, phi_minus) = gamma.tolist(), phi.tolist()
     windows = [(0.0, phi_plus / gamma_plus)]
+    if not two:
+        return SwitchStructure(gamma_plus, phi_plus, None, None, l_star=None, windows=tuple(windows))
+
+    l_star, truncated = _switch_count(gamma_plus, phi_plus, gamma_minus, phi_minus)
     cap = l_star if l_star is not None else int(math.ceil((gamma_minus - phi_minus) / (2 * math.pi))) + 1
     if cap > _MAX_WINDOWS:
         # near-coincident crossing frequencies produce astronomically many
         # switches; only the leading windows are materialised
-        cap = _MAX_WINDOWS
-        truncated = True
-    prev_hi = windows[0][1]
+        cap, truncated = _MAX_WINDOWS, True
     for l in range(1, max(cap, 0) + 1):
         lo = (phi_minus + 2.0 * (l - 1) * math.pi) / gamma_minus
         hi = (phi_plus + 2.0 * l * math.pi) / gamma_plus
-        if lo <= prev_hi or hi <= lo:
+        if lo <= windows[-1][1] or hi <= lo:
             truncated = True
             break
         windows.append((lo, hi))
-        prev_hi = hi
-    return SwitchStructure(
-        gamma_plus=gamma_plus,
-        phi_plus=phi_plus,
-        gamma_minus=gamma_minus,
-        phi_minus=phi_minus,
-        l_star=l_star,
-        windows=tuple(windows),
-        truncated=truncated,
-    )
-
-
-def _crossing_phase(sp: ScaledParams, gamma: float) -> float:
-    """Phase phi in [0, 2 pi) at which the delayed term cancels c(i gamma)."""
-    s1, s2, k1, k2 = sp.s1, sp.s2, sp.k1, sp.k2
-    g2 = gamma * gamma
-    denom = k2 * k2 * g2 + k1 * k1
-    if denom <= 0.0:
-        raise InfeasibleError("crossing phase undefined for vanishing gains")
-    cos_val = -(s1 * k2 * g2 + k1 * (s2 - g2)) / denom
-    sin_val = (s1 * k1 * gamma - k2 * gamma * (s2 - g2)) / denom
-    return math.atan2(sin_val, cos_val) % (2.0 * math.pi)
+    return SwitchStructure(gamma_plus, phi_plus, gamma_minus, phi_minus, l_star, tuple(windows), truncated)
 
 
 def _switch_count(gp: float, pp: float, gm: float, pm: float) -> tuple[int | None, bool]:
@@ -307,25 +291,7 @@ def classify_many(s1, s2, k1, k2, band: float = BOUNDARY_BAND) -> Verdicts:
         start_stable = a0 > 0.0  # the delay-free quadratic has no unstable root
         split = s2 - np.abs(k1)
         w3 = split > 0.0  # two crossing frequencies: W3 when stable, else W2
-        delta = k2 * k2 + 2.0 * s2 - s1 * s1
-        prod = s2 * s2 - k1 * k1  # product of the squared crossing frequencies
-        gap = 2.0 * np.sqrt(np.maximum(prod, 0.0)) - delta
-
-        # squared crossing frequencies (g+^2, g-^2): roots of g^2 - delta g + prod;
-        # with prod > 0 both exist only for delta > 2 sqrt(prod), else only g+
-        disc = delta * delta - 4.0 * prod
-        root = np.sqrt(disc)
-        squares = 0.5 * np.stack([delta + root, delta - root])
-        two = prod > 0.0
-        crossing = np.where(two, (delta > 0.0) & (disc > 0.0) & (squares[1] > 0.0), squares[0] > 0.0)
-
-        # phases phi+- in [0, 2 pi) at which the delayed term cancels c(i gamma)
-        gamma = np.sqrt(squares)
-        g2 = gamma * gamma
-        denom = k2 * k2 * g2 + k1 * k1
-        cos_val = -(s1 * k2 * g2 + k1 * (s2 - g2)) / denom
-        sin_val = (s1 * k1 * gamma - k2 * gamma * (s2 - g2)) / denom
-        phi = np.mod(np.arctan2(sin_val, cos_val), _TWO_PI)
+        gamma, phi, crossing, two, gap = _crossings_many(s1, s2, k1, k2)
 
         # cut-offs (phi + 2 pi l)/gamma, l >= 0, below the unit multiplier, and the
         # distance of the unit multiplier to the nearest cut-off in frequency units
@@ -372,22 +338,20 @@ def classify(sp: ScaledParams, band: float = BOUNDARY_BAND) -> StabilityVerdict:
     return _as_verdicts(classify_many(sp.s1, sp.s2, sp.k1, sp.k2, band))[0]
 
 
-def mode_verdict(
-    d: float, lam: float, mu: float, kappa: float, tau: float
-) -> tuple[ScaledParams, StabilityVerdict]:
-    """Scaled tuple and verdict of one physical mode: exact for tau > 0; at tau = 0
-    the delay-free rule, under which the consensus mode (lam = mu = 0) converges
-    when kappa + d > 0, with an all-zero tuple and a NaN margin."""
+def mode_verdicts(d, lam, mu, kappa, tau: float) -> Verdicts:
+    """Verdicts of physical modes (d, lam, mu, kappa), given as floats or
+    arrays that broadcast, under delay ``tau``: :func:`classify_many` of their
+    scaled tuples for tau > 0; at tau = 0 the delay-free rule, under which
+    the consensus mode (lam = mu = 0) converges when kappa + d > 0, with
+    region "delay-free" when stable, a NaN margin and no boundary flag."""
     if tau < 0:
         raise ValidationError("tau must be nonnegative")
-    if tau == 0.0:
-        stable = delay_free_stable(d, lam, mu, kappa) or (lam == 0.0 and mu == 0.0 and kappa + d > 0.0)
-        verdict = StabilityVerdict(
-            stable=stable, region="delay-free" if stable else "none", margin=math.nan, boundary=False
-        )
-        return ScaledParams(s1=0.0, s2=0.0, k1=0.0, k2=0.0), verdict
-    sp = ScaledParams.from_physical(d, lam, mu, kappa, tau)
-    return sp, classify(sp)
+    if tau > 0.0:
+        return classify_many(*scaled_coordinates(d, lam, mu, kappa, tau))
+    d, lam, mu, kappa = _as_arrays(d, lam, mu, kappa)
+    stable = delay_free_stable(d, lam, mu, kappa) | ((lam == 0.0) & (mu == 0.0) & (kappa + d > 0.0))
+    region, margin = np.where(stable, REGIONS.index("delay-free"), 0), np.full(stable.shape, math.nan)
+    return Verdicts(stable=stable, region=region, margin=margin, boundary=np.zeros_like(stable))
 
 
 def network_verdict(
@@ -406,13 +370,10 @@ def network_verdict(
     """
     mode_gains = resolve_gains(gains, spectrum)
     lams, mu, kappa = mode_gains.lambdas, mode_gains.mu, mode_gains.kappa
-    if tau > 0.0:
-        # every mode in one classification; the same verdicts as mode_verdict
-        coords = scaled_coordinates(d, lams, mu, kappa, tau)
-        params = tuple(ScaledParams(*row) for row in zip(*(np.broadcast_to(c, lams.shape).tolist() for c in coords)))
-        verdicts = tuple(_as_verdicts(classify_many(*coords)))
-    else:
-        params, verdicts = zip(*(mode_verdict(d, lam, m, k, tau) for lam, m, k in zip(lams, mu, kappa)))
+    verdicts = tuple(_as_verdicts(mode_verdicts(d, lams, mu, kappa, tau)))
+    # the delay-free rule has no scaled tuple: report all-zero ones (+0.0, not tau * mu = -0.0)
+    coords = scaled_coordinates(d, lams, mu, kappa, tau) if tau > 0.0 else (0.0,) * 4
+    params = tuple(ScaledParams(*row) for row in zip(*(np.broadcast_to(c, lams.shape).tolist() for c in coords)))
     overall = all(v.stable for v in verdicts)
     if mode_gains.mu[0] == 0.0 and mode_gains.kappa[0] == 0.0:
         n = spectrum.n

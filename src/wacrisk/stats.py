@@ -44,7 +44,7 @@ import numpy as np
 from .errors import InfeasibleError, ValidationError
 from .network import GainSpec, LaplacianSpectrum, ModeGains, resolve_gains
 from .spectral import weights
-from .stability import delay_free_stable, mode_verdict, scaled_coordinates
+from .stability import delay_free_stable, mode_verdicts, scaled_coordinates
 
 TWO_PI = 2.0 * math.pi
 
@@ -151,11 +151,11 @@ def pair_deviations(
 
     Raises InfeasibleError naming the first unstable mode.  The consensus
     mode never reaches phase differences; it is checked at every delay by the
-    rule of ``network_verdict`` (``stability.mode_verdict``).
+    rule of ``network_verdict``, ``stability.mode_verdicts``.
     """
     resolved = resolve_gains(gains, spectrum)
     lams, mu, kappa = resolved.lambdas, resolved.mu, resolved.kappa
-    if not mode_verdict(d, lams[0], mu[0], kappa[0], tau)[1].stable:
+    if not mode_verdicts(d, lams[0], mu[0], kappa[0], tau).stable:
         raise InfeasibleError(f"mode 1 is unstable at tau={tau}; stationary statistics undefined")
     weights = np.zeros(spectrum.n)
     weights[1:] = mode_weight(lams[1:], mu[1:], kappa[1:], d, tau, noise, inertia)

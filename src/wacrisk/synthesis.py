@@ -38,7 +38,7 @@ from .errors import InfeasibleError, ValidationError
 from .network import GainSpec, LaplacianSpectrum, effective_resistance, resolve_gains
 from .risk import SystemicSet, risk_profile, risk_value
 from .spectral import weights
-from .stability import ScaledParams, classify_many, mode_verdict, scaled_coordinates
+from .stability import ScaledParams, mode_verdicts
 from .stats import NoiseParams, _stats_from_weights, mode_weight
 
 
@@ -189,12 +189,12 @@ def resistance_bounds(
     Traces the stability boundary of the top mode in the (mu, kappa)
     scaling quadrant by bisection (to relative width 1e-6) along ``rays``
     directions from the origin, all rays stepping in lockstep through one
-    ``classify_many`` call per step, then bounds
+    ``mode_verdicts`` call per step, then bounds
     Xi_K > (n-1)/(kappa_max * lambda_max) and Xi_M > (n-1)/(mu_max * lambda_max).
     """
     if tau <= 0:
         raise ValidationError("resistance bounds are a delay effect; tau must be positive")
-    if not mode_verdict(d, spectrum.lambda_max, 0.0, 0.0, tau)[1].stable:
+    if not mode_verdicts(d, spectrum.lambda_max, 0.0, 0.0, tau).stable:
         raise InfeasibleError("no stable consensus gains: the open loop top mode is already unstable")
     lam_max = spectrum.lambda_max
     angles = np.linspace(0.0, math.pi / 2.0, rays)
@@ -202,9 +202,8 @@ def resistance_bounds(
     sin = np.array([math.sin(a) for a in angles])
 
     def stable(scale, idx):
-        # mode_verdict of the top mode at consensus gains (scale * cos, scale * sin) on rays idx
-        mu, kappa = lam_max * (scale * cos[idx]), lam_max * (scale * sin[idx])
-        return classify_many(*scaled_coordinates(d, lam_max, mu, kappa, tau)).stable
+        # the top mode at consensus gains (scale * cos, scale * sin) on rays idx
+        return mode_verdicts(d, lam_max, lam_max * (scale * cos[idx]), lam_max * (scale * sin[idx]), tau).stable
 
     # every ray runs its own doubling and bisection; the rays step in lockstep
     lo, hi = np.zeros(rays), np.ones(rays)
@@ -266,7 +265,7 @@ def tradeoff_scan(
         raise ValidationError(f"scan box {tuple(gain_box)} must be finite with lo <= hi")
     xi_l = effective_resistance(spectrum)
     # consensus gains vanish on the consensus mode (eigenvalue 0): one check covers the grid
-    if not mode_verdict(d, 0.0, 0.0, 0.0, tau)[1].stable:
+    if not mode_verdicts(d, 0.0, 0.0, 0.0, tau).stable:
         raise InfeasibleError("no stable consensus gains inside the scan box")
     mus, kappas = np.meshgrid(np.linspace(mu_lo, mu_hi, grid[0]), np.linspace(kap_lo, kap_hi, grid[1]), indexing="ij")
     mus, kappas = mus.ravel(), kappas.ravel()

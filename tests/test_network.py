@@ -13,9 +13,7 @@ from wacrisk.network import (
     NetworkModel,
     build_laplacian,
     effective_resistance,
-    kron_reduce,
     load_network,
-    reduced_coupling,
     resolve_gains,
 )
 from wacrisk.stability import network_verdict
@@ -112,70 +110,6 @@ def test_uniform_parameters_enforced():
         NetworkModel(
             generators=gens, equilibrium_theta=[0.0, 0.0], susceptance=[[0.0, 1.0], [1.0, 0.0]]
         )
-
-
-# --- Kron reduction ---------------------------------------------------------
-
-
-def test_kron_no_interior_buses_identity():
-    y = np.array([[1.0 + 2j, -0.5j], [-0.5j, 1.0 - 1j]])
-    out = kron_reduce(y, [0, 1])
-    assert np.allclose(out, y)
-
-
-def test_kron_star_by_hand():
-    # two generator leaves joined through one interior bus; the 1x1 interior
-    # inversion is done by hand: series admittance b1 b2 / (b1 + b2)
-    b1, b2 = 1.0 / 0.4, 1.0 / 0.6
-    y = np.array(
-        [
-            [-1j * b1, 0.0, 1j * b1],
-            [0.0, -1j * b2, 1j * b2],
-            [1j * b1, 1j * b2, -1j * (b1 + b2)],
-        ]
-    )
-    out = kron_reduce(y, [0, 1])
-    series = b1 * b2 / (b1 + b2)
-    assert out.shape == (2, 2)
-    assert np.allclose(out, out.T)
-    assert out[0, 1] == pytest.approx(1j * series)
-    assert out[0, 0] == pytest.approx(-1j * series)
-    coupling = reduced_coupling(out)
-    assert coupling[0, 1] == pytest.approx(series)
-    assert coupling[0, 0] == 0.0
-
-
-def test_kron_detached_interior_bus():
-    # an interior bus with no tie to the generators leaves their couplings alone
-    y = np.zeros((3, 3), dtype=complex)
-    y[0, 1] = y[1, 0] = 2j
-    y[0, 0] = y[1, 1] = -2j
-    y[2, 2] = -5j
-    out = kron_reduce(y, [0, 1])
-    assert np.allclose(out, y[:2, :2])
-
-
-def test_kron_singular_interior():
-    y = np.zeros((3, 3), dtype=complex)
-    y[0, 1] = y[1, 0] = 1j
-    with pytest.raises(ValidationError, match="singular"):
-        kron_reduce(y, [0, 1])
-
-
-def test_kron_complete_graph_vs_pinv_oracle():
-    # susceptance-only network: Schur complement of a real Laplacian-like
-    # matrix must stay symmetric with nonnegative couplings
-    rng = np.random.default_rng(3)
-    w = rng.uniform(0.5, 2.0, size=(5, 5))
-    w = 0.5 * (w + w.T)
-    np.fill_diagonal(w, 0.0)
-    # inductive network: branch admittance -i b puts +i b off-diagonal
-    y = -1j * (np.diag(w.sum(axis=1) + 0.3) - w)
-    out = kron_reduce(y, [0, 1, 2])
-    assert np.allclose(out, out.T)
-    assert np.abs(out.real).max() < 1e-12
-    coupling = reduced_coupling(out)
-    assert np.all(coupling >= 0.0)
 
 
 # --- effective resistance ----------------------------------------------------

@@ -12,12 +12,13 @@ from wacrisk.stability import (
     REGIONS,
     ScaledParams,
     StabilityVerdict,
-    _crossings,
+    _MAX_WINDOWS,
+    _switch_count,
     classify,
     classify_many,
     crossing_structure,
     delay_free_stable,
-    mode_verdict,
+    mode_verdicts,
     network_verdict,
     rightmost_root,
     _modulus_bound,
@@ -91,6 +92,59 @@ def _in_w3(sp):
 
 
 # --- scalar classification, kept as the oracle of the array kernel ------------
+
+
+def _crossing_phase(sp, gamma):
+    """Phase phi in [0, 2 pi) at which the delayed term cancels c(i gamma)."""
+    s1, s2, k1, k2 = sp.s1, sp.s2, sp.k1, sp.k2
+    g2 = gamma * gamma
+    denom = k2 * k2 * g2 + k1 * k1
+    if denom <= 0.0:
+        raise InfeasibleError("crossing phase undefined for vanishing gains")
+    cos_val = -(s1 * k2 * g2 + k1 * (s2 - g2)) / denom
+    sin_val = (s1 * k1 * gamma - k2 * gamma * (s2 - g2)) / denom
+    return math.atan2(sin_val, cos_val) % (2.0 * math.pi)
+
+
+def _crossings(sp):
+    """(gamma, phi) of each positive crossing frequency, gamma+ first; empty
+    when none exists.  A scalar transcription, independent of the array helper."""
+    s1, s2, k1, k2 = sp.s1, sp.s2, sp.k1, sp.k2
+    delta = k2 * k2 + 2.0 * s2 - s1 * s1
+    prod = s2 * s2 - k1 * k1  # product of the squared crossing frequencies
+    disc = delta * delta - 4.0 * prod
+
+    if prod > 0.0:
+        # two-crossing side: both roots exist only for delta > 2 sqrt(prod)
+        if delta <= 0.0 or disc <= 0.0:
+            return []
+        root = math.sqrt(disc)
+        squares = (0.5 * (delta + root), 0.5 * (delta - root))
+    else:
+        # single-crossing side: the larger root is the only positive one
+        squares = (0.5 * (delta + math.sqrt(disc)),)
+    if squares[-1] <= 0.0:
+        return []
+    return [(gamma, _crossing_phase(sp, gamma)) for gamma in map(math.sqrt, squares)]
+
+
+def _scalar_windows(crossings):
+    """(l_star, windows, truncated) of the window chain built from the scalar crossings."""
+    (gp, pp), *minus = crossings
+    if not minus:
+        return None, [(0.0, pp / gp)], False
+    ((gm, pm),) = minus
+    l_star, truncated = _switch_count(gp, pp, gm, pm)
+    cap = l_star if l_star is not None else int(math.ceil((gm - pm) / (2 * math.pi))) + 1
+    if cap > _MAX_WINDOWS:
+        cap, truncated = _MAX_WINDOWS, True
+    windows = [(0.0, pp / gp)]
+    for l in range(1, max(cap, 0) + 1):
+        lo, hi = (pm + 2.0 * (l - 1) * math.pi) / gm, (pp + 2.0 * l * math.pi) / gp
+        if lo <= windows[-1][1] or hi <= lo:
+            return l_star, windows, True
+        windows.append((lo, hi))
+    return l_star, windows, truncated
 
 
 def _w0_margin(sp):
@@ -244,6 +298,15 @@ def test_crossing_structure_no_crossing():
         crossing_structure(ScaledParams(1.0, 1.0, 0.0, 0.0))
 
 
+def test_crossing_structure_vanishing_gains():
+    # k1 = k2 = 0 with a crossing (tiny s1 = s2): the phase is 0/0, refused
+    sp = ScaledParams(1.5507577558863215e-160, 1.5507577558863215e-160, 0.0, 0.0)
+    with pytest.raises(InfeasibleError, match="vanishing gains"):
+        _crossings(sp)
+    with pytest.raises(InfeasibleError, match="vanishing gains"):
+        crossing_structure(sp)
+
+
 def test_phase_unit_circle():
     # the (sin, cos) pair must sit on the unit circle at a crossing frequency
     rng = np.random.default_rng(8)
@@ -261,6 +324,35 @@ def test_phase_unit_circle():
             cos_v = -(sp.s1 * sp.k2 * g2 + sp.k1 * (sp.s2 - g2)) / denom
             sin_v = (sp.s1 * sp.k1 * gamma - sp.k2 * gamma * (sp.s2 - g2)) / denom
             assert cos_v**2 + sin_v**2 == pytest.approx(1.0, abs=1e-8)
+
+
+def test_crossing_structure_matches_scalar_oracle():
+    # the array helper against the scalar transcription on seeded tuples, a
+    # quarter of them on each of the faces s2 = 0, k1 = 0 and k2 = 0
+    rng = np.random.default_rng(714)
+    close = lambda a, b: abs(a - b) <= 1e-15 * abs(b)
+    counts = {"none": 0, "single": 0, "two": 0}
+    for i in range(12000):
+        scale = 3.0 if i < 6000 else 30.0
+        row = [*rng.uniform(0.0, scale, 2), *rng.uniform(-scale, scale, 2)]
+        if i % 4:
+            row[(1, 2, 3)[i % 4 - 1]] = 0.0
+        sp = ScaledParams(*row)
+        crossings = _crossings(sp)
+        if not crossings:
+            counts["none"] += 1
+            with pytest.raises(InfeasibleError):
+                crossing_structure(sp)
+            continue
+        s = crossing_structure(sp)
+        counts["two" if len(crossings) == 2 else "single"] += 1
+        assert (s.gamma_minus is None) == (len(crossings) == 1), sp
+        got = [(s.gamma_plus, s.phi_plus)] + ([(s.gamma_minus, s.phi_minus)] if s.gamma_minus is not None else [])
+        assert all(close(a, b) for pair, want in zip(got, crossings) for a, b in zip(pair, want)), (sp, got, crossings)
+        l_star, windows, truncated = _scalar_windows(crossings)
+        assert (s.l_star, len(s.windows), s.truncated) == (l_star, len(windows), truncated), sp
+        assert all(close(a, b) for w, v in zip(s.windows, windows) for a, b in zip(w, v)), sp
+    assert min(counts.values()) > 1000, counts
 
 
 # --- region classification ------------------------------------------------------
@@ -556,15 +648,53 @@ def test_network_destabilises_at_large_delay(two_machine_spectrum):
 @pytest.mark.parametrize("tau", [0.0, 0.05])
 @pytest.mark.parametrize(
     "gains",
-    [GainSpec.uniform(0.3, 1.0), GainSpec.eigen([-0.5, 0.3, 2.0], [0.0, 1.0, -0.2]), GainSpec.consensus(0.1, 0.2)],
+    [
+        GainSpec.uniform(0.3, 1.0),
+        GainSpec.eigen([-0.5, 0.3, 2.0], [0.0, 1.0, -0.2]),
+        GainSpec.consensus(0.1, 0.2),
+        GainSpec.eigen([0.0, -0.5, 0.3], [0.0, 1.0, -0.2]),
+    ],
 )
 def test_mode_verdict_is_the_network_rule(line3_spectrum, gains, tau):
-    # one per-mode rule: every network_verdict row is the mode_verdict of that mode
-    fields = lambda sp, v: (sp, v.stable, v.region, v.margin.hex(), v.boundary)
+    # one per-mode rule: every network_verdict row is the mode_verdicts entry of
+    # that mode, whether the modes come as one array or one at a time, and it
+    # holds Python scalars
+    fields = lambda v, i: (bool(v.stable[i]), REGIONS[v.region[i]], float(v.margin[i]).hex(), bool(v.boundary[i]))
     net = network_verdict(line3_spectrum, gains, 0.075, tau)
     g = net.gains
+    batch = mode_verdicts(0.075, g.lambdas, g.mu, g.kappa, tau)
     for l, (lam, mu, kappa) in enumerate(zip(g.lambdas, g.mu, g.kappa)):
-        assert fields(*mode_verdict(0.075, lam, mu, kappa, tau)) == fields(net.params[l], net.verdicts[l])
+        v = net.verdicts[l]
+        want = (v.stable, v.region, v.margin.hex(), v.boundary)
+        assert fields(batch, l) == fields(mode_verdicts(0.075, lam, mu, kappa, tau), ()) == want
+        assert type(v.stable) is bool and type(v.boundary) is bool and type(v.margin) is float
+        if tau > 0.0:
+            assert net.params[l] == ScaledParams.from_physical(0.075, lam, mu, kappa, tau)
+        else:
+            # all +0.0: scaling negative gains by tau = 0 would give -0.0 and change the CLI's bytes
+            sp = net.params[l]
+            assert all(x == 0.0 and math.copysign(1.0, x) == 1.0 for x in (sp.s1, sp.s2, sp.k1, sp.k2))
+    assert type(net.stable) is bool
+
+
+def test_mode_verdicts_delay_free_rule_over_arrays():
+    # consensus exception (lam = mu = 0: stable iff kappa + d > 0), negative
+    # gains, and the delay-free verdict fields, all in one array call
+    d = 0.075
+    lam = np.array([0.0, 0.0, 0.0, 1.5, 1.5, 1.5, 0.0, 2.0])
+    mu = np.array([0.0, 0.0, 0.0, -0.5, -2.0, 0.3, -0.2, 0.0])
+    kappa = np.array([0.5, -0.075, -1.0, -0.05, 1.0, -0.2, 1.0, 0.0])
+    v = mode_verdicts(d, lam, mu, kappa, 0.0)
+    want = [True, False, False, True, False, False, False, True]
+    assert v.stable.tolist() == want
+    assert [REGIONS[r] for r in v.region] == ["delay-free" if s else "none" for s in want]
+    assert np.isnan(v.margin).all() and v.margin.shape == lam.shape
+    assert not v.boundary.any() and v.boundary.shape == lam.shape
+    # floats and arrays broadcast as in classify_many
+    grid = mode_verdicts(d, 0.0, 0.0, np.array([[-1.0], [0.5]]), 0.0)
+    assert grid.stable.shape == (2, 1) and grid.stable.ravel().tolist() == [False, True]
+    with pytest.raises(ValidationError):
+        mode_verdicts(d, lam, mu, kappa, -0.1)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from wacrisk.errors import InfeasibleError, ValidationError
 from wacrisk.network import GainSpec, effective_resistance
 from wacrisk.risk import SystemicSet, risk_profile
 from wacrisk.spectral import evaluate
-from wacrisk.stability import ScaledParams, classify, mode_verdict
+from wacrisk.stability import ScaledParams, classify
 from wacrisk.stats import NoiseParams, mode_weight, pair_deviations
 from wacrisk.synthesis import (
     deviation_floor,
@@ -202,7 +202,9 @@ def test_tradeoff_scan_floored_set_positive(two_machine_spectrum):
 def _per_ray_bounds(spectrum, d, tau, rays):
     """resistance_bounds as one doubling-then-bisection loop per ray."""
     lam_max = spectrum.lambda_max
-    stable = lambda mu, kappa: mode_verdict(d, lam_max, lam_max * mu, lam_max * kappa, tau)[1].stable
+    stable = lambda mu, kappa: classify(
+        ScaledParams.from_physical(d, lam_max, lam_max * mu, lam_max * kappa, tau)
+    ).stable
     mu_max = kappa_max = 0.0
     for angle in np.linspace(0.0, math.pi / 2.0, rays):
         direction = (math.cos(angle), math.sin(angle))
