@@ -55,6 +55,7 @@ from .stats import (
     mode_weight,
     pair_deviations,
     pair_list,
+    pair_sigma,
 )
 from .synthesis import (
     LimitReport,

@@ -11,9 +11,10 @@ the acceptance level eps; it evaluates in closed form to
     +inf                                   if sigma >= zeta / nu
 
 where nu solves  integral_{-nu}^{nu} e^(-t^2/2) dt = sqrt(2 pi) (1 - eps).
-``risk_search`` re-derives the same number directly from the probability
-definition by monotone bisection and serves as the oracle for the closed
-form.  Boundary ties follow the closed form: equality at the lower
+``risk_value`` evaluates it on a float or elementwise on an array, so a
+whole profile or scan is one call.  ``risk_search`` re-derives the same
+number from the probability definition by monotone bisection, one sigma at
+a time, and serves as the oracle for the closed form.  Boundary ties follow the closed form: equality at the lower
 threshold maps to 0 and at the upper threshold to +inf.
 """
 
@@ -96,16 +97,18 @@ class SystemicSet:
         return self.zeta * (1.0 + delta) / (self.c + delta)
 
 
-def risk_value(sigma: float, sset: SystemicSet) -> float:
-    """Closed-form value-at-risk of a centred Gaussian deviation ``sigma``."""
-    if not sigma >= 0:
-        raise ValidationError(f"sigma must be a nonnegative number, got {sigma}")
-    nu = sset.nu
-    if sigma <= sset.zero_risk_threshold:
-        return 0.0
-    if sigma >= sset.infinite_risk_threshold:
-        return math.inf
-    return (sigma * nu * sset.c - sset.zeta) / (sset.zeta - sigma * nu)
+def risk_value(sigma, sset: SystemicSet):
+    """Closed-form value-at-risk of centred Gaussian deviations: a float for a
+    float, an array of the same shape for an array; NaN or negative entries are refused."""
+    s = np.asarray(sigma, dtype=float)
+    if not np.all(s >= 0):
+        raise ValidationError(f"sigma must be nonnegative numbers, got {sigma}")
+    nu, lo, hi = sset.nu, sset.zero_risk_threshold, sset.infinite_risk_threshold
+    # the middle branch is evaluated everywhere and kept only strictly between the thresholds
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        middle = (s * nu * sset.c - sset.zeta) / (sset.zeta - s * nu)
+        value = np.where(s <= lo, 0.0, np.where(s >= hi, math.inf, middle))
+    return value if value.ndim else float(value)
 
 
 def _tail_probability(sigma: float, threshold: float) -> float:
@@ -160,6 +163,5 @@ class RiskProfile:
 
 
 def risk_profile(stats: PairStats, sset: SystemicSet) -> RiskProfile:
-    """Apply the closed-form risk to every pair deviation."""
-    values = np.array([risk_value(float(s), sset) for s in stats.sigma])
-    return RiskProfile(pairs=stats.pairs, values=values)
+    """Apply the closed-form risk to every pair deviation in one ``risk_value`` call."""
+    return RiskProfile(pairs=stats.pairs, values=risk_value(stats.sigma, sset))

@@ -87,7 +87,6 @@ class EnsembleStats:
     omega_second_moment: np.ndarray
     rho_hat: float
     rho_hat_se: float
-    mean_drift: float       # max post-burn-in |ensemble mean theta - rho 1|
     step: float             # actual step after snapping
     steps_total: int
     steps_averaged: int
@@ -169,13 +168,7 @@ def simulate(
 
     pair_acc = np.zeros((config.trajectories, r))   # per-path time-averaged y^2
     omega_acc = np.zeros((n, n))
-    theta_mean_dev = 0.0
     rho_samples = np.zeros(config.trajectories)
-
-    if verdict.rho_theta_coeff is None:
-        rho_pred = 0.0
-    else:
-        rho_pred = float(verdict.rho_theta_coeff * phi_theta.sum() + verdict.rho_omega_coeff * phi_omega.sum())
 
     step_now = np.block([[np.eye(n), h * np.eye(n)], [-h * L.T, (1.0 - h * d) * np.eye(n)]])
     step_delayed = -h * np.hstack([M.T, K.T])
@@ -195,8 +188,6 @@ def simulate(
 
         acc_y2 = np.zeros((r, paths))
         acc_omega = np.zeros((n, n))
-        ens_theta_dev = 0.0
-        path_mean = np.full(paths, 1.0 / paths)
 
         for step_idx in range(total_steps):
             state = ring[(step_idx + 1) % slots]
@@ -211,12 +202,10 @@ def simulate(
                 np.matmul(b, theta, out=y)
                 acc_y2 += y * y
                 acc_omega += omega @ omega.T
-                ens_theta_dev = max(ens_theta_dev, float(np.abs(theta @ path_mean - rho_pred).max()))
 
         pair_acc[done : done + paths] = (acc_y2 / steps_averaged).T
         omega_acc += acc_omega / steps_averaged
         rho_samples[done : done + paths] = theta.mean(axis=0)
-        theta_mean_dev = max(theta_mean_dev, ens_theta_dev)
         done += paths
 
     pair_variance = pair_acc.mean(axis=0)
@@ -233,7 +222,6 @@ def simulate(
         omega_second_moment=omega_acc / config.trajectories,
         rho_hat=float(rho_samples.mean()),
         rho_hat_se=rho_se,
-        mean_drift=theta_mean_dev,
         step=h,
         steps_total=total_steps,
         steps_averaged=steps_averaged,

@@ -16,6 +16,10 @@ deviation then reads
 and the full covariance of the pair vector is
 (1/2 pi) B Q diag(weight) Q^T B^T for the complete incidence matrix B.
 
+``pair_sigma`` is the one place that evaluates sigma_ij, for weight rows of
+any batch shape; ``pair_deviations``, the trade-off scan and the deviation
+floor all read their deviations from it.
+
 F is read off the delay Lyapunov matrix of the mode, exact up to
 rounding.  ``mode_weight`` is the one place that computes a mode weight:
 at zero delay it takes the closed form
@@ -91,12 +95,20 @@ def pair_list(n: int) -> tuple[tuple[int, int], ...]:
 
 def incidence_matrix(n: int) -> np.ndarray:
     """Complete incidence matrix: row (i, j) has +1 at i and -1 at j."""
-    pairs = pair_list(n)
-    b = np.zeros((len(pairs), n))
-    for row, (i, j) in enumerate(pairs):
-        b[row, i - 1] = 1.0
-        b[row, j - 1] = -1.0
-    return b
+    i, j = np.triu_indices(n, 1)
+    return np.eye(n)[i] - np.eye(n)[j]
+
+
+def pair_sigma(eigenvectors: np.ndarray, weights) -> np.ndarray:
+    """Pair deviations sqrt(sum_l (q_il - q_jl)^2 w_l / 2 pi) of weight rows ``(..., n)``.
+
+    Returns ``(..., n (n-1) / 2)`` in row-wise pair order.  Each row is reduced
+    along the mode axis alone (no matrix product), so it gives the same bits in any batch.
+    """
+    i, j = np.triu_indices(eigenvectors.shape[0], 1)
+    gaps = eigenvectors[i] - eigenvectors[j]
+    weights = np.asarray(weights, dtype=float)[..., None, :]
+    return np.sqrt(np.sum(gaps * weights * gaps, axis=-1) / TWO_PI)
 
 
 def mode_weight(lam, mu, kappa, d: float, tau: float, noise: NoiseParams, inertia: float):
@@ -124,21 +136,6 @@ def mode_weight(lam, mu, kappa, d: float, tau: float, noise: NoiseParams, inerti
     return weight if weight.ndim else float(weight)
 
 
-def _stats_from_weights(spectrum_q: np.ndarray, weights: np.ndarray) -> PairStats:
-    n = weights.shape[0]
-    b = incidence_matrix(n)
-    bq = b @ spectrum_q
-    covariance = (bq * weights) @ bq.T / TWO_PI
-    covariance = 0.5 * (covariance + covariance.T)
-    sigma = np.sqrt(np.clip(np.diag(covariance), 0.0, None))
-    return PairStats(
-        pairs=pair_list(n),
-        sigma=sigma,
-        mode_weights=weights,
-        covariance=covariance,
-    )
-
-
 def pair_deviations(
     spectrum: LaplacianSpectrum,
     gains: GainSpec | ModeGains,
@@ -162,4 +159,12 @@ def pair_deviations(
     unstable = np.flatnonzero(np.isinf(weights))
     if unstable.size:
         raise InfeasibleError(f"mode {unstable[0] + 1} is unstable at tau={tau}; stationary statistics undefined")
-    return _stats_from_weights(resolved.eigenvectors, weights)
+    q = resolved.eigenvectors
+    bq = incidence_matrix(spectrum.n) @ q
+    covariance = (bq * weights) @ bq.T / TWO_PI
+    return PairStats(
+        pairs=pair_list(spectrum.n),
+        sigma=pair_sigma(q, weights),
+        mode_weights=weights,
+        covariance=0.5 * (covariance + covariance.T),
+    )

@@ -36,10 +36,10 @@ import numpy as np
 from ._gridopt import grid_minimize
 from .errors import InfeasibleError, ValidationError
 from .network import GainSpec, LaplacianSpectrum, effective_resistance, resolve_gains
-from .risk import SystemicSet, risk_profile, risk_value
+from .risk import SystemicSet, risk_value
 from .spectral import weights
 from .stability import ScaledParams, mode_verdicts
-from .stats import NoiseParams, _stats_from_weights, mode_weight
+from .stats import NoiseParams, mode_weight, pair_sigma
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,7 @@ def deviation_floor(
         sp = ScaledParams.from_physical(d, lam, 0.0, 0.0, tau)
         _, floors[l] = grid_minimize(lambda k1, k2: weights(sp.s1, sp.s2, k1, k2), scaled_box, scaled_step)
     # the floors are mode weights per unit tau^3 (eta / J)^2
-    sigma = _stats_from_weights(spectrum.eigenvectors, floors).sigma
-    return float(tau**1.5 * eta / inertia * sigma.min())
+    return float(tau**1.5 * eta / inertia * pair_sigma(spectrum.eigenvectors, floors).min())
 
 
 def risk_floor(sigma_star: float, sset: SystemicSet) -> LimitReport:
@@ -248,9 +247,11 @@ def tradeoff_scan(
     Each row holds (mu, kappa, min risk entry, Xi_K, Xi_M, product) for
     the consensus gains M = mu L, K = kappa L; omega_hat is the smallest
     product over the scan.  The weights of every grid point and mode come
-    from one ``mode_weight`` call; the consensus mode, on which consensus
-    gains vanish, is checked once.  Zero noise is rejected: the risk would
-    vanish identically and the product would be trivially zero.
+    from one ``mode_weight`` call, the deviations of the stable points from
+    one ``pair_sigma`` call and their risks from one ``risk_value`` call;
+    the consensus mode, on which consensus gains vanish, is checked once.
+    Zero noise is rejected: the risk would vanish identically and the
+    product would be trivially zero.
     """
     if noise.eta == 0.0 and noise.eta_meas == 0.0:
         raise ValidationError("trade-off scan needs a nonzero noise source")
@@ -271,16 +272,13 @@ def tradeoff_scan(
     mus, kappas = mus.ravel(), kappas.ravel()
     lams = spectrum.eigenvalues[1:]
     grid_weights = mode_weight(lams, np.outer(mus, lams), np.outer(kappas, lams), d, tau, noise, inertia)
-    rows = []
-    for mu, kappa, mode_weights in zip(mus, kappas, grid_weights):
-        if np.isinf(mode_weights).any():
-            continue
-        stats = _stats_from_weights(spectrum.eigenvectors, np.concatenate([[0.0], mode_weights]))
-        min_risk = float(np.min(risk_profile(stats, sset).values))
-        xi_k = xi_l / kappa
-        xi_m = xi_l / mu
-        rows.append((mu, kappa, min_risk, xi_k, xi_m, min_risk * math.sqrt(xi_k + xi_m)))
-    if not rows:
+    stable = ~np.isinf(grid_weights).any(axis=1)
+    if not stable.any():
         raise InfeasibleError("no stable consensus gains inside the scan box")
-    rows = np.array(rows)
+    mus, kappas, grid_weights = mus[stable], kappas[stable], grid_weights[stable]
+    # the consensus mode carries no weight
+    sigma = pair_sigma(spectrum.eigenvectors, np.pad(grid_weights, ((0, 0), (1, 0))))
+    min_risk = risk_value(sigma, sset).min(axis=1)
+    xi_k, xi_m = xi_l / kappas, xi_l / mus
+    rows = np.column_stack([mus, kappas, min_risk, xi_k, xi_m, min_risk * np.sqrt(xi_k + xi_m)])
     return TradeoffScan(rows=rows, omega_hat=float(rows[:, 5].min()))

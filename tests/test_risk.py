@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,44 @@ def test_nan_sigma_refused():
             fn(math.nan, SET_A)
         with pytest.raises(ValidationError):
             fn(-0.1, SET_A)
+    for bad in (np.array(math.nan), np.array([0.1, math.nan]), np.array([[0.2, 0.3], [-0.1, 0.4]])):
+        with pytest.raises(ValidationError):
+            risk_value(bad, SET_A)
+
+
+def _closed_form(sigma: float, sset: SystemicSet) -> float:
+    """The three branches in plain Python floats, one sigma at a time."""
+    if sigma <= sset.zero_risk_threshold:
+        return 0.0
+    if sigma >= sset.infinite_risk_threshold:
+        return math.inf
+    try:
+        return (sigma * sset.nu * sset.c - sset.zeta) / (sset.zeta - sigma * sset.nu)
+    except ZeroDivisionError:
+        return math.inf
+
+
+def test_risk_value_arrays_equal_scalar_calls():
+    lo, hi = SET_A.zero_risk_threshold, SET_A.infinite_risk_threshold
+    below_pole = float(np.nextafter(hi, 0.0))
+    sigmas = [0.0, lo, float(np.nextafter(lo, math.inf)), 0.5, float(np.nextafter(below_pole, 0.0)), below_pole,
+              hi, float(np.nextafter(hi, math.inf)), 2.0, math.inf]
+    want = [_closed_form(s, SET_A) for s in sigmas]
+    assert want[0] == want[1] == 0.0 and want[-4:] == [math.inf] * 4
+    # two ulps below the pole the middle branch is finite; one ulp below, sigma nu rounds to zeta and
+    # the branch divides by an exact zero, which gives +inf rather than an error
+    assert math.isfinite(want[4]) and want[4] > 1e6 and want[5] == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s, w in zip(sigmas, want):
+            for arg in (s, np.float64(s), np.array(s)):
+                got = risk_value(arg, SET_A)
+                assert type(got) is float and got == w
+        assert np.array_equal(risk_value(np.array(sigmas), SET_A), want)
+        square, want_square = np.array([sigmas, sigmas[::-1]]), np.array([want, want[::-1]])
+        assert np.array_equal(risk_value(square, SET_A), want_square)
+        assert np.array_equal(risk_value(square[:, None, :], SET_A), want_square[:, None, :])
+        assert risk_value(np.empty((0, 3)), SET_A).shape == (0, 3)
 
 
 def test_risk_search_inverts_middle_branch():

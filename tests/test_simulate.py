@@ -86,7 +86,6 @@ def test_deterministic_consensus(two_machine_model):
     stats = simulate(two_machine_model, GainSpec.zero(), 0.0, NoiseParams(0.0, 0.0), config)
     rho = (0.4 - 0.2) / 2.0 + (0.05 + 0.01) / (D2 * 2.0)
     assert stats.rho_hat == pytest.approx(rho, abs=1e-3)
-    assert stats.mean_drift < 1e-3
     assert np.all(stats.pair_variance < 1e-8)
 
 
@@ -152,16 +151,12 @@ def _simulate_row_loop(model, gains, tau, noise, config):
     phi_theta = np.zeros(n) if config.phi_theta is None else np.asarray(config.phi_theta, float)
     phi_omega = np.zeros(n) if config.phi_omega is None else np.asarray(config.phi_omega, float)
     shock_factor = _shock_factor(M, K, noise, model.inertia, h)
-    rho_pred = 0.0
-    if verdict.rho_theta_coeff is not None:
-        rho_pred = float(verdict.rho_theta_coeff * phi_theta.sum() + verdict.rho_omega_coeff * phi_omega.sum())
 
     n_chunks = (config.trajectories + _CHUNK - 1) // _CHUNK
     children = np.random.SeedSequence(config.seed).spawn(n_chunks)
     pair_acc = np.zeros((config.trajectories, b.shape[0]))
     omega_acc = np.zeros((n, n))
     rho_samples = np.zeros(config.trajectories)
-    drift_max = 0.0
     done = 0
     for chunk_idx in range(n_chunks):
         paths = min(_CHUNK, config.trajectories - done)
@@ -172,7 +167,6 @@ def _simulate_row_loop(model, gains, tau, noise, config):
         ring_omega = np.tile(phi_omega, (delay_steps + 1, paths, 1))
         acc_y2 = np.zeros((paths, b.shape[0]))
         acc_omega = np.zeros((n, n))
-        path_mean = np.full(paths, 1.0 / paths)
         for step_idx in range(total_steps):
             slot_delayed = (step_idx - delay_steps) % (delay_steps + 1)
             theta_del, omega_del = ring_theta[slot_delayed], ring_omega[slot_delayed]
@@ -187,7 +181,6 @@ def _simulate_row_loop(model, gains, tau, noise, config):
                 y = theta @ b.T
                 acc_y2 += y * y
                 acc_omega += omega.T @ omega
-                drift_max = max(drift_max, float(np.abs(path_mean @ theta - rho_pred).max()))
         pair_acc[done : done + paths] = acc_y2 / steps_averaged
         omega_acc += acc_omega / steps_averaged
         rho_samples[done : done + paths] = theta.mean(axis=1)
@@ -200,7 +193,6 @@ def _simulate_row_loop(model, gains, tau, noise, config):
         "omega_second_moment": omega_acc / config.trajectories,
         "rho_hat": float(rho_samples.mean()),
         "rho_hat_se": float(rho_samples.std(ddof=1) / root_t),
-        "mean_drift": drift_max,
     }
 
 

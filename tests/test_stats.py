@@ -16,6 +16,7 @@ from wacrisk.stats import (
     mode_weight,
     pair_deviations,
     pair_list,
+    pair_sigma,
 )
 
 D2, LAM2, J2 = 0.075, 1.584, 2.0
@@ -27,6 +28,32 @@ def test_pair_enumeration_row_wise():
     b = incidence_matrix(3)
     assert np.allclose(b, [[1, -1, 0], [1, 0, -1], [0, 1, -1]])
     assert np.allclose(b @ np.ones(3), 0.0)
+    # the row-wise fill loop over pair_list is the reference
+    for n in (2, 3, 4, 10):
+        want = np.zeros((n * (n - 1) // 2, n))
+        for row, (i, j) in enumerate(pair_list(n)):
+            want[row, i - 1] = 1.0
+            want[row, j - 1] = -1.0
+        assert np.array_equal(incidence_matrix(n), want)
+
+
+@pytest.mark.parametrize("network", ["line3", "ieee39"])
+def test_pair_sigma_rows_independent_of_batch(network, line3_spectrum, ieee39_spectrum):
+    # n = 10 takes NumPy's eight-accumulator pairwise sum; a row must still
+    # give the same bits alone as inside a batch of any shape
+    q = {"line3": line3_spectrum, "ieee39": ieee39_spectrum}[network].eigenvectors
+    n = q.shape[0]
+    rng = np.random.default_rng(23)
+    rows = rng.uniform(0.0, 2.0, size=(12, n)) * 10.0 ** rng.integers(-6, 3, size=(12, 1))
+    rows[:, 0] = 0.0
+    batch = pair_sigma(q, rows)
+    assert batch.shape == (12, n * (n - 1) // 2)
+    assert np.array_equal(pair_sigma(q, rows.reshape(3, 4, n)), batch.reshape(3, 4, -1))
+    bq = incidence_matrix(n) @ q
+    for row, sigma in zip(rows, batch):
+        assert np.array_equal(pair_sigma(q, row), sigma)
+        covariance = (bq * row) @ bq.T / (2.0 * math.pi)
+        np.testing.assert_allclose(sigma, np.sqrt(np.diag(covariance)), rtol=1e-15, atol=0.0)
 
 
 def test_open_loop_two_machine_sigma(two_machine_spectrum):

@@ -230,22 +230,28 @@ def test_resistance_bounds_lockstep_equals_per_ray_bisection(two_machine_spectru
         assert (bounds.mu_max, bounds.kappa_max) == _per_ray_bounds(spectrum, D2, tau, 37)
 
 
-def test_tradeoff_scan_equals_per_point_pair_deviations(two_machine_spectrum, line3_spectrum):
-    # one weight call over the grid gives the rows of a pair_deviations call per gain pair
+def test_tradeoff_scan_equals_per_point_pair_deviations(two_machine_spectrum, line3_spectrum, ieee39_spectrum):
+    # one weight, sigma and risk call over the grid gives the rows of a pair_deviations call per gain pair;
+    # the IEEE-39 box holds zero, finite and infinite minimum risks at its own delay
     noise, sset = NoiseParams(0.7, 0.3), SystemicSet(zeta=0.6, c=1.5, eps=0.1)
-    box, grid = (0.05, 3.0, 0.05, 6.0), (9, 11)
-    for spectrum in (two_machine_spectrum, line3_spectrum):
+    grid = (9, 11)
+    cases = [
+        (two_machine_spectrum, 0.1, (0.05, 3.0, 0.05, 6.0)),
+        (line3_spectrum, 0.1, (0.05, 3.0, 0.05, 6.0)),
+        (ieee39_spectrum, 0.03, (0.002, 0.2, 0.01, 1.0)),
+    ]
+    for spectrum, tau, box in cases:
         xi_l = effective_resistance(spectrum)
         rows = []
         for mu in np.linspace(box[0], box[1], grid[0]):
             for kappa in np.linspace(box[2], box[3], grid[1]):
                 try:
-                    stats = pair_deviations(spectrum, GainSpec.consensus(mu, kappa), D2, 0.1, noise, J2)
+                    stats = pair_deviations(spectrum, GainSpec.consensus(mu, kappa), D2, tau, noise, J2)
                 except InfeasibleError:
                     continue
                 min_risk = float(np.min(risk_profile(stats, sset).values))
                 rows.append((mu, kappa, min_risk, xi_l / kappa, xi_l / mu, min_risk * math.sqrt(xi_l / kappa + xi_l / mu)))
-        scan = tradeoff_scan(spectrum, D2, 0.1, noise, J2, sset, gain_box=box, grid=grid)
+        scan = tradeoff_scan(spectrum, D2, tau, noise, J2, sset, gain_box=box, grid=grid)
         assert 0 < len(rows) < grid[0] * grid[1]
         assert np.array_equal(scan.rows, np.array(rows))
         assert scan.omega_hat == min(row[5] for row in rows)
