@@ -43,15 +43,18 @@ def write_rows(path, header, rows):
 
 def sync_sweep(spectrum, d, out):
     noise = NoiseParams(0.7, 0.3)
-    rows = []
+    points = []
     for mu in np.linspace(0.0, 2.0, 41):
         for kappa in np.linspace(0.0, 3.0, 61):
             try:
                 stats = pair_deviations(spectrum, GainSpec.uniform(mu, kappa), d, 0.0, noise, MODEL.inertia)
-                sigma = float(stats.sigma[0])
             except InfeasibleError:
                 continue
-            rows.append((f"{mu:.4f}", f"{kappa:.4f}", f"{sigma:.6f}", f"{risk_value(sigma, SET_A):.6g}"))
+            points.append((mu, kappa, float(stats.sigma[0])))
+    risks = risk_value([sigma for _, _, sigma in points], SET_A)
+    rows = [
+        (f"{mu:.4f}", f"{kappa:.4f}", f"{sigma:.6f}", f"{risk:.6g}") for (mu, kappa, sigma), risk in zip(points, risks)
+    ]
     write_rows(os.path.join(out, "sync_sweep.csv"), ["mu", "kappa", "sigma", "risk"], rows)
 
 
@@ -72,11 +75,13 @@ def delayed_sweep(spectrum, d, out, tau=0.1):
 
 def risk_window(spectrum, d, out):
     noise = NoiseParams(0.7, 0.3)
-    rows = []
-    for kappa in np.linspace(0.05, 4.0, 160):
-        stats = pair_deviations(spectrum, GainSpec.uniform(0.0, kappa), d, 0.0, noise, MODEL.inertia)
-        sigma = float(stats.sigma[0])
-        rows.append((f"{kappa:.4f}", f"{sigma:.6f}", f"{risk_value(sigma, SET_A):.6g}"))
+    kappas = np.linspace(0.05, 4.0, 160)
+    sigmas = [
+        float(pair_deviations(spectrum, GainSpec.uniform(0.0, kappa), d, 0.0, noise, MODEL.inertia).sigma[0])
+        for kappa in kappas
+    ]
+    risks = risk_value(sigmas, SET_A)
+    rows = [(f"{kappa:.4f}", f"{sigma:.6f}", f"{risk:.6g}") for kappa, sigma, risk in zip(kappas, sigmas, risks)]
     write_rows(os.path.join(out, "risk_window.csv"), ["kappa", "sigma", "risk"], rows)
 
 

@@ -285,7 +285,7 @@ def _cmd_risk(args, argv) -> int:
         conflicts = _given(args, "network", "gains", "mu", "kappa", "gain_mode", "tau", "eta", "etap")
         if conflicts:
             raise ValidationError(f"--from-stats cannot be combined with {', '.join(conflicts)}")
-        rows = []
+        pairs, sigmas = [], []
         with open(args.from_stats, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             if header[:3] != ["i", "j", "sigma"]:
@@ -296,13 +296,16 @@ def _cmd_risk(args, argv) -> int:
                 fields = line.strip().split(",")
                 try:
                     i, j, sigma = int(fields[0]), int(fields[1]), float(fields[2])
-                    risk = risk_value(sigma, sset)
+                    if not sigma >= 0:
+                        raise ValueError(sigma)
                 except (IndexError, ValueError) as exc:
                     raise ValidationError(
                         f"{args.from_stats} line {lineno}: expected i,j,sigma with sigma >= 0,"
                         f" got {line.strip()!r}"
                     ) from exc
-                rows.append((i, j, sigma, risk))
+                pairs.append((i, j))
+                sigmas.append(sigma)
+        rows = _pair_rows(pairs, sigmas, risk_value(sigmas, sset))
     elif not args.network:
         raise ValidationError("risk needs --network (or --from-stats)")
     else:

@@ -104,9 +104,10 @@ def risk_value(sigma, sset: SystemicSet):
     if not np.all(s >= 0):
         raise ValidationError(f"sigma must be nonnegative numbers, got {sigma}")
     nu, lo, hi = sset.nu, sset.zero_risk_threshold, sset.infinite_risk_threshold
-    # the middle branch is evaluated everywhere and kept only strictly between the thresholds
+    # the middle branch is evaluated everywhere and kept only strictly between the thresholds;
+    # just above the lower one s nu c - zeta can round below 0, hence the clamp
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        middle = (s * nu * sset.c - sset.zeta) / (sset.zeta - s * nu)
+        middle = np.maximum((s * nu * sset.c - sset.zeta) / (sset.zeta - s * nu), 0.0)
         value = np.where(s <= lo, 0.0, np.where(s >= hi, math.inf, middle))
     return value if value.ndim else float(value)
 

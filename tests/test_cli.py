@@ -572,3 +572,16 @@ def test_scalar_gain_defaults(two_machine_path, capsys):
     # a negative zero reaches the spec as -0.0
     _run_ok([*base, "--mu", "-0"])
     assert capsys.readouterr().out.splitlines()[2].split(",")[2] == "-0"
+
+
+def test_risk_from_stats_names_the_bad_line_after_good_rows(tmp_path):
+    # rows are parsed before the one batched risk call; a bad sigma is still reported by its own line
+    stats = tmp_path / "stats.csv"
+    stats.write_text("i,j,sigma\n1,2,0.3\n1,3,0.4\n\n2,3,-0.1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wacrisk.cli", "risk", "--from-stats", str(stats), "--zeta", "1.0"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert f"{stats} line 5: expected i,j,sigma with sigma >= 0, got '2,3,-0.1'" in proc.stderr

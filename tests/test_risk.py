@@ -210,3 +210,16 @@ def test_risk_profile_max_finite():
     values = np.array([0.0, 2.5, math.inf])
     profile = RiskProfile(pairs=pair_list(3), values=values)
     assert profile.max_finite == 2.5
+
+
+def test_risk_never_negative_just_above_zero_risk_threshold():
+    # there sigma nu c - zeta can round below zero while sigma > zeta / (c nu); without the clamp
+    # this sample gives three negative risks
+    rng = np.random.default_rng(0)
+    sets = zip(rng.uniform(0.1, 3.0, 2000), rng.uniform(1.01, 5.0, 2000), rng.uniform(0.01, 0.9, 2000))
+    for zeta, c, eps in sets:
+        sset = SystemicSet(zeta=float(zeta), c=float(c), eps=float(eps))
+        sigmas = [sset.zero_risk_threshold]
+        for _ in range(20):
+            sigmas.append(float(np.nextafter(sigmas[-1], math.inf)))
+        assert np.all(risk_value(np.array(sigmas[1:]), sset) >= 0.0), sset

@@ -1,12 +1,23 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from wacrisk.errors import InfeasibleError, ValidationError
 from wacrisk.network import GainSpec, build_laplacian, resolve_gains
-from wacrisk.simulate import _CHUNK, SimConfig, _shock_factor, _snap_step, impulse_response, simulate
+from wacrisk.simulate import (
+    _BLOCK_NORMALS,
+    _CHUNK,
+    SimConfig,
+    _DrawAhead,
+    _shock_factor,
+    _snap_step,
+    impulse_response,
+    simulate,
+)
 from wacrisk.spectral import evaluate
 from wacrisk.stability import ScaledParams, classify, network_verdict, rightmost_root
 from wacrisk.stats import NoiseParams, incidence_matrix, pair_deviations
@@ -220,6 +231,197 @@ def test_simulate_matches_row_layout_loop(line3_model, tau, noise, paths, histor
     got = simulate(line3_model, gains, tau, noise, config)
     for field, value in want.items():
         np.testing.assert_allclose(getattr(got, field), value, rtol=1e-12, atol=1e-15, err_msg=field)
+
+
+# The ensemble outputs of one (paths, n) Philox fill per step, as float literals
+# (line3, consensus gains (0.2, 0.5), eta 0.7, eta' 0.3, step 0.005, seed 11).  Any
+# reordering of the stream changes them, which a rounding tolerance cannot show.
+_PINNED_RUNS = {
+    "tau0": (0.0, 200, 2.0, {}),
+    "two_chunks": (0.05, _CHUNK + 3, 2.0, {}),
+    "ragged_block": (0.05, 200, 2.005, {}),
+    "history": (0.05, 200, 2.0, _HISTORY),
+    "one_path_short": (0.0, 1, 0.01, {}),
+}
+_PINNED = {
+    "tau0": {
+        "steps_total": 400,
+        "pair_variance": [0.07023519779647304, 0.10528958348639629, 0.06947820503148301],
+        "pair_variance_se": [0.0062459145936702, 0.009281393508103858, 0.006549905144384537],
+        "omega_second_moment": [
+            [0.09840352798088366, 0.019038992380490054, 0.03637908662833488],
+            [0.019038992380490054, 0.1138158875634028, 0.022635497124628423],
+            [0.03637908662833488, 0.022635497124628423, 0.10427579714585916],
+        ],
+        "rho_hat": -0.008290614400744323,
+        "rho_hat_se": 0.020971052273177485,
+    },
+    "two_chunks": {
+        "steps_total": 400,
+        "pair_variance": [0.07197795821898069, 0.11125517639531178, 0.07189180620741879],
+        "pair_variance_se": [0.002017466882862854, 0.0032747098536387046, 0.0019874771472769407],
+        "omega_second_moment": [
+            [0.10946194865746826, 0.018670965640363326, 0.03791407248006639],
+            [0.018670965640363326, 0.12352034739682674, 0.018554660323378186],
+            [0.03791407248006639, 0.018554660323378186, 0.10777193881565449],
+        ],
+        "rho_hat": -0.0024267357658224005,
+        "rho_hat_se": 0.0068307583829803715,
+    },
+    "ragged_block": {
+        "steps_total": 401,
+        "pair_variance": [0.07244223090168943, 0.10904117092984586, 0.07201425386697773],
+        "pair_variance_se": [0.0063744779141872415, 0.0096024991428745, 0.006681928878837984],
+        "omega_second_moment": [
+            [0.1019604902871926, 0.015086072593534054, 0.03711218990169325],
+            [0.015086072593534054, 0.12170869980801267, 0.018669054664766968],
+            [0.03711218990169325, 0.018669054664766968, 0.10786112049363375],
+        ],
+        "rho_hat": -0.008296301656878873,
+        "rho_hat_se": 0.021048599052160978,
+    },
+    "history": {
+        "steps_total": 400,
+        "pair_variance": [0.07581523223189358, 0.1117074203705402, 0.07955679163708651],
+        "pair_variance_se": [0.006467048074613563, 0.009633328627833386, 0.007069536301680975],
+        "omega_second_moment": [
+            [0.11011592154082514, 0.005307775014153197, 0.03742865571799983],
+            [0.005307775014153197, 0.13440169780416183, 0.016100200933417172],
+            [0.03742865571799983, 0.016100200933417172, 0.110292319933126],
+        ],
+        "rho_hat": 0.14361821715922246,
+        "rho_hat_se": 0.020971052273177485,
+    },
+    "one_path_short": {
+        "steps_total": 2,
+        "pair_variance": [5.581924047581227e-08, 9.30558917396459e-08, 4.732020015028043e-09],
+        "pair_variance_se": [math.nan, math.nan, math.nan],
+        "omega_second_moment": [
+            [1.7917934811160362e-06, 2.5828201597411142e-05, -0.0001242109093308416],
+            [2.5828201597411142e-05, 0.0003723062980120924, -0.0017904654976177883],
+            [-0.0001242109093308416, -0.0017904654976177883, 0.008610562634252273],
+        ],
+        "rho_hat": 8.200599000428315e-05,
+        "rho_hat_se": math.nan,
+    },
+}
+
+
+def _pinned_run(model, case):
+    tau, paths, horizon, history = _PINNED_RUNS[case]
+    config = SimConfig(step=0.005, horizon=horizon, trajectories=paths, seed=11, **history)
+    got = simulate(model, GainSpec.consensus(0.2, 0.5), tau, NoiseParams(0.7, 0.3), config)
+    want = _PINNED[case]
+    assert got.steps_total == want["steps_total"]
+    for field in ("pair_variance", "pair_variance_se", "omega_second_moment", "rho_hat", "rho_hat_se"):
+        assert np.array_equal(getattr(got, field), np.array(want[field]), equal_nan=True), field
+    return got
+
+
+def _block_steps(paths, n):
+    return max(1, _BLOCK_NORMALS // (paths * n))
+
+
+@pytest.mark.parametrize("case", ["tau0", "two_chunks", "ragged_block", "history"])
+def test_simulate_stream_pinned(line3_model, case):
+    got = _pinned_run(line3_model, case)
+    if case == "ragged_block":
+        assert got.steps_total % _block_steps(200, 3) != 0
+
+
+def test_single_path_shorter_than_a_block(line3_model):
+    assert _pinned_run(line3_model, "one_path_short").steps_total < _block_steps(1, 3)
+
+
+def test_no_thread_outlives_simulate(line3_model, two_machine_model, monkeypatch):
+    before = threading.enumerate()
+    config = SimConfig(step=0.005, horizon=0.5, trajectories=_CHUNK + 3, seed=2)
+    simulate(line3_model, GainSpec.consensus(0.2, 0.5), 0.05, NoiseParams(0.7, 0.3), config)
+    assert threading.enumerate() == before
+    with pytest.raises(InfeasibleError):
+        simulate(two_machine_model, GainSpec.uniform(1.0, 0.0), 0.1, NoiseParams(0.7, 0.0), config)
+    assert threading.enumerate() == before
+    # a main-loop failure with the helper mid-stream: an incidence matrix one column too wide
+    # breaks the first product after burn-in
+    module = sys.modules["wacrisk.simulate"]
+    monkeypatch.setattr(module, "incidence_matrix", lambda n: np.ones((1, n + 1)))
+    with pytest.raises(ValueError):
+        simulate(line3_model, GainSpec.consensus(0.2, 0.5), 0.05, NoiseParams(0.7, 0.3), config)
+    assert threading.enumerate() == before
+
+
+# several steps per block, so every test below crosses hand-overs
+_PATHS, _N = 1024, 3
+_STEPS_PER_BLOCK = _block_steps(_PATHS, _N)
+
+
+def test_draw_ahead_is_the_step_by_step_stream():
+    assert _STEPS_PER_BLOCK > 1
+    steps = 3 * _STEPS_PER_BLOCK + 1
+    with _DrawAhead(np.random.Generator(np.random.Philox(3)), steps, _PATHS, _N) as draws:
+        got = [z.copy() for z in draws]
+    reference = np.random.Generator(np.random.Philox(3))
+    assert len(got) == steps
+    for z in got:
+        assert np.array_equal(z, reference.standard_normal((_PATHS, _N)))
+
+
+def test_draw_ahead_stress_under_fast_switching():
+    # four consumers, each with its own helper, on fewer cores: a lost or doubled hand-over
+    # would skip or repeat a block of the stream
+    steps = 50 * _STEPS_PER_BLOCK + 1
+
+    def consume(seed, log):
+        reference = np.random.Generator(np.random.Philox(seed))
+        with _DrawAhead(np.random.Generator(np.random.Philox(seed)), steps, _PATHS, _N) as draws:
+            for step, z in enumerate(draws):
+                if not np.array_equal(z, reference.standard_normal((_PATHS, _N))):
+                    log.append(step)
+        log.append("done")
+
+    logs = {seed: [] for seed in range(4)}
+    workers = [threading.Thread(target=consume, args=(seed, log)) for seed, log in logs.items()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+            assert not worker.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(log == ["done"] for log in logs.values()), logs
+
+
+class _FailingGenerator:
+    """Fills each block with its call number and raises on call ``fail_at``."""
+
+    def __init__(self, fail_at):
+        self.calls, self.fail_at = 0, fail_at
+
+    def standard_normal(self, out):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise RuntimeError("draw failed")
+        out[...] = self.calls
+        return out
+
+
+def test_draw_ahead_hands_helper_errors_to_the_caller_and_joins():
+    before = threading.enumerate()
+    steps = 5 * _STEPS_PER_BLOCK
+    seen = []
+    with pytest.raises(RuntimeError, match="draw failed"):
+        with _DrawAhead(_FailingGenerator(fail_at=3), steps, _PATHS, _N) as draws:
+            seen.extend(float(z[0, 0]) for z in draws)
+    # the error may overtake the good blocks, never reorder them
+    assert seen == ([1.0] * _STEPS_PER_BLOCK + [2.0] * _STEPS_PER_BLOCK)[: len(seen)]
+    assert threading.enumerate() == before
+    # a caller that stops early releases the helper waiting for a free buffer
+    with _DrawAhead(_FailingGenerator(fail_at=0), steps, _PATHS, _N) as draws:
+        next(iter(draws))
+    assert threading.enumerate() == before
 
 
 def test_unstable_loop_rejected(two_machine_model):
