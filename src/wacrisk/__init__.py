@@ -39,12 +39,11 @@ from .stability import (
     NetworkStability,
     ScaledParams,
     StabilityVerdict,
-    SwitchStructure,
     Verdicts,
     classify,
     classify_many,
-    crossing_structure,
     delay_free_stable,
+    delay_windows,
     network_verdict,
     rightmost_root,
 )

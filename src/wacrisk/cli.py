@@ -237,16 +237,13 @@ def _cmd_stability(args, argv) -> int:
     model, spectrum = _load(args)
     verdict = network_verdict(spectrum, _gains_from_args(args), model.damping_ratio, args.tau)
     g = verdict.gains
+    windows = zip(verdict.tau_lo.tolist(), verdict.tau_hi.tolist())
     rows = [
-        (*mode, sp.s1, sp.s2, sp.k1, sp.k2, v.region, str(v.stable).lower())
-        for mode, sp, v in zip(_mode_rows(g.lambdas, g.mu, g.kappa), verdict.params, verdict.verdicts)
+        (*mode, sp.s1, sp.s2, sp.k1, sp.k2, v.region, str(v.stable).lower(), v.margin, str(v.boundary).lower(), *edges)
+        for mode, sp, v, edges in zip(_mode_rows(g.lambdas, g.mu, g.kappa), verdict.params, verdict.verdicts, windows)
     ]
-    _emit(
-        args.out,
-        ["mode_index", "lambda", "mu", "kappa", "s1", "s2", "k1", "k2", "region", "stable"],
-        rows,
-        argv,
-    )
+    header = ["mode_index", "lambda", "mu", "kappa", "s1", "s2", "k1", "k2", "region", "stable"]
+    _emit(args.out, header + ["margin", "boundary", "tau_lo", "tau_hi"], rows, argv)
     return 0
 
 

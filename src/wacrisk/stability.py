@@ -32,16 +32,23 @@ an unresolved root to its right is refused.
 :func:`classify_many` is the classification: closed-form array expressions
 over arrays of tuples, selected with ``np.where``.  :func:`classify` is its
 one-element call and returns a :class:`StabilityVerdict`.  The crossings
-gamma+- and phases phi+- are computed in one array helper, which both
-:func:`classify_many` and :func:`crossing_structure` call.
+gamma+- and phases phi+- are computed in one array helper, and the number
+of cut-offs below a delay in another; :func:`classify_many` and
+:func:`delay_windows` call both.
 
 Points within ``band`` of any defining inequality of the selected region
 are reported as boundary and treated as unstable: the classification is an
 if-and-only-if statement for the open region, and marginal tuples are not
-certifiably safe.  A verdict carries no windows; :func:`crossing_structure`
-reports them.  :func:`mode_verdicts` is the per-mode rule at every delay,
-over arrays of physical modes: :func:`classify_many` for tau > 0 and the
-delay-free rule at tau = 0.
+certifiably safe.  :func:`mode_verdicts` is the per-mode rule at every
+delay, over arrays of physical modes: :func:`classify_many` for tau > 0 and
+the delay-free rule at tau = 0.
+
+A verdict carries no delay windows.  In physical units a mode's crossing
+frequencies do not depend on the delay, so the stable delay interval
+(tau_lo, tau_hi) that holds tau follows in closed form from the cut-off
+counts below tau: the next gamma+ cut-off destabilises the mode and the
+last gamma- cut-off restabilised it.  :func:`delay_windows` returns it over
+arrays of physical modes, NaN where :func:`mode_verdicts` is not stable.
 """
 
 from __future__ import annotations
@@ -65,10 +72,6 @@ _TWO_PI = 2.0 * math.pi
 
 # node counts of the cheap collocation rungs tried before ``resolution``
 _LADDER = (32, 40)
-
-# window chains longer than this are truncated (reporting only; the root
-# count that decides stability never enumerates windows)
-_MAX_WINDOWS = 4096
 
 
 @dataclass(frozen=True)
@@ -103,30 +106,6 @@ def scaled_coordinates(d, lam, mu, kappa, tau: float):
 
 
 @dataclass(frozen=True)
-class SwitchStructure:
-    """Crossing frequencies, phases and stability windows of one mode.
-
-    ``windows`` are half-open intervals of the delay multiplier: provided
-    the delay-free part of the mode is stable (s1 + k2 > 0), the mode with
-    characteristic function c(z; T) = z^2+s1 z+s2 + (k2 z + k1)e^(-zT) is
-    stable exactly when T lies in their union, and the scaled tuple is
-    stable when the unit multiplier T = 1 does.  (For start-unstable
-    tuples only the root count of :func:`classify` is authoritative.)
-    ``gamma_minus``/``phi_minus`` are None when only one crossing frequency
-    exists.  ``truncated`` flags structures whose window chain ended early
-    (no admissible switch index, or interlacing broke before it).
-    """
-
-    gamma_plus: float
-    phi_plus: float
-    gamma_minus: float | None
-    phi_minus: float | None
-    l_star: int | None
-    windows: tuple[tuple[float, float], ...]
-    truncated: bool = False
-
-
-@dataclass(frozen=True)
 class StabilityVerdict:
     """Classification of one scaled tuple."""
 
@@ -143,6 +122,9 @@ class NetworkStability:
     stable: bool
     verdicts: tuple[StabilityVerdict, ...]
     params: tuple[ScaledParams, ...]
+    # per-mode stable delay interval around tau (``delay_windows``), NaN where unstable
+    tau_lo: np.ndarray
+    tau_hi: np.ndarray
     gains: ModeGains
     # consensus limit theta -> rho * ones when mode-1 gains vanish:
     # rho = rho_theta_coeff * sum(theta(0)) + rho_omega_coeff * sum(omega(0))
@@ -189,53 +171,11 @@ def _crossings_many(s1, s2, k1, k2):
     return gamma, phi, crossing, two, gap
 
 
-def crossing_structure(sp: ScaledParams) -> SwitchStructure:
-    """Crossing frequencies gamma+- > 0 with phases phi+- in [0, 2 pi).
-
-    Raises InfeasibleError when no positive crossing frequency exists
-    (the delay-independent case), or when k1 = k2 = 0 leaves a phase undefined.
-    """
-    gamma, phi, crossing, two, _ = _crossings_many(*np.array([sp.s1, sp.s2, sp.k1, sp.k2], dtype=float))
-    if not crossing:
-        raise InfeasibleError("no positive crossing frequency for this tuple")
-    present = gamma[: 2 if two else 1]
-    if np.any(sp.k2 * sp.k2 * present * present + sp.k1 * sp.k1 <= 0.0):
-        raise InfeasibleError("crossing phase undefined for vanishing gains")
-    (gamma_plus, gamma_minus), (phi_plus, phi_minus) = gamma.tolist(), phi.tolist()
-    windows = [(0.0, phi_plus / gamma_plus)]
-    if not two:
-        return SwitchStructure(gamma_plus, phi_plus, None, None, l_star=None, windows=tuple(windows))
-
-    l_star, truncated = _switch_count(gamma_plus, phi_plus, gamma_minus, phi_minus)
-    cap = l_star if l_star is not None else int(math.ceil((gamma_minus - phi_minus) / (2 * math.pi))) + 1
-    if cap > _MAX_WINDOWS:
-        # near-coincident crossing frequencies produce astronomically many
-        # switches; only the leading windows are materialised
-        cap, truncated = _MAX_WINDOWS, True
-    for l in range(1, max(cap, 0) + 1):
-        lo = (phi_minus + 2.0 * (l - 1) * math.pi) / gamma_minus
-        hi = (phi_plus + 2.0 * l * math.pi) / gamma_plus
-        if lo <= windows[-1][1] or hi <= lo:
-            truncated = True
-            break
-        windows.append((lo, hi))
-    return SwitchStructure(gamma_plus, phi_plus, gamma_minus, phi_minus, l_star, tuple(windows), truncated)
-
-
-def _switch_count(gp: float, pp: float, gm: float, pm: float) -> tuple[int | None, bool]:
-    """Largest admissible window index: the unique integer in an open
-    unit-width interval, or None (flagged) when the endpoints are integral."""
-    spread = 2.0 * math.pi * (gp - gm)
-    if spread <= 0.0:
-        return None, True
-    lower = (gm * (pp + 2.0 * math.pi) - pm * gp) / spread
-    upper = lower + 1.0
-    l_star = math.floor(lower) + 1
-    if not (lower < l_star < upper):
-        return None, True
-    if l_star < 1:
-        return None, True
-    return l_star, False
+def _cutoffs_below(gamma, phi):
+    """Number of cut-offs (phi + 2 pi l)/gamma, l >= 0, below 1: below the
+    unit multiplier, or below the delay tau when gamma is a physical
+    crossing times tau (arrays; meaningless where the crossing does not exist)."""
+    return np.where(gamma < phi, 0.0, np.floor((gamma - phi) / _TWO_PI) + 1.0)
 
 
 class Verdicts(NamedTuple):
@@ -295,9 +235,8 @@ def classify_many(s1, s2, k1, k2, band: float = BOUNDARY_BAND) -> Verdicts:
 
         # cut-offs (phi + 2 pi l)/gamma, l >= 0, below the unit multiplier, and the
         # distance of the unit multiplier to the nearest cut-off in frequency units
-        turns = (gamma - phi) / _TWO_PI
-        cutoffs = np.where(gamma < phi, 0.0, np.floor(turns) + 1.0)
-        slacks = np.abs(gamma - phi - _TWO_PI * np.maximum(0.0, np.rint(turns)))
+        cutoffs = _cutoffs_below(gamma, phi)
+        slacks = np.abs(gamma - phi - _TWO_PI * np.maximum(0.0, np.rint((gamma - phi) / _TWO_PI)))
         # gamma+ cut-offs destabilise, gamma- cut-offs restabilise
         crossing_stable = np.where(start_stable, 0.0, 2.0) + 2.0 * (cutoffs[0] - np.where(two, cutoffs[1], 0.0)) == 0.0
         slack = np.where(two, np.minimum(slacks[0], slacks[1]), slacks[0])
@@ -343,15 +282,43 @@ def mode_verdicts(d, lam, mu, kappa, tau: float) -> Verdicts:
     arrays that broadcast, under delay ``tau``: :func:`classify_many` of their
     scaled tuples for tau > 0; at tau = 0 the delay-free rule, under which
     the consensus mode (lam = mu = 0) converges when kappa + d > 0, with
-    region "delay-free" when stable, a NaN margin and no boundary flag."""
-    if tau < 0:
-        raise ValidationError("tau must be nonnegative")
+    region "delay-free" when stable, a NaN margin and no boundary flag.
+    Raises ValidationError unless 0 <= tau < inf."""
+    if not 0.0 <= tau < math.inf:
+        raise ValidationError(f"tau must be finite and nonnegative, got {tau}")
     if tau > 0.0:
         return classify_many(*scaled_coordinates(d, lam, mu, kappa, tau))
     d, lam, mu, kappa = _as_arrays(d, lam, mu, kappa)
     stable = delay_free_stable(d, lam, mu, kappa) | ((lam == 0.0) & (mu == 0.0) & (kappa + d > 0.0))
     region, margin = np.where(stable, REGIONS.index("delay-free"), 0), np.full(stable.shape, math.nan)
     return Verdicts(stable=stable, region=region, margin=margin, boundary=np.zeros_like(stable))
+
+
+def delay_windows(d, lam, mu, kappa, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stable delay interval (tau_lo, tau_hi) holding ``tau`` of physical
+    modes (d, lam, mu, kappa), given as floats or arrays that broadcast.
+
+    Each mode is stable at every delay strictly between its edges and
+    unstable just beyond them: tau_hi is the next gamma+ cut-off above tau,
+    +inf when the mode has no crossing or no delayed term (mu = kappa = 0);
+    tau_lo is the last gamma- cut-off below tau, 0 when there is none.  The
+    crossings are taken at unit delay, so they are in physical units and do
+    not depend on tau; the consensus branch's crossing is its arccot-type
+    cut-off.  Both edges are NaN where :func:`mode_verdicts` is not stable,
+    boundary-band modes included.  Raises ValidationError unless
+    0 <= tau < inf.
+    """
+    stable = mode_verdicts(d, lam, mu, kappa, tau).stable
+    d, lam, mu, kappa = _as_arrays(d, lam, mu, kappa)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gamma, phi, crossing, two, _ = _crossings_many(d, lam, mu, kappa)
+        below = _cutoffs_below(gamma * tau, phi) if tau > 0.0 else np.zeros_like(gamma)
+        hi = (phi[0] + _TWO_PI * below[0]) / gamma[0]
+        lo = (phi[1] + _TWO_PI * (below[1] - 1.0)) / gamma[1]
+        # without a delayed term the phase is 0/0, and no delay matters
+        tau_hi = np.where(crossing & ((mu != 0.0) | (kappa != 0.0)), hi, math.inf)
+        tau_lo = np.where(crossing & two & (below[1] > 0.0), lo, 0.0)
+    return np.where(stable, tau_lo, math.nan), np.where(stable, tau_hi, math.nan)
 
 
 def network_verdict(
@@ -367,10 +334,14 @@ def network_verdict(
     vanish the limit is rho * ones with rho determined by the initial data;
     the returned coefficients give rho as
     rho_theta_coeff * sum(phi_theta(0)) + rho_omega_coeff * sum(phi_omega(0)).
+    ``tau_lo`` and ``tau_hi`` hold each mode's stable delay interval
+    (:func:`delay_windows`); on a stable loop the smallest ``tau_hi`` is the
+    critical delay.
     """
     mode_gains = resolve_gains(gains, spectrum)
     lams, mu, kappa = mode_gains.lambdas, mode_gains.mu, mode_gains.kappa
     verdicts = tuple(_as_verdicts(mode_verdicts(d, lams, mu, kappa, tau)))
+    tau_lo, tau_hi = delay_windows(d, lams, mu, kappa, tau)
     # the delay-free rule has no scaled tuple: report all-zero ones (+0.0, not tau * mu = -0.0)
     coords = scaled_coordinates(d, lams, mu, kappa, tau) if tau > 0.0 else (0.0,) * 4
     params = tuple(ScaledParams(*row) for row in zip(*(np.broadcast_to(c, lams.shape).tolist() for c in coords)))
@@ -384,6 +355,8 @@ def network_verdict(
         stable=overall,
         verdicts=verdicts,
         params=params,
+        tau_lo=tau_lo,
+        tau_hi=tau_hi,
         gains=mode_gains,
         rho_theta_coeff=rho_theta,
         rho_omega_coeff=rho_omega,

@@ -121,8 +121,8 @@ def mode_weight(lam, mu, kappa, d: float, tau: float, noise: NoiseParams, inerti
     mode is unstable (its stationary law does not exist) or its integral
     diverges, so that it serves directly as the gain-search objective.
     """
-    if tau < 0:
-        raise ValidationError(f"tau must be nonnegative, got {tau}")
+    if not 0.0 <= tau < math.inf:
+        raise ValidationError(f"tau must be finite and nonnegative, got {tau}")
     lam, mu, kappa = (np.asarray(v, dtype=float) for v in (lam, mu, kappa))
     intensity = noise.mode_intensity_sq(mu, kappa, inertia)
     # an unstable mode keeps +inf instead of the product, so zero noise cannot turn inf into nan

@@ -193,6 +193,8 @@ def resistance_bounds(
     """
     if tau <= 0:
         raise ValidationError("resistance bounds are a delay effect; tau must be positive")
+    if not isinstance(rays, (int, np.integer)) or rays < 2:  # bools are < 2
+        raise ValidationError(f"rays must be an integer >= 2, got {rays!r}")
     if not mode_verdicts(d, spectrum.lambda_max, 0.0, 0.0, tau).stable:
         raise InfeasibleError("no stable consensus gains: the open loop top mode is already unstable")
     lam_max = spectrum.lambda_max

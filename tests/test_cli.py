@@ -105,11 +105,30 @@ def test_stability_csv(two_machine_path, tmp_path):
         ["stability", "--network", two_machine_path, "--tau", "0.1", "--kappa", "1.0", "--out", str(out)]
     )
     header, rows = _read_csv(out)
-    assert header == ["mode_index", "lambda", "mu", "kappa", "s1", "s2", "k1", "k2", "region", "stable"]
+    assert header == [
+        "mode_index", "lambda", "mu", "kappa", "s1", "s2", "k1", "k2", "region", "stable",
+        "margin", "boundary", "tau_lo", "tau_hi",
+    ]
     assert [r[0] for r in rows] == ["1", "2"]
     assert rows[0][8] == "W0" and rows[0][9] == "true"
     assert rows[1][9] == "true"
     assert float(rows[1][7]) == pytest.approx(0.1)  # k2 = kappa * tau
+    # the consensus mode without gains is stable at every delay; the grid mode has a window around 0.1
+    assert rows[0][10:] == ["0.0075", "false", "0", "inf"]
+    assert float(rows[1][10]) > 0.0 and rows[1][11] == "false"
+    assert float(rows[1][12]) == 0.0 < 0.1 < float(rows[1][13]) < math.inf
+
+
+def test_stability_csv_unstable_mode_and_zero_delay(line3_path, capsys):
+    # an unstable mode has no delay window (literal nan); at tau = 0 the margin is nan
+    _run_ok(["stability", "--network", line3_path, "--tau", "1.0", "--kappa", "1.0"])
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [r[9] for r in rows] == ["true", "true", "false"]
+    assert rows[2][12:] == ["nan", "nan"] and float(rows[2][10]) < 0.0
+    _run_ok(["stability", "--network", line3_path, "--tau", "0", "--kappa", "1.0"])
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert all(r[10] == "nan" and r[11] == "false" and r[12] == "0" for r in rows)
+    assert rows[0][13] == "inf" and 0.0 < float(rows[2][13]) < float(rows[1][13]) < math.inf
 
 
 def test_stats_risk_round_trip(two_machine_path, tmp_path):
@@ -495,6 +514,26 @@ def test_non_finite_inputs_and_bad_boxes_exit_2(two_machine_path, argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stability", "--kappa", "1.0"],
+        ["stats", "--eta", "0.7", "--kappa", "0.8"],
+        ["simulate", "--eta", "0.7", "--T", "1", "--paths", "10"],
+    ],
+)
+def test_non_finite_delay_exits_2_without_warning(two_machine_path, argv, tau):
+    proc = subprocess.run(
+        [sys.executable, "-m", "wacrisk.cli", argv[0], "--network", two_machine_path, "--tau", tau, *argv[1:]],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: tau must be finite and nonnegative, got {tau}\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(

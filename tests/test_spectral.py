@@ -29,7 +29,7 @@ from wacrisk.spectral import (
     magnitude_sq,
     weights,
 )
-from wacrisk.stability import ScaledParams, classify, crossing_structure
+from wacrisk.stability import ScaledParams, _crossings_many, classify
 
 from conftest import IEEE39_MODES, IEEE39_PARAMS
 
@@ -165,11 +165,9 @@ def _quad_oracle(sp):
     """Plain adaptive quadrature of the integrand over [0, inf), with the
     crossing frequencies and the resonance radius as breakpoints."""
     points = [math.sqrt(sp.s2 + abs(sp.k1))]
-    try:
-        structure = crossing_structure(sp)
-        points += [g for g in (structure.gamma_plus, structure.gamma_minus) if g is not None]
-    except InfeasibleError:
-        pass  # no crossing frequency
+    gamma, _, crossing, two, _ = _crossings_many(sp.s1, sp.s2, sp.k1, sp.k2)
+    if crossing:
+        points += gamma[: 2 if two else 1].tolist()
     split = 4.0 * max(points + [1.0]) + 20.0
     fn = lambda r: float(integrand(r, sp))
     head = quad(fn, 0.0, split, points=sorted(points), limit=1000, epsabs=0.0, epsrel=1e-11)[0]

@@ -1,5 +1,7 @@
 import math
 import re
+import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -12,26 +14,25 @@ from wacrisk.stability import (
     REGIONS,
     ScaledParams,
     StabilityVerdict,
-    _MAX_WINDOWS,
-    _switch_count,
+    _crossings_many,
     classify,
     classify_many,
-    crossing_structure,
     delay_free_stable,
+    delay_windows,
     mode_verdicts,
     network_verdict,
     rightmost_root,
+    scaled_coordinates,
     _modulus_bound,
     _rightmost_at,
 )
+from wacrisk.stats import NoiseParams
+from wacrisk.synthesis import synthesize
+
+from conftest import IEEE39_PARAMS
 
 # --- table of explicit region predicates, kept independent of classify() ----
 # so the implementation is cross-checked against a literal transcription
-
-
-def _phases(sp):
-    struct = crossing_structure(sp)
-    return struct
 
 
 def _in_w0(sp):
@@ -68,7 +69,7 @@ def _in_w2(sp):
         return False
     if not (sp.s2**2 <= sp.k1**2 and _common(sp)):
         return False
-    s = _phases(sp)
+    s = _chain(sp)
     return s.gamma_plus < s.phi_plus
 
 
@@ -80,7 +81,7 @@ def _in_w3(sp):
         return False
     if sp.k2**2 + 2 * sp.s2 - sp.s1**2 <= 2 * math.sqrt(split):
         return False
-    s = _phases(sp)
+    s = _chain(sp)
     if s.gamma_plus < s.phi_plus:
         return True
     if s.l_star is None:
@@ -128,23 +129,64 @@ def _crossings(sp):
     return [(gamma, _crossing_phase(sp, gamma)) for gamma in map(math.sqrt, squares)]
 
 
-def _scalar_windows(crossings):
-    """(l_star, windows, truncated) of the window chain built from the scalar crossings."""
+# --- window chain, kept as the oracle of delay_windows ---------------------------
+
+# window chains longer than this are truncated: near-coincident crossing
+# frequencies produce astronomically many switches
+_MAX_WINDOWS = 4096
+
+
+class _Chain(NamedTuple):
+    """Crossings of one tuple and the chain of stability windows in the delay
+    multiplier T; ``gamma_minus``/``phi_minus`` are None with one crossing."""
+
+    gamma_plus: float
+    phi_plus: float
+    gamma_minus: float | None
+    phi_minus: float | None
+    l_star: int | None
+    windows: list[tuple[float, float]]
+    truncated: bool  # the chain ended early: no admissible switch index, or interlacing broke
+
+
+def _switch_count(gp, pp, gm, pm):
+    """Largest admissible window index: the unique integer in an open
+    unit-width interval, or None (flagged) when the endpoints are integral."""
+    spread = 2.0 * math.pi * (gp - gm)
+    if spread <= 0.0:
+        return None, True
+    lower = (gm * (pp + 2.0 * math.pi) - pm * gp) / spread
+    l_star = math.floor(lower) + 1
+    if not (lower < l_star < lower + 1.0) or l_star < 1:
+        return None, True
+    return l_star, False
+
+
+def _chain(sp):
+    """Window chain of the scaled tuple: provided the delay-free part is
+    stable (s1 + k2 > 0), c(z; T) = z^2+s1 z+s2 + (k2 z + k1)e^(-zT) is stable
+    exactly when T lies in one of the half-open ``windows``.  Built on the
+    scalar crossings; raises InfeasibleError when no crossing exists or a
+    phase is undefined."""
+    crossings = _crossings(sp)
+    if not crossings:
+        raise InfeasibleError("no positive crossing frequency for this tuple")
     (gp, pp), *minus = crossings
+    windows = [(0.0, pp / gp)]
     if not minus:
-        return None, [(0.0, pp / gp)], False
+        return _Chain(gp, pp, None, None, None, windows, False)
     ((gm, pm),) = minus
     l_star, truncated = _switch_count(gp, pp, gm, pm)
     cap = l_star if l_star is not None else int(math.ceil((gm - pm) / (2 * math.pi))) + 1
     if cap > _MAX_WINDOWS:
         cap, truncated = _MAX_WINDOWS, True
-    windows = [(0.0, pp / gp)]
     for l in range(1, max(cap, 0) + 1):
         lo, hi = (pm + 2.0 * (l - 1) * math.pi) / gm, (pp + 2.0 * l * math.pi) / gp
         if lo <= windows[-1][1] or hi <= lo:
-            return l_star, windows, True
+            truncated = True
+            break
         windows.append((lo, hi))
-    return l_star, windows, truncated
+    return _Chain(gp, pp, gm, pm, l_star, windows, truncated)
 
 
 def _w0_margin(sp):
@@ -276,26 +318,34 @@ def test_delay_free_examples():
     assert not delay_free_stable(1.0, 1.0, -2.0, 0.0)
 
 
-# --- crossing structure ---------------------------------------------------------
+# --- crossing structure and delay windows ------------------------------------------
 
 
 def test_crossing_structure_single_root():
     # closed-form root: gamma+^2 = (-1 + sqrt(5)) / 2
-    s = crossing_structure(ScaledParams(1.0, 0.0, 1.0, 0.0))
-    assert s.gamma_plus == pytest.approx(math.sqrt((-1 + math.sqrt(5.0)) / 2.0), abs=1e-9)
-    assert s.gamma_plus == pytest.approx(0.78615, abs=1e-5)
-    assert s.phi_plus == pytest.approx(math.atan2(0.78615, 0.61803), abs=1e-4)
-    assert s.gamma_minus is None
+    gamma, phi, crossing, two, _ = _crossings_many(1.0, 0.0, 1.0, 0.0)
+    assert crossing and not two
+    assert gamma[0] == pytest.approx(math.sqrt((-1 + math.sqrt(5.0)) / 2.0), abs=1e-9)
+    assert gamma[0] == pytest.approx(0.78615, abs=1e-5)
+    assert phi[0] == pytest.approx(math.atan2(0.78615, 0.61803), abs=1e-4)
+    # as a physical mode: one window, from zero delay to the first cut-off
+    assert delay_windows(1.0, 0.0, 1.0, 0.0, 0.5) == (0.0, phi[0] / gamma[0])
 
 
 def test_crossing_structure_pure_delayed_damping():
-    s = crossing_structure(ScaledParams(0.0, 0.0, 0.0, 1.0))
-    assert s.gamma_plus == pytest.approx(1.0, abs=1e-12)
+    gamma, _, crossing, _, _ = _crossings_many(0.0, 0.0, 0.0, 1.0)
+    assert crossing and gamma[0] == pytest.approx(1.0, abs=1e-12)
+    # z + e^(-z tau) is stable exactly for tau < pi / 2
+    assert delay_windows(0.0, 0.0, 0.0, 1.0, 1.0) == (0.0, pytest.approx(math.pi / 2.0, rel=1e-15))
 
 
 def test_crossing_structure_no_crossing():
-    with pytest.raises(InfeasibleError):
-        crossing_structure(ScaledParams(1.0, 1.0, 0.0, 0.0))
+    assert not _crossings_many(1.0, 1.0, 0.0, 0.0)[2]
+    # W1 with and without a delayed term: stable at every delay
+    for mode in ((1.0, 1.0, 0.0, 0.0), (2.0, 1.0, 0.1, 0.1)):
+        assert not _crossings_many(*mode)[2]
+        assert REGIONS[mode_verdicts(*mode, 0.3).region] == "W1"
+        assert delay_windows(*mode, 0.3) == (0.0, math.inf)
 
 
 def test_crossing_structure_vanishing_gains():
@@ -303,27 +353,30 @@ def test_crossing_structure_vanishing_gains():
     sp = ScaledParams(1.5507577558863215e-160, 1.5507577558863215e-160, 0.0, 0.0)
     with pytest.raises(InfeasibleError, match="vanishing gains"):
         _crossings(sp)
-    with pytest.raises(InfeasibleError, match="vanishing gains"):
-        crossing_structure(sp)
+    assert _crossings_many(sp.s1, sp.s2, sp.k1, sp.k2)[2]
+    # the window kernel never reads that phase: NaN on this (unstable) mode,
+    # +inf on a stable mode without a delayed term, and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = delay_windows(sp.s1, sp.s2, sp.k1, sp.k2, 1.0)
+        assert np.isnan(lo) and np.isnan(hi)
+        assert delay_windows(np.array([sp.s1, 0.075]), np.array([sp.s2, 1.584]), 0.0, 0.0, 0.1)[1][1] == math.inf
 
 
 def test_phase_unit_circle():
     # the (sin, cos) pair must sit on the unit circle at a crossing frequency
     rng = np.random.default_rng(8)
-    found = 0
-    while found < 25:
-        sp = ScaledParams(*rng.uniform(0.1, 3.0, 2), *rng.uniform(-3.0, 3.0, 2))
-        try:
-            s = crossing_structure(sp)
-        except InfeasibleError:
-            continue
-        found += 1
-        for gamma in filter(None, (s.gamma_plus, s.gamma_minus)):
-            g2 = gamma * gamma
-            denom = sp.k2**2 * g2 + sp.k1**2
-            cos_v = -(sp.s1 * sp.k2 * g2 + sp.k1 * (sp.s2 - g2)) / denom
-            sin_v = (sp.s1 * sp.k1 * gamma - sp.k2 * gamma * (sp.s2 - g2)) / denom
-            assert cos_v**2 + sin_v**2 == pytest.approx(1.0, abs=1e-8)
+    s1, s2 = rng.uniform(0.1, 3.0, (2, 200))
+    k1, k2 = rng.uniform(-3.0, 3.0, (2, 200))
+    gamma, _, crossing, two, _ = _crossings_many(s1, s2, k1, k2)
+    present = np.stack([crossing, crossing & two])
+    assert present[0].sum() >= 25 and present[1].sum() >= 5
+    g2 = gamma[present] ** 2
+    s1, s2, k1, k2 = (np.broadcast_to(v, gamma.shape)[present] for v in (s1, s2, k1, k2))
+    denom = k2**2 * g2 + k1**2
+    cos_v = -(s1 * k2 * g2 + k1 * (s2 - g2)) / denom
+    sin_v = (s1 * k1 * gamma[present] - k2 * gamma[present] * (s2 - g2)) / denom
+    assert np.allclose(cos_v**2 + sin_v**2, 1.0, rtol=0.0, atol=1e-8)
 
 
 def test_crossing_structure_matches_scalar_oracle():
@@ -331,28 +384,58 @@ def test_crossing_structure_matches_scalar_oracle():
     # quarter of them on each of the faces s2 = 0, k1 = 0 and k2 = 0
     rng = np.random.default_rng(714)
     close = lambda a, b: abs(a - b) <= 1e-15 * abs(b)
-    counts = {"none": 0, "single": 0, "two": 0}
+    rows = []
     for i in range(12000):
         scale = 3.0 if i < 6000 else 30.0
         row = [*rng.uniform(0.0, scale, 2), *rng.uniform(-scale, scale, 2)]
         if i % 4:
             row[(1, 2, 3)[i % 4 - 1]] = 0.0
-        sp = ScaledParams(*row)
-        crossings = _crossings(sp)
+        rows.append(row)
+    gamma, phi, crossing, two, _ = _crossings_many(*np.array(rows).T)
+    counts = {"none": 0, "single": 0, "two": 0}
+    for i, row in enumerate(rows):
+        crossings = _crossings(ScaledParams(*row))
+        assert bool(crossing[i]) == bool(crossings), row
         if not crossings:
             counts["none"] += 1
-            with pytest.raises(InfeasibleError):
-                crossing_structure(sp)
             continue
-        s = crossing_structure(sp)
         counts["two" if len(crossings) == 2 else "single"] += 1
-        assert (s.gamma_minus is None) == (len(crossings) == 1), sp
-        got = [(s.gamma_plus, s.phi_plus)] + ([(s.gamma_minus, s.phi_minus)] if s.gamma_minus is not None else [])
-        assert all(close(a, b) for pair, want in zip(got, crossings) for a, b in zip(pair, want)), (sp, got, crossings)
-        l_star, windows, truncated = _scalar_windows(crossings)
-        assert (s.l_star, len(s.windows), s.truncated) == (l_star, len(windows), truncated), sp
-        assert all(close(a, b) for w, v in zip(s.windows, windows) for a, b in zip(w, v)), sp
+        assert bool(two[i]) == (len(crossings) == 2), row
+        got = list(zip(gamma[:, i].tolist(), phi[:, i].tolist()))[: len(crossings)]
+        assert all(close(a, b) for pair, want in zip(got, crossings) for a, b in zip(pair, want)), (row, got)
     assert min(counts.values()) > 1000, counts
+
+
+def test_delay_windows_match_window_chain():
+    # physical modes: the chain of windows at unit delay is in physical units,
+    # and delay_windows returns the window that holds tau.  Half the modes are
+    # drawn around the benchmark networks' gains and delays, half from a wider
+    # delay range where tau often lies in a later window of the chain
+    rng = np.random.default_rng(715)
+    n = 2000
+    d = rng.uniform(0.05, 1.0, 2 * n)
+    lam = np.concatenate([rng.uniform(0.5, 100.0, n), rng.uniform(0.5, 10.0, n)])
+    mu = np.concatenate([rng.uniform(0.0, 5.0, n), rng.uniform(-1.0, 1.0, n)])
+    kappa = np.concatenate([rng.uniform(0.0, 5.0, n), rng.uniform(0.0, 3.0, n)])
+    tau = np.concatenate([rng.uniform(0.01, 0.3, n), rng.uniform(0.01, 5.0, n)])
+    stable = np.array([bool(mode_verdicts(*mode).stable) for mode in zip(d, lam, mu, kappa, tau)])
+    windows = [delay_windows(*mode) for mode in zip(d, lam, mu, kappa, tau)]
+    counts = {"inf": 0, "first": 0, "later": 0}
+    for i in range(2 * n):
+        lo, hi = windows[i]
+        if not stable[i]:
+            assert np.isnan(lo) and np.isnan(hi)
+            continue
+        try:
+            chain = _chain(ScaledParams(d[i], lam[i], mu[i], kappa[i]))
+        except InfeasibleError:
+            assert (lo, hi) == (0.0, math.inf)
+            counts["inf"] += 1
+            continue
+        ((want_lo, want_hi),) = [w for w in chain.windows if w[0] <= tau[i] < w[1]]
+        assert lo == pytest.approx(want_lo, rel=1e-11, abs=0.0) and hi == pytest.approx(want_hi, rel=1e-11)
+        counts["later" if want_lo > 0.0 else "first"] += 1
+    assert min(counts.values()) >= 50, counts
 
 
 # --- region classification ------------------------------------------------------
@@ -570,7 +653,7 @@ def test_window_interlacing():
         v = classify(sp)
         if not (v.stable and v.region == "W3"):
             continue
-        s = crossing_structure(sp)
+        s = _chain(sp)
         if s.gamma_minus is None or len(s.windows) < 2:
             continue
         seen += 1
@@ -582,7 +665,7 @@ def test_window_interlacing():
 
 def test_l_star_interval_width_one():
     sp = ScaledParams(0.7062455895238811, 1.3041471474708985, 0.3096898428533228, 0.7895438142716777)
-    s = crossing_structure(sp)
+    s = _chain(sp)
     assert s.gamma_minus is not None and s.l_star == 2 and len(s.windows) == 3
     gp, pp, gm, pm = s.gamma_plus, s.phi_plus, s.gamma_minus, s.phi_minus
     spread = 2.0 * math.pi * (gp - gm)
@@ -592,18 +675,112 @@ def test_l_star_interval_width_one():
 
 def test_scale_consistency_delay_sweep():
     # physical mode: the delay windows computed once from the unscaled
-    # parameters must agree with scaled-tuple classification at every delay
+    # parameters must agree with scaled-tuple classification at every delay,
+    # and delay_windows must return the one that holds the delay
     d, lam, mu, kappa = 0.5, 4.0, 0.8, 1.1
-    struct = crossing_structure(ScaledParams(d, lam, mu, kappa))
+    struct = _chain(ScaledParams(d, lam, mu, kappa))
+    assert len(struct.windows) >= 2
     for tau in np.linspace(0.01, 3.0, 120):
         sp = ScaledParams.from_physical(d, lam, mu, kappa, tau)
-        inside = any(lo < tau < hi for lo, hi in struct.windows)
+        holding = [(lo, hi) for lo, hi in struct.windows if lo < tau < hi]
         near_edge = min(
             (abs(tau - edge) for w in struct.windows for edge in w), default=math.inf
         )
         if near_edge < 1e-3:
             continue
-        assert classify(sp).stable == inside, (tau, classify(sp), struct.windows)
+        assert classify(sp).stable == bool(holding), (tau, classify(sp), struct.windows)
+        lo, hi = delay_windows(d, lam, mu, kappa, tau)
+        if holding:
+            assert (lo, hi) == pytest.approx(holding[0], rel=1e-14)
+        else:
+            assert np.isnan(lo) and np.isnan(hi)
+
+
+def test_delay_window_edges_flip_verdict_and_root():
+    # modes drawn like the acceptance sample at unit delay, start-unstable ones
+    # included: the verdict flips at every finite edge, and the rightmost root
+    # crosses the imaginary axis there (probes inside the boundary band excluded)
+    rng = np.random.default_rng(716)
+    n = 20000
+    d, lam = rng.uniform(0.0, 3.0, (2, n))
+    mu, kappa = rng.uniform(-3.0, 3.0, (2, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = delay_windows(d, lam, mu, kappa, 1.0)
+    stable = mode_verdicts(d, lam, mu, kappa, 1.0).stable
+    assert np.array_equal(np.isnan(lo), ~stable) and np.array_equal(np.isnan(hi), ~stable)
+    assert np.all(lo[stable] < 1.0) and np.all(hi[stable] > 1.0)
+    flips = 0
+    for edge, rising in ((hi, False), (lo, True)):
+        on = np.flatnonzero(np.isfinite(edge) & (edge > 0.0))
+        below, above = (classify_many(*scaled_coordinates(d[on], lam[on], mu[on], kappa[on], edge[on] * f))
+                        for f in (1.0 - 1e-6, 1.0 + 1e-6))
+        clear = ~(below.boundary | above.boundary)
+        assert clear.sum() >= 0.99 * on.size
+        assert np.array_equal(below.stable[clear], ~above.stable[clear])
+        assert np.array_equal(above.stable[clear], np.full(clear.sum(), rising))
+        flips += clear.sum()
+    assert flips > 4000
+
+    checked = 0
+    for i in np.flatnonzero(np.isfinite(hi))[:50]:
+        for edge, sign in ((hi[i], 1.0), (lo[i], -1.0)):
+            if edge > 0.0:
+                below, above = (rightmost_root(ScaledParams.from_physical(d[i], lam[i], mu[i], kappa[i], edge * f)).real
+                                for f in (1.0 - 1e-6, 1.0 + 1e-6))
+                assert sign * below < 0.0 < sign * above, (i, edge, below, above)
+                checked += 1
+    assert checked >= 60
+
+
+def test_delay_windows_special_modes():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # consensus branch (lam = mu = 0): the arccot cut-off, or no crossing for |kappa| < d
+        d, kappa, tau = 0.5, np.array([1.0, 2.0, 0.3, -0.3, -1.0]), 0.2
+        lo, hi = delay_windows(d, 0.0, 0.0, kappa, tau)
+        root = np.sqrt(kappa[:2] ** 2 - d * d)
+        arccot = (math.pi / 2.0 - np.arctan(-d / root)) / root
+        assert [REGIONS[r] for r in mode_verdicts(d, 0.0, 0.0, kappa, tau).region] == ["W0"] * 4 + ["none"]
+        assert np.allclose(hi[:2], arccot, rtol=1e-15, atol=0.0) and hi[2:4].tolist() == [math.inf] * 2
+        assert lo[:4].tolist() == [0.0] * 4 and np.isnan(lo[4]) and np.isnan(hi[4])
+        # tau = 0: the delay-free rule, and the first window of every delay-free stable mode
+        lam, mu, kappa = np.array([0.0, 1.0, 3.0, 1.0]), np.array([0.0, 0.0, 0.0, -2.0]), np.array([0.0, 1.0, 1.0, 1.0])
+        lo, hi = delay_windows(0.075, lam, mu, kappa, 0.0)
+        near = delay_windows(0.075, lam, mu, kappa, 0.01)
+        assert lo[:3].tolist() == [0.0] * 3 and np.array_equal(hi[:3], near[1][:3]) and np.isfinite(hi[1:3]).all()
+        assert np.isnan(lo[3]) and np.isnan(hi[3])
+        # a delay-stabilised mode (start-unstable) has a positive lower edge
+        sp = (1.9012593672172078, 2.7152237339489274, 0.05808097136486934, -2.167463252479364)
+        lo, hi = delay_windows(*sp, 1.0)
+        assert 0.0 < lo < 1.0 < hi < math.inf
+        # unstable and boundary-band modes have no window
+        for mode, boundary in (((0.075, 3.0, 0.0, 1.0), False), ((0.0075, 0.0, 0.0, 0.0075 + 1e-12), True)):
+            v = mode_verdicts(*mode, 1.0)
+            assert not v.stable and v.boundary == boundary
+            assert all(np.isnan(edge) for edge in delay_windows(*mode, 1.0))
+    for bad in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="tau must be finite and nonnegative"):
+            delay_windows(0.075, 1.0, 0.0, 1.0, bad)
+
+
+def test_ieee39_critical_delay(ieee39_spectrum):
+    # at the step-0.05 synthesis optimum the top mode loses stability first,
+    # at 4.6 times the design delay; the margin does not show it
+    p = IEEE39_PARAMS
+    result = synthesize(
+        ieee39_spectrum, p["d"], p["tau"], NoiseParams(p["eta"], p["eta_meas"]), p["inertia"],
+        gain_box=(0.0, 1.0, 0.0, 4.0), grid_step=0.05,
+    )
+    net = network_verdict(ieee39_spectrum, result.gain_spec(), p["d"], p["tau"])
+    assert net.stable and np.all(net.tau_lo == 0.0)
+    critical = float(np.min(net.tau_hi))
+    assert int(np.argmin(net.tau_hi)) == 9 and critical == pytest.approx(0.13765, abs=1e-4)
+    margins = np.array([v.margin for v in net.verdicts])
+    assert np.all(margins[1:] > 0.006) and np.all(margins[1:] < 0.0066)
+    for factor, want in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
+        at = mode_verdicts(p["d"], result.lambdas, result.mu, result.kappa, critical * factor)
+        assert bool(at.stable.all()) == want
 
 
 # --- network-level verdict --------------------------------------------------------
@@ -663,10 +840,14 @@ def test_mode_verdict_is_the_network_rule(line3_spectrum, gains, tau):
     net = network_verdict(line3_spectrum, gains, 0.075, tau)
     g = net.gains
     batch = mode_verdicts(0.075, g.lambdas, g.mu, g.kappa, tau)
+    windows = delay_windows(0.075, g.lambdas, g.mu, g.kappa, tau)
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip((net.tau_lo, net.tau_hi), windows))
     for l, (lam, mu, kappa) in enumerate(zip(g.lambdas, g.mu, g.kappa)):
         v = net.verdicts[l]
         want = (v.stable, v.region, v.margin.hex(), v.boundary)
         assert fields(batch, l) == fields(mode_verdicts(0.075, lam, mu, kappa, tau), ()) == want
+        one = delay_windows(0.075, lam, mu, kappa, tau)
+        assert np.array_equal(one, (windows[0][l], windows[1][l]), equal_nan=True)
         assert type(v.stable) is bool and type(v.boundary) is bool and type(v.margin) is float
         if tau > 0.0:
             assert net.params[l] == ScaledParams.from_physical(0.075, lam, mu, kappa, tau)
@@ -693,8 +874,9 @@ def test_mode_verdicts_delay_free_rule_over_arrays():
     # floats and arrays broadcast as in classify_many
     grid = mode_verdicts(d, 0.0, 0.0, np.array([[-1.0], [0.5]]), 0.0)
     assert grid.stable.shape == (2, 1) and grid.stable.ravel().tolist() == [False, True]
-    with pytest.raises(ValidationError):
-        mode_verdicts(d, lam, mu, kappa, -0.1)
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="tau must be finite and nonnegative"):
+            mode_verdicts(d, lam, mu, kappa, bad)
 
 
 @pytest.mark.parametrize(

@@ -244,10 +244,11 @@ def test_unstable_mode_weight_is_inf_at_zero_noise(tau):
 
 
 def test_negative_delay_rejected(two_machine_spectrum):
-    with pytest.raises(ValidationError):
-        mode_weight(LAM2, 0.0, 0.8, D2, -0.05, NoiseParams(0.7, 0.3), J2)
-    with pytest.raises(ValidationError):
-        pair_deviations(two_machine_spectrum, GainSpec.uniform(0.0, 0.8), D2, -0.05, NoiseParams(0.7, 0.3), J2)
+    for tau in (-0.05, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="tau must be finite and nonnegative"):
+            mode_weight(LAM2, 0.0, 0.8, D2, tau, NoiseParams(0.7, 0.3), J2)
+        with pytest.raises(ValidationError, match="tau must be finite and nonnegative"):
+            pair_deviations(two_machine_spectrum, GainSpec.uniform(0.0, 0.8), D2, tau, NoiseParams(0.7, 0.3), J2)
 
 
 @pytest.mark.parametrize(

@@ -127,6 +127,11 @@ def test_resistance_bounds_two_machine(two_machine_spectrum):
     for kappa in (0.05, 0.3, 1.0, 3.0):
         if classify(ScaledParams.from_physical(D2, LAM2, 0.0, LAM2 * kappa, 0.1)).stable:
             assert effective_resistance(kappa * np.array([LAM2])) > bounds.bound_kappa
+    # two rays at least, counted by an integer
+    assert resistance_bounds(two_machine_spectrum, D2, 0.1, rays=np.int64(2)).kappa_max > 0.0
+    for rays in (0, 1, -3, 2.0, 90.5, True, math.nan):
+        with pytest.raises(ValidationError, match="rays must be an integer >= 2"):
+            resistance_bounds(two_machine_spectrum, D2, 0.1, rays=rays)
 
 
 def test_resistance_bounds_tighten_with_delay(two_machine_spectrum):
