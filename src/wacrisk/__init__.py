@@ -38,7 +38,6 @@ from .spectral import SpectralEvaluation, evaluate, magnitude_sq
 from .stability import (
     NetworkStability,
     ScaledParams,
-    StabilityVerdict,
     Verdicts,
     classify,
     classify_many,

@@ -27,7 +27,7 @@ from .network import GainSpec, _read_json_object, build_laplacian, load_network,
 from .risk import SystemicSet, acceptance_quantile, risk_profile, risk_value
 from .simulate import SimConfig, simulate
 from .spectral import evaluate
-from .stability import ScaledParams, network_verdict
+from .stability import REGIONS, ScaledParams, network_verdict
 from .stats import NoiseParams, pair_deviations
 from .synthesis import synthesize, tradeoff_scan
 
@@ -236,11 +236,12 @@ def _pair_rows(pairs, *columns) -> list[tuple]:
 def _cmd_stability(args, argv) -> int:
     model, spectrum = _load(args)
     verdict = network_verdict(spectrum, _gains_from_args(args), model.damping_ratio, args.tau)
-    g = verdict.gains
-    windows = zip(verdict.tau_lo.tolist(), verdict.tau_hi.tolist())
+    g, v = verdict.gains, verdict.verdicts
+    modes = _mode_rows(g.lambdas, g.mu, g.kappa, verdict.s1, verdict.s2, verdict.k1, verdict.k2)
+    columns = (a.tolist() for a in (v.region, v.stable, v.margin, v.boundary, verdict.tau_lo, verdict.tau_hi))
     rows = [
-        (*mode, sp.s1, sp.s2, sp.k1, sp.k2, v.region, str(v.stable).lower(), v.margin, str(v.boundary).lower(), *edges)
-        for mode, sp, v, edges in zip(_mode_rows(g.lambdas, g.mu, g.kappa), verdict.params, verdict.verdicts, windows)
+        (*mode, REGIONS[region], str(stable).lower(), margin, str(boundary).lower(), lo, hi)
+        for mode, region, stable, margin, boundary, lo, hi in zip(modes, *columns)
     ]
     header = ["mode_index", "lambda", "mu", "kappa", "s1", "s2", "k1", "k2", "region", "stable"]
     _emit(args.out, header + ["margin", "boundary", "tau_lo", "tau_hi"], rows, argv)

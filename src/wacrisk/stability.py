@@ -30,8 +30,9 @@ the 32-node rung resolves, and falling back to the requested resolution
 an unresolved root to its right is refused.
 
 :func:`classify_many` is the classification: closed-form array expressions
-over arrays of tuples, selected with ``np.where``.  :func:`classify` is its
-one-element call and returns a :class:`StabilityVerdict`.  The crossings
+over arrays of tuples, selected with ``np.where``, returned as one
+:class:`Verdicts` record of arrays.  :func:`classify` is its one-element
+call and returns the same record of 0-d entries.  The crossings
 gamma+- and phases phi+- are computed in one array helper, and the number
 of cut-offs below a delay in another; :func:`classify_many` and
 :func:`delay_windows` call both.
@@ -48,7 +49,8 @@ frequencies do not depend on the delay, so the stable delay interval
 (tau_lo, tau_hi) that holds tau follows in closed form from the cut-off
 counts below tau: the next gamma+ cut-off destabilises the mode and the
 last gamma- cut-off restabilised it.  :func:`delay_windows` returns it over
-arrays of physical modes, NaN where :func:`mode_verdicts` is not stable.
+arrays of physical modes, NaN where :func:`mode_verdicts` is not stable;
+:func:`network_verdict` derives it from its one :func:`mode_verdicts` call.
 """
 
 from __future__ import annotations
@@ -105,23 +107,26 @@ def scaled_coordinates(d, lam, mu, kappa, tau: float):
     return d * tau, lam * tau * tau, mu * tau * tau, kappa * tau
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """Classification of one scaled tuple."""
+class Verdicts(NamedTuple):
+    """Verdicts of tuples, one array entry per tuple."""
 
-    stable: bool
-    region: str                 # "W0".."W3" (or "delay-free" at tau = 0) when stable, else "none"
-    margin: float               # min slack of the best region's inequalities
-    boundary: bool              # within the boundary band of that region
+    stable: np.ndarray
+    region: np.ndarray          # REGIONS index of "W0".."W3" (or "delay-free") when stable, else of "none"
+    margin: np.ndarray          # min slack of the best region's inequalities
+    boundary: np.ndarray        # within the boundary band of that region
 
 
 @dataclass(frozen=True)
 class NetworkStability:
-    """Per-mode verdicts for a closed-loop network."""
+    """Per-mode verdicts for a closed-loop network, one array entry per mode."""
 
     stable: bool
-    verdicts: tuple[StabilityVerdict, ...]
-    params: tuple[ScaledParams, ...]
+    verdicts: Verdicts
+    # scaled coordinates (d tau, lam tau^2, mu tau^2, kappa tau) of each mode; all +0.0 at tau = 0
+    s1: np.ndarray
+    s2: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
     # per-mode stable delay interval around tau (``delay_windows``), NaN where unstable
     tau_lo: np.ndarray
     tau_hi: np.ndarray
@@ -176,16 +181,6 @@ def _cutoffs_below(gamma, phi):
     unit multiplier, or below the delay tau when gamma is a physical
     crossing times tau (arrays; meaningless where the crossing does not exist)."""
     return np.where(gamma < phi, 0.0, np.floor((gamma - phi) / _TWO_PI) + 1.0)
-
-
-class Verdicts(NamedTuple):
-    """Array form of :class:`StabilityVerdict`, one entry per tuple;
-    ``region`` indexes ``REGIONS``."""
-
-    stable: np.ndarray
-    region: np.ndarray
-    margin: np.ndarray
-    boundary: np.ndarray
 
 
 def _as_arrays(*values) -> list[np.ndarray]:
@@ -266,15 +261,9 @@ def classify_many(s1, s2, k1, k2, band: float = BOUNDARY_BAND) -> Verdicts:
     return Verdicts(stable=stable, region=region * stable, margin=margin, boundary=~stable & (np.abs(margin) <= band))
 
 
-def _as_verdicts(v: Verdicts) -> list[StabilityVerdict]:
-    """One StabilityVerdict per entry of ``v``, in flattened order."""
-    rows = zip(*(a.ravel().tolist() for a in v))
-    return [StabilityVerdict(stable=s, region=REGIONS[r], margin=m, boundary=b) for s, r, m, b in rows]
-
-
-def classify(sp: ScaledParams, band: float = BOUNDARY_BAND) -> StabilityVerdict:
-    """Verdict of one scaled tuple: a one-element :func:`classify_many`."""
-    return _as_verdicts(classify_many(sp.s1, sp.s2, sp.k1, sp.k2, band))[0]
+def classify(sp: ScaledParams, band: float = BOUNDARY_BAND) -> Verdicts:
+    """Verdict of one scaled tuple: the one-element :func:`classify_many`."""
+    return classify_many(sp.s1, sp.s2, sp.k1, sp.k2, band)
 
 
 def mode_verdicts(d, lam, mu, kappa, tau: float) -> Verdicts:
@@ -286,9 +275,9 @@ def mode_verdicts(d, lam, mu, kappa, tau: float) -> Verdicts:
     Raises ValidationError unless 0 <= tau < inf."""
     if not 0.0 <= tau < math.inf:
         raise ValidationError(f"tau must be finite and nonnegative, got {tau}")
+    d, lam, mu, kappa = _as_arrays(d, lam, mu, kappa)
     if tau > 0.0:
         return classify_many(*scaled_coordinates(d, lam, mu, kappa, tau))
-    d, lam, mu, kappa = _as_arrays(d, lam, mu, kappa)
     stable = delay_free_stable(d, lam, mu, kappa) | ((lam == 0.0) & (mu == 0.0) & (kappa + d > 0.0))
     region, margin = np.where(stable, REGIONS.index("delay-free"), 0), np.full(stable.shape, math.nan)
     return Verdicts(stable=stable, region=region, margin=margin, boundary=np.zeros_like(stable))
@@ -308,8 +297,13 @@ def delay_windows(d, lam, mu, kappa, tau: float) -> tuple[np.ndarray, np.ndarray
     boundary-band modes included.  Raises ValidationError unless
     0 <= tau < inf.
     """
-    stable = mode_verdicts(d, lam, mu, kappa, tau).stable
     d, lam, mu, kappa = _as_arrays(d, lam, mu, kappa)
+    return _windows(d, lam, mu, kappa, tau, mode_verdicts(d, lam, mu, kappa, tau).stable)
+
+
+def _windows(d, lam, mu, kappa, tau: float, stable) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`delay_windows` of modes given as arrays of one shape, with the
+    ``stable`` mask of their :func:`mode_verdicts`."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gamma, phi, crossing, two, _ = _crossings_many(d, lam, mu, kappa)
         below = _cutoffs_below(gamma * tau, phi) if tau > 0.0 else np.zeros_like(gamma)
@@ -339,22 +333,23 @@ def network_verdict(
     critical delay.
     """
     mode_gains = resolve_gains(gains, spectrum)
-    lams, mu, kappa = mode_gains.lambdas, mode_gains.mu, mode_gains.kappa
-    verdicts = tuple(_as_verdicts(mode_verdicts(d, lams, mu, kappa, tau)))
-    tau_lo, tau_hi = delay_windows(d, lams, mu, kappa, tau)
+    modes = _as_arrays(d, mode_gains.lambdas, mode_gains.mu, mode_gains.kappa)
+    verdicts = mode_verdicts(*modes, tau)
+    tau_lo, tau_hi = _windows(*modes, tau, verdicts.stable)
     # the delay-free rule has no scaled tuple: report all-zero ones (+0.0, not tau * mu = -0.0)
-    coords = scaled_coordinates(d, lams, mu, kappa, tau) if tau > 0.0 else (0.0,) * 4
-    params = tuple(ScaledParams(*row) for row in zip(*(np.broadcast_to(c, lams.shape).tolist() for c in coords)))
-    overall = all(v.stable for v in verdicts)
+    s1, s2, k1, k2 = scaled_coordinates(*modes, tau) if tau > 0.0 else np.zeros((4, spectrum.n))
     if mode_gains.mu[0] == 0.0 and mode_gains.kappa[0] == 0.0:
         n = spectrum.n
         rho_theta, rho_omega = 1.0 / n, 1.0 / (d * n)
     else:
         rho_theta = rho_omega = None
     return NetworkStability(
-        stable=overall,
+        stable=bool(verdicts.stable.all()),
         verdicts=verdicts,
-        params=params,
+        s1=s1,
+        s2=s2,
+        k1=k1,
+        k2=k2,
         tau_lo=tau_lo,
         tau_hi=tau_hi,
         gains=mode_gains,

@@ -123,45 +123,31 @@ def synthesize(
     )
 
 
-# scaled-gain box that covers the entire (compact) stability region of any
-# mode: delayed stiffness dies beyond (2 pi)^2, delayed damping beyond 2 pi
+# scaled-gain box that covers the nonnegative-gain part of the (compact) stability
+# region of any mode: delayed stiffness dies beyond (2 pi)^2, delayed damping beyond 2 pi
 _FULL_REGION_BOX = (0.0, 45.0, 0.0, 7.0)
 _FULL_REGION_STEP = (1.0, 0.25)
 
 
-def deviation_floor(
-    spectrum: LaplacianSpectrum,
-    d: float,
-    tau: float,
-    eta: float,
-    inertia: float,
-    gain_box: tuple[float, float, float, float] | None = None,
-    grid_step: float = 0.05,
-) -> float:
+def deviation_floor(spectrum: LaplacianSpectrum, d: float, tau: float, eta: float, inertia: float) -> float:
     """Delay-induced lower bound on every pair deviation (perfect measurements).
 
     Minimises the spectral integral of each mode (``spectral.weights``, so
     unstable probes cost only their classification) over the stable gains and
     combines the minima through the eigenvector pair weights: no gain choice
-    can push any sigma_ij below the returned value.  By default the
-    minimisation covers the whole (compact) stability region of each mode;
-    a ``gain_box`` in physical units restricts it.
+    in the searched box can push any sigma_ij below the returned value.  The
+    box is the nonnegative-gain part of each mode's (compact) stability
+    region; negative gains are not searched, and the acceptance tests check
+    on a gain grid that reaches negative phase gains that none goes below it.
     """
     if tau <= 0:
         raise ValidationError("the deviation floor is a delay effect; tau must be positive")
     n = spectrum.n
-    if gain_box is None:
-        scaled_box = _FULL_REGION_BOX
-        scaled_step = _FULL_REGION_STEP
-    else:
-        mu_lo, mu_hi, kap_lo, kap_hi = gain_box
-        scaled_box = (mu_lo * tau * tau, mu_hi * tau * tau, kap_lo * tau, kap_hi * tau)
-        scaled_step = (grid_step * tau * tau, grid_step * tau)
     floors = np.zeros(n)
     for l in range(1, n):
         lam = float(spectrum.eigenvalues[l])
         sp = ScaledParams.from_physical(d, lam, 0.0, 0.0, tau)
-        _, floors[l] = grid_minimize(lambda k1, k2: weights(sp.s1, sp.s2, k1, k2), scaled_box, scaled_step)
+        _, floors[l] = grid_minimize(lambda k1, k2: weights(sp.s1, sp.s2, k1, k2), _FULL_REGION_BOX, _FULL_REGION_STEP)
     # the floors are mode weights per unit tau^3 (eta / J)^2
     return float(tau**1.5 * eta / inertia * pair_sigma(spectrum.eigenvectors, floors).min())
 

@@ -13,7 +13,6 @@ from wacrisk.network import GainSpec
 from wacrisk.stability import (
     REGIONS,
     ScaledParams,
-    StabilityVerdict,
     _crossings_many,
     classify,
     classify_many,
@@ -213,6 +212,13 @@ def _crossing_slack(gamma, phi):
     return abs(gamma - phi - 2.0 * math.pi * max(0, round((gamma - phi) / (2.0 * math.pi))))
 
 
+class _Verdict(NamedTuple):
+    stable: bool
+    region: str
+    margin: float
+    boundary: bool
+
+
 def _scalar_classify(sp, band=1e-9):
     """The one-tuple-at-a-time classification the array kernel replaced."""
     s1, s2, k1, k2 = sp.s1, sp.s2, sp.k1, sp.k2
@@ -220,12 +226,12 @@ def _scalar_classify(sp, band=1e-9):
     if s2 == 0.0 and k1 == 0.0:
         margin = _w0_margin(sp)
         if margin > band:
-            return StabilityVerdict(stable=True, region="W0", margin=margin, boundary=False)
-        return StabilityVerdict(stable=False, region="none", margin=margin, boundary=abs(margin) <= band)
+            return _Verdict(stable=True, region="W0", margin=margin, boundary=False)
+        return _Verdict(stable=False, region="none", margin=margin, boundary=abs(margin) <= band)
 
     hard = k1 + s2
     if hard <= band:
-        return StabilityVerdict(stable=False, region="none", margin=hard, boundary=abs(hard) <= band)
+        return _Verdict(stable=False, region="none", margin=hard, boundary=abs(hard) <= band)
 
     a0 = s1 + k2
     n0 = 0 if a0 > 0.0 else 2
@@ -252,8 +258,8 @@ def _scalar_classify(sp, band=1e-9):
             margin = -abs(margin) if margin > 0 else margin
 
     if stable and margin > band:
-        return StabilityVerdict(stable=True, region=region, margin=margin, boundary=False)
-    return StabilityVerdict(stable=False, region="none", margin=margin, boundary=abs(margin) <= band)
+        return _Verdict(stable=True, region=region, margin=margin, boundary=False)
+    return _Verdict(stable=False, region="none", margin=margin, boundary=abs(margin) <= band)
 
 
 def _assert_kernel_matches_oracle(tuples, band=1e-9):
@@ -270,8 +276,9 @@ def _assert_kernel_matches_oracle(tuples, band=1e-9):
         got = (bool(v.stable[i]), REGIONS[v.region[i]], bool(v.boundary[i]))
         assert got == (want.stable, want.region, want.boundary), (sp, want, v.margin[i])
         assert v.margin[i] == pytest.approx(want.margin, rel=1e-9, abs=1e-12), (sp, want, v.margin[i])
-        stable, region, boundary = got
-        assert classify(sp, band) == StabilityVerdict(stable, region, float(v.margin[i]), boundary)
+        one = classify(sp, band)
+        assert (bool(one.stable), REGIONS[one.region], bool(one.boundary)) == got
+        assert float(one.margin).hex() == float(v.margin[i]).hex()
 
 
 _magnitudes = st.one_of(st.just(0.0), st.floats(0.0, 40.0), st.floats(0.0, 1e-6), st.floats(0.0, 1e3))
@@ -442,9 +449,9 @@ def test_delay_windows_match_window_chain():
 
 
 def test_classify_examples():
-    assert classify(ScaledParams(0.0075, 0.0, 0.0, 0.005)).region == "W0"
+    assert REGIONS[classify(ScaledParams(0.0075, 0.0, 0.0, 0.005)).region] == "W0"
     v = classify(ScaledParams(0.0075, 0.01584, 0.0, 0.0))
-    assert v.stable and v.region == "W1"
+    assert v.stable and REGIONS[v.region] == "W1"
     assert rightmost_root(ScaledParams(0.0075, 0.01584, 0.0, 0.0)).real < 0
     # pure delayed damping beyond the pi/2 threshold
     v = classify(ScaledParams(0.0, 0.0, 0.0, 2.0))
@@ -454,7 +461,7 @@ def test_classify_examples():
 
 def test_classify_w2_example():
     v = classify(ScaledParams(1.0, 0.0, 1.0, 0.0))
-    assert v.stable and v.region == "W2"
+    assert v.stable and REGIONS[v.region] == "W2"
     assert rightmost_root(ScaledParams(1.0, 0.0, 1.0, 0.0)).real < 0
 
 
@@ -512,7 +519,7 @@ def test_delay_stabilised_tuple_recognised():
     # decay rate of this mode is 0.105, matching the rightmost root
     sp = ScaledParams(1.9012593672172078, 2.7152237339489274, 0.05808097136486934, -2.167463252479364)
     v = classify(sp)
-    assert v.stable and v.region == "W3"
+    assert v.stable and REGIONS[v.region] == "W3"
     root = rightmost_root(sp)
     assert root.real == pytest.approx(-0.105, abs=5e-3)
 
@@ -651,7 +658,7 @@ def test_window_interlacing():
     while seen < 40:
         sp = ScaledParams(*rng.uniform(0.0, 2.0, 2), *rng.uniform(-2.0, 2.0, 2))
         v = classify(sp)
-        if not (v.stable and v.region == "W3"):
+        if not (v.stable and REGIONS[v.region] == "W3"):
             continue
         s = _chain(sp)
         if s.gamma_minus is None or len(s.windows) < 2:
@@ -776,7 +783,7 @@ def test_ieee39_critical_delay(ieee39_spectrum):
     assert net.stable and np.all(net.tau_lo == 0.0)
     critical = float(np.min(net.tau_hi))
     assert int(np.argmin(net.tau_hi)) == 9 and critical == pytest.approx(0.13765, abs=1e-4)
-    margins = np.array([v.margin for v in net.verdicts])
+    margins = net.verdicts.margin
     assert np.all(margins[1:] > 0.006) and np.all(margins[1:] < 0.0066)
     for factor, want in ((1.0 - 1e-6, True), (1.0 + 1e-6, False)):
         at = mode_verdicts(p["d"], result.lambdas, result.mu, result.kappa, critical * factor)
@@ -789,13 +796,13 @@ def test_ieee39_critical_delay(ieee39_spectrum):
 def test_network_verdict_two_machine(two_machine_spectrum):
     verdict = network_verdict(two_machine_spectrum, GainSpec.uniform(0.0, 1.0), 0.075, 0.1)
     assert verdict.stable
-    assert len(verdict.verdicts) == 2
+    assert verdict.verdicts.stable.shape == verdict.s1.shape == (2,)
     # scaled tuples: consensus mode and grid mode
-    assert verdict.params[0].s2 == 0.0 and verdict.params[0].k1 == 0.0
-    assert verdict.params[1].s2 == pytest.approx(1.584 * 0.01)
+    assert verdict.s2[0] == 0.0 and verdict.k1[0] == 0.0
+    assert verdict.s2[1] == pytest.approx(1.584 * 0.01)
     # oracle cross-check on both scalar modes
-    for sp in verdict.params:
-        assert rightmost_root(sp).real < 0
+    for row in zip(verdict.s1, verdict.s2, verdict.k1, verdict.k2):
+        assert rightmost_root(ScaledParams(*row)).real < 0
     assert verdict.rho_theta_coeff == pytest.approx(0.5)
     assert verdict.rho_omega_coeff == pytest.approx(1.0 / (0.075 * 2))
 
@@ -833,28 +840,25 @@ def test_network_destabilises_at_large_delay(two_machine_spectrum):
     ],
 )
 def test_mode_verdict_is_the_network_rule(line3_spectrum, gains, tau):
-    # one per-mode rule: every network_verdict row is the mode_verdicts entry of
-    # that mode, whether the modes come as one array or one at a time, and it
-    # holds Python scalars
+    # one per-mode rule: every network_verdict entry is the mode_verdicts entry of
+    # that mode, whether the modes come as one array or one at a time
     fields = lambda v, i: (bool(v.stable[i]), REGIONS[v.region[i]], float(v.margin[i]).hex(), bool(v.boundary[i]))
     net = network_verdict(line3_spectrum, gains, 0.075, tau)
     g = net.gains
     batch = mode_verdicts(0.075, g.lambdas, g.mu, g.kappa, tau)
     windows = delay_windows(0.075, g.lambdas, g.mu, g.kappa, tau)
     assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip((net.tau_lo, net.tau_hi), windows))
+    coords = np.array([net.s1, net.s2, net.k1, net.k2])
     for l, (lam, mu, kappa) in enumerate(zip(g.lambdas, g.mu, g.kappa)):
-        v = net.verdicts[l]
-        want = (v.stable, v.region, v.margin.hex(), v.boundary)
+        want = fields(net.verdicts, l)
         assert fields(batch, l) == fields(mode_verdicts(0.075, lam, mu, kappa, tau), ()) == want
         one = delay_windows(0.075, lam, mu, kappa, tau)
         assert np.array_equal(one, (windows[0][l], windows[1][l]), equal_nan=True)
-        assert type(v.stable) is bool and type(v.boundary) is bool and type(v.margin) is float
         if tau > 0.0:
-            assert net.params[l] == ScaledParams.from_physical(0.075, lam, mu, kappa, tau)
-        else:
-            # all +0.0: scaling negative gains by tau = 0 would give -0.0 and change the CLI's bytes
-            sp = net.params[l]
-            assert all(x == 0.0 and math.copysign(1.0, x) == 1.0 for x in (sp.s1, sp.s2, sp.k1, sp.k2))
+            assert ScaledParams(*coords[:, l]) == ScaledParams.from_physical(0.075, lam, mu, kappa, tau)
+    if tau == 0.0:
+        # all +0.0: scaling negative gains by tau = 0 would give -0.0 and change the CLI's bytes
+        assert np.all(coords == 0.0) and not np.signbit(coords).any()
     assert type(net.stable) is bool
 
 
@@ -877,6 +881,38 @@ def test_mode_verdicts_delay_free_rule_over_arrays():
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValidationError, match="tau must be finite and nonnegative"):
             mode_verdicts(d, lam, mu, kappa, bad)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.05])
+def test_mode_verdicts_and_windows_take_lists(tau):
+    modes = ([0.1, 0.2], [1, 2], [0.1, 0.1], [0.5, 0.5])
+    arrays = [np.array(m, dtype=float) for m in modes]
+    for got, want in ((mode_verdicts(*modes, tau), mode_verdicts(*arrays, tau)),
+                      (delay_windows(*modes, tau), delay_windows(*arrays, tau))):
+        assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+    assert mode_verdicts(*modes, tau).stable.tolist() == [True, True]
+
+
+@pytest.mark.parametrize("network", ["line3", "ieee39"])
+@pytest.mark.parametrize("gains", [GainSpec.uniform(0.3, 1.0), GainSpec.consensus(0.1, 0.2)])
+def test_network_verdict_is_one_verdict_pass(request, monkeypatch, network, gains):
+    from wacrisk import stability
+
+    spectrum = request.getfixturevalue(f"{network}_spectrum")
+    calls = []
+    classify_many_once = stability.classify_many
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classify_many_once(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "classify_many", counted)
+    net = network_verdict(spectrum, gains, 0.075, 0.05)
+    assert len(calls) == 1
+    g = net.gains
+    lo, hi = delay_windows(0.075, g.lambdas, g.mu, g.kappa, 0.05)
+    assert lo.tobytes() == net.tau_lo.tobytes() and hi.tobytes() == net.tau_hi.tobytes()
+    assert np.isfinite(hi).any()
 
 
 @pytest.mark.parametrize(

@@ -86,9 +86,7 @@ def test_deviation_floor_vanishes_with_delay(two_machine_spectrum):
 
 def test_deviation_floor_bounds_gain_grid(two_machine_spectrum):
     tau, eta = 0.1, 0.7
-    floor = deviation_floor(
-        two_machine_spectrum, D2, tau, eta, J2, gain_box=(-1.5, 40.0, -0.05, 40.0), grid_step=1.0
-    )
+    floor = deviation_floor(two_machine_spectrum, D2, tau, eta, J2)
     # exhaustive grid oracle: no gain choice beats the floor
     worst = math.inf
     for mu in np.linspace(-1.2, 40.0, 15):
