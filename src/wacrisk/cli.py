@@ -329,6 +329,8 @@ def _cmd_synth(args, argv) -> int:
         doc = {"mode": "dense", "M": result.M.tolist(), "K": result.K.tolist()}
         _write_atomic(args.matrices_out, json.dumps(doc, indent=2) + "\n")
         _write_manifest(args.matrices_out, argv)
+    verdict = network_verdict(spectrum, result.gain_spec(), model.damping_ratio, args.tau)
+    print(f"critical_delay {_fmt(float(verdict.tau_hi.min()))}")
     return 0
 
 

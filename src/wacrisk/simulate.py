@@ -32,9 +32,10 @@ blocks are filled in step order.
 
 ``impulse_response`` integrates the deterministic unit-delay scalar mode
 with a Heun scheme (delay lookups stay on the grid at both stages) from a
-unit velocity kick; its squared time-integral times 2 pi must reproduce
-the spectral integral, which is the package's independent check of the
-delay-Lyapunov evaluation.
+unit velocity kick, keeping only the samples of one 25-unit block plus the
+delay; its squared time-integral times 2 pi must reproduce the spectral
+integral, which is the package's independent check of the delay-Lyapunov
+evaluation.
 """
 
 from __future__ import annotations
@@ -297,12 +298,17 @@ def simulate(
 
 @dataclass(frozen=True)
 class ImpulseResponse:
-    """Sampled deterministic mode response to a unit velocity kick."""
+    """Deterministic mode response to a unit velocity kick: the squared
+    time-integral over the ``steps`` Heun steps of size ``step`` it took."""
 
-    times: np.ndarray
-    values: np.ndarray
     integral_sq: float
     step: float
+    steps: int
+
+    @property
+    def times(self) -> np.ndarray:
+        """Grid times 0, step, ..., steps * step of the integration."""
+        return np.arange(self.steps + 1) * self.step
 
     @property
     def parseval_value(self) -> float:
@@ -314,13 +320,15 @@ def impulse_response(sp: ScaledParams, step: float = 0.002, t_max: float = 4000.
     """Integrate x'' + s1 x' + s2 x + k2 x'(t-1) + k1 x(t-1) = 0 from x=0, x'=1.
 
     Heun integration with the step snapped to an exact divisor of the unit
-    delay; terminates once the response envelope falls below 1e-8 and
-    raises InfeasibleError when it has not decayed by ``t_max`` (or grows).
-    The samples of x and x' are Python floats appended to ``array("d")``
-    buffers, so memory grows with the horizon actually integrated, not
-    with ``t_max``; the arithmetic is the Heun recurrence in the operation
-    order of a NumPy-array loop, and ``times``, ``values`` and
-    ``integral_sq`` are bit-identical to it.
+    delay; terminates once the response envelope over the last 25 time
+    units falls below 1e-8 and raises InfeasibleError when it has not
+    decayed by ``t_max`` (or grows).  The samples of x and x' are Python
+    floats in ``array("d")`` delay lines that hold one 25-unit block plus
+    the unit delay: x(t - 1) and x'(t - 1) are read from them, and the
+    samples older than both are dropped at every block, so memory does not
+    grow with the horizon.  The arithmetic is the Heun recurrence in the
+    operation order of a NumPy-array loop, and ``integral_sq`` and
+    ``steps`` are bit-identical to it.
     """
     if not 0.0 < step <= 0.01:
         raise ValidationError(f"impulse-response step must be a real in (0, 0.01], got {step!r}")
@@ -332,8 +340,10 @@ def impulse_response(sp: ScaledParams, step: float = 0.002, t_max: float = 4000.
     s1, s2, k1, k2 = (float(c) for c in (sp.s1, sp.s2, sp.k1, sp.k2))
 
     max_steps = int(t_max / h)
+    # x[i - first], v[i - first] hold the samples at grid index i >= first
     x = array("d", [0.0])
     v = array("d", [1.0])
+    first = 0
     xi, vi = 0.0, 1.0
     xd0 = vd0 = xd1 = vd1 = 0.0  # delayed state at t_i - 1 and t_i + h - 1 (zero history)
     half_h = 0.5 * h
@@ -344,7 +354,11 @@ def impulse_response(sp: ScaledParams, step: float = 0.002, t_max: float = 4000.
     m = 0
     while m < max_steps:
         stop = min(m + block, max_steps)
-        for j in range(m + 1 - substeps, stop + 1 - substeps):
+        # keep the samples this block reads as delayed state and its envelope reads
+        drop = max(first, min(m + 1 - substeps, stop - block)) - first
+        del x[:drop], v[:drop]
+        first += drop
+        for j in range(m + 1 - substeps - first, stop + 1 - substeps - first):
             if j >= 0:
                 xd1, vd1 = x[j], v[j]
             a1 = -s1 * vi - s2 * xi - k2 * vd0 - k1 * xd0
@@ -359,14 +373,12 @@ def impulse_response(sp: ScaledParams, step: float = 0.002, t_max: float = 4000.
             xi, vi = xn, vn
             xd0, vd0 = xd1, vd1
         m = stop
-        lo = max(0, m - block)
+        lo = max(0, m - block) - first
         peak = float(np.max(np.abs(np.frombuffer(x[lo:], dtype=float)))) + float(
             np.max(np.abs(np.frombuffer(v[lo:], dtype=float)))
         )
         if peak < 1e-8:
-            times = np.arange(m + 1) * h
-            values = np.frombuffer(x, dtype=float).copy()
-            return ImpulseResponse(times=times, values=values, integral_sq=integral, step=h)
+            return ImpulseResponse(integral_sq=integral, step=h, steps=m)
         if peak > 1e9 or (m > 4 * block and peak > 100.0 * prev_block_peak):
             raise InfeasibleError("impulse response grows: mode tuple is unstable")
         prev_block_peak = peak

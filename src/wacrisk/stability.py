@@ -22,12 +22,17 @@ The crossing frequencies gamma+- solve |z^2 + s1 z + s2| = |k1 + i k2 z| on
 the imaginary axis and their phases phi+- give the cut-off delays
 (phi + 2 pi l) / gamma.  A spectral-collocation approximation of the
 rightmost characteristic root provides an independent numerical oracle for
-the whole classification.  It collocates on a ladder: 32 and then 40
-Chebyshev nodes, accepting the 40-node root when it agrees with the 32-node
-root to 1e-9 (1 + |z|) and no root to its right can lie outside the disc
-the 32-node rung resolves, and falling back to the requested resolution
-(128 by default) otherwise; at that resolution, too, a root that may have
-an unresolved root to its right is refused.
+the whole classification.  The collocation keeps only the delayed channel:
+writing the delayed term as A1 = U W^T, with W^T the r nonzero rows of A1,
+it carries x(0) in R^m and y = W^T x at the N delayed nodes, a matrix of
+size m + rN (2 + N for a scalar mode, 1 + N on the consensus branch)
+instead of the m(N + 1) of the full state at every node, with the same
+eigenvalues off the spurious spectrum of the node block.  It collocates on
+a ladder: 32 and then 40 Chebyshev nodes, accepting the 40-node root when
+it agrees with the 32-node root to 1e-9 (1 + |z|) and no root to its right
+can lie outside the disc the 32-node rung resolves, and falling back to the
+requested resolution (128 by default) otherwise; at that resolution, too, a
+root that may have an unresolved root to its right is refused.
 
 :func:`classify_many` is the classification: closed-form array expressions
 over arrays of tuples, selected with ``np.where``, returned as one
@@ -56,6 +61,7 @@ arrays of physical modes, NaN where :func:`mode_verdicts` is not stable;
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -371,8 +377,10 @@ def _char_deriv(sp: ScaledParams, z: complex) -> complex:
     return 2.0 * z + sp.s1 + (sp.k2 - sp.k2 * z - sp.k1) * cmath.exp(-z)
 
 
-def _chebyshev_diff(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev extreme points on [-1, 1] and the differentiation matrix."""
+@functools.lru_cache(maxsize=8)
+def _chebyshev_diff(n: int) -> np.ndarray:
+    """Chebyshev differentiation matrix on the n + 1 extreme points of [-1, 0]
+    (node 0 is t = 0, node n is t = -1); cached per node count, read-only."""
     x = np.cos(np.pi * np.arange(n + 1) / n)
     c = np.ones(n + 1)
     c[0] = c[-1] = 2.0
@@ -380,18 +388,32 @@ def _chebyshev_diff(n: int) -> tuple[np.ndarray, np.ndarray]:
     dx = x[:, None] - x[None, :]
     d = np.outer(c, 1.0 / c) / (dx + np.eye(n + 1))
     d -= np.diag(d.sum(axis=1))
-    return x, d
+    d *= 2.0  # map [-1, 1] -> [-1, 0]
+    d.flags.writeable = False
+    return d
 
 
 def _collocation_matrix(a0: np.ndarray, a1: np.ndarray, nodes: int) -> np.ndarray:
-    """Spectral collocation of the solution operator of x'(t) = A0 x(t) + A1 x(t-1)."""
+    """Spectral collocation of the solution operator of x'(t) = A0 x(t) + A1 x(t-1),
+    on the delayed channel only.
+
+    A1 = U W^T exactly, with W^T the r nonzero rows of A1 and U the matching
+    columns of the identity.  The state is x(0) in R^m and y_i = W^T x(t_i) at
+    the ``nodes`` delayed nodes, ordered node by node; the matrix
+    [[A0, 0 ... 0, U], [D_R0 (x) W^T, D_RR (x) I_r]] has size m + r * nodes.
+    Its eigenvalues are those of the full m (nodes + 1) collocation off the
+    spectrum of D_RR, whose eigenvalues are spurious there.
+    """
     m = a0.shape[0]
-    _, d = _chebyshev_diff(nodes)
-    d = 2.0 * d  # map [-1, 1] -> [-1, 0]; node 0 is t = 0, node `nodes` is t = -1
-    big = np.kron(d, np.eye(m))
-    big[:m, :] = 0.0
+    rows = np.flatnonzero(np.any(a1 != 0.0, axis=1))
+    r = rows.size
+    d = _chebyshev_diff(nodes)
+    big = np.zeros((m + r * nodes, m + r * nodes))
     big[:m, :m] = a0
-    big[:m, -m:] += a1
+    big[rows, m + r * (nodes - 1) + np.arange(r)] = 1.0  # U y(-1)
+    big[m:, :m] = (d[1:, 0, None, None] * a1[rows]).reshape(r * nodes, m)
+    for k in range(r):
+        big[m + k :: r, m + k :: r] = d[1:, 1:]
     return big
 
 
@@ -399,9 +421,12 @@ def rightmost_root(sp: ScaledParams, resolution: int = 128) -> complex:
     """Approximate rightmost root of c(z) = z^2+s1 z+s2 + (k2 z+k1)e^(-z).
 
     Spectral collocation of the delay operator provides root candidates;
-    the best candidates are polished by Newton iteration on c itself.  For
-    the consensus branch (s2 = k1 = 0) the structural root at the origin is
-    factored out and the reduced first-order equation is analysed instead.
+    the best candidates are polished by Newton iteration on c itself.  Only
+    the delayed channel k1 x + k2 x' is collocated at the N delayed nodes,
+    next to (x, x') at t = 0: a (2 + N) eigenproblem (see
+    ``_collocation_matrix``).  For the consensus branch (s2 = k1 = 0) the
+    structural root at the origin is factored out and the reduced
+    first-order equation is analysed instead, a (1 + N) eigenproblem.
 
     A collocation on N nodes resolves the roots in |z| <= N / 4, and it
     refuses its root z unless every root with real part at least Re z

@@ -2,15 +2,19 @@ import json
 import math
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wacrisk import cli
 from wacrisk.cli import run
 from wacrisk.network import GainSpec
 from wacrisk.stats import NoiseParams, pair_deviations
 from wacrisk.synthesis import synthesize
+
+from conftest import IEEE39_PARAMS
 
 
 def _run_ok(argv):
@@ -237,6 +241,20 @@ def test_synth_outputs(two_machine_path, tmp_path):
     lap = np.array([[0.792, -0.792], [-0.792, 0.792]])
     assert np.linalg.norm(lap @ m - m @ lap) < 1e-10
     assert np.linalg.norm(lap @ k - k @ lap) < 1e-10
+
+
+def test_synth_reports_critical_delay(monkeypatch, capsys, ieee39_spectrum):
+    # the IEEE-39 modes at the step-0.05 optimum: the top mode, mode 10,
+    # loses stability first, at 0.13765 s against the design delay of 0.03 s
+    p = IEEE39_PARAMS
+    model = types.SimpleNamespace(damping_ratio=p["d"], inertia=p["inertia"])
+    monkeypatch.setattr(cli, "_load", lambda args: (model, ieee39_spectrum))
+    argv = ["synth", "--network", "ieee39", "--tau", str(p["tau"]), "--eta", str(p["eta"])]
+    _run_ok([*argv, "--etap", str(p["eta_meas"]), "--grid-step", "0.05"])
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "l,lambda,mu,kappa,frak_f" and len(lines) == 1 + 10 + 1
+    name, value = lines[-1].split()
+    assert name == "critical_delay" and float(value) == pytest.approx(0.13765, abs=1e-4)
 
 
 def test_synth_matrices_read_back_by_gains(two_machine_path, two_machine_spectrum, line3_spectrum, tmp_path):

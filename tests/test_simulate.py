@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -535,7 +536,7 @@ def _impulse_response_numpy_loop(sp, step=0.002, t_max=4000.0):
             np.max(np.abs(v[max(0, m - block) : m + 1]))
         )
         if peak < 1e-8:
-            return np.arange(m + 1) * h, x[: m + 1].copy(), integral
+            return m, integral
     raise AssertionError("reference response did not decay")
 
 
@@ -549,11 +550,25 @@ def _impulse_response_numpy_loop(sp, step=0.002, t_max=4000.0):
 )
 def test_impulse_response_bit_identical_to_numpy_loop(sp):
     assert rightmost_root(sp).real <= -0.05
-    times, values, integral_sq = _impulse_response_numpy_loop(sp)
+    steps, integral_sq = _impulse_response_numpy_loop(sp)
     ir = impulse_response(sp)
-    assert np.array_equal(ir.times, times)
-    assert np.array_equal(ir.values, values)
+    assert ir.steps == steps
     assert ir.integral_sq == integral_sq
+    assert np.array_equal(ir.times, np.arange(steps + 1) * ir.step)
+
+
+def test_impulse_response_memory_bounded_by_one_block():
+    # a slow decay (rate 0.2) runs 125 time units, 1 MB of samples; the delay
+    # lines keep one 25-unit block plus the unit delay, about 0.2 MB
+    sp = ScaledParams(0.4, 1.0, 0.0, 0.0)
+    tracemalloc.start()
+    try:
+        ir = impulse_response(sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ir.steps == 62_500
+    assert peak < 800_000
 
 
 def test_impulse_response_unstable_raises():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wacrisk import stability
 from wacrisk.errors import InfeasibleError, ValidationError
 from wacrisk.network import GainSpec
 from wacrisk.stability import (
@@ -22,6 +23,7 @@ from wacrisk.stability import (
     network_verdict,
     rightmost_root,
     scaled_coordinates,
+    _chebyshev_diff,
     _modulus_bound,
     _rightmost_at,
 )
@@ -647,6 +649,109 @@ def test_oracle_agreement_sample():
         total += 1
         agree += (root.real < 0) == v.stable
     assert agree == total
+
+
+# --- reduced collocation against the full-state oracle ---------------------------
+
+
+def _full_collocation_matrix(a0, a1, nodes):
+    """The full m (nodes + 1) collocation: every state component at every node."""
+    m = a0.shape[0]
+    big = np.kron(_chebyshev_diff(nodes), np.eye(m))
+    big[:m, :] = 0.0
+    big[:m, :m] = a0
+    big[:m, -m:] += a1
+    return big
+
+
+def _match_as_sets(eigs, full_eigs, nodes):
+    """The eigenvalues of both matrices in |z| <= nodes / 4, Re z >= -5 match as
+    sets to 1e-10 relative.  Further left the collocations' real spurious
+    eigenvalues are so ill-conditioned that two backward-stable computations
+    of them differ by up to O(1) at 128 nodes."""
+    for inner, every in ((eigs, full_eigs), (full_eigs, eigs)):
+        for z in inner[(np.abs(inner) <= nodes / 4.0) & (inner.real >= -5.0)]:
+            gap = np.min(np.abs(every - z))
+            assert gap <= 1e-10 * max(1.0, abs(z)), (z, gap, nodes)
+
+
+def _rung(sp, nodes, matrix):
+    """(``_rightmost_at(sp, nodes)`` on ``matrix``, None when refused; every
+    collocation eigenvalue it computed)."""
+    seen = []
+    eigvals = np.linalg.eigvals
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "_collocation_matrix", matrix)
+        mp.setattr(np.linalg, "eigvals", lambda a: seen.append(eigvals(a)) or seen[-1])
+        try:
+            root = _rightmost_at(sp, nodes)
+        except InfeasibleError:
+            root = None
+    return root, seen[0]
+
+
+def test_rightmost_collocation_matches_full_state_oracle():
+    # the (m + N) matrix on the delayed channel has the eigenvalues of the
+    # m (N + 1) full-state collocation inside the disc |z| <= N / 4 it
+    # resolves (the node block's spurious spectrum lies outside it at 32, 40
+    # and 128 nodes), so each rung gives the full rung's root or refusal
+    rng = np.random.default_rng(719)
+    sample = np.column_stack([rng.uniform(0.0, 3.0, (5000, 2)), rng.uniform(-3.0, 3.0, (5000, 2))])
+    consensus = [(s1, 0.0, 0.0, k2) for s1, k2 in zip(rng.uniform(0.0, 3.0, 200), rng.uniform(-3.0, 3.0, 200))]
+    damped = [(40.0, 1.0, 0.1, 0.1), (60.0, 3.0, -0.5, 2.0), (100.0, 50.0, 10.0, -5.0)]
+    damped += list(np.column_stack([rng.uniform(8.0, 120.0, 20), rng.uniform(0.0, 60.0, 20),
+                                    rng.uniform(-10.0, 10.0, (20, 2))]))
+    # (tuple, whether to check the 128-node rung even where the ladder stops at 40)
+    tuples = [(row, index % 100 == 0) for index, row in enumerate(sample)]
+    tuples += [(row, index % 10 == 0) for index, row in enumerate(consensus)]
+    tuples += [(row, True) for row in damped]
+    reduced = stability._collocation_matrix
+    counts = {"refused": 0, "fallback": 0}
+    for row, spread in tuples:
+        sp = ScaledParams(*(float(v) for v in row))
+        channels = 1 if sp.s2 == 0.0 and sp.k1 == 0.0 else 2
+        rungs = []
+        for nodes in (32, 40, 128):
+            if nodes == 128 and not (spread or _ladder_falls_back(rungs)):
+                continue
+            root, eigs = _rung(sp, nodes, reduced)
+            want, full_eigs = _rung(sp, nodes, _full_collocation_matrix)
+            assert eigs.size == channels + nodes and full_eigs.size == channels * (nodes + 1)
+            _match_as_sets(eigs, full_eigs, nodes)
+            assert (root is None) == (want is None), (sp, nodes)
+            if root is not None:
+                assert abs(root - want) <= 1e-12 * (1.0 + abs(want)), (sp, nodes, root, want)
+            counts["refused"] += root is None
+            rungs.append(root)
+        counts["fallback"] += _ladder_falls_back(rungs[:2])
+    assert counts["refused"] > 0 and counts["fallback"] > 0, counts
+
+
+def _ladder_falls_back(rungs):
+    """Whether ``rightmost_root`` goes past the 32/40 rungs with these roots."""
+    coarse, fine = rungs
+    return coarse is None or fine is None or abs(fine - coarse) > 1e-9 * (1.0 + abs(fine))
+
+
+def test_rightmost_collocation_general_rank_two():
+    # a general delayed term: A1 with two nonzero rows (0 and 2) of three
+    # keeps two channels, a full-rank A1 every one
+    rng = np.random.default_rng(720)
+    a0 = rng.uniform(-1.0, 1.0, (3, 3)) - 1.5 * np.eye(3)
+    a1 = np.zeros((3, 3))
+    a1[[0, 2]] = rng.uniform(-1.0, 1.0, (2, 3))
+    for nodes in (32, 40, 128):
+        for delayed, channels in ((a1, 2), (a1 + np.diag([0.0, 0.4, 0.0]), 3)):
+            big = stability._collocation_matrix(a0, delayed, nodes)
+            assert big.shape == (3 + channels * nodes,) * 2
+            eigs = np.linalg.eigvals(big)
+            full_eigs = np.linalg.eigvals(_full_collocation_matrix(a0, delayed, nodes))
+            assert np.count_nonzero((np.abs(eigs) <= nodes / 4.0) & (eigs.real >= -5.0)) >= 3
+            _match_as_sets(eigs, full_eigs, nodes)
+    # the differentiation matrix is cached read-only and shared between calls
+    assert _chebyshev_diff(32) is _chebyshev_diff(32)
+    with pytest.raises(ValueError):
+        _chebyshev_diff(32)[0, 0] = 0.0
 
 
 # --- switch windows --------------------------------------------------------------
