@@ -4,8 +4,11 @@ The objective is an array function: ``objective(xs, ys)`` takes two float
 arrays of one shape and returns the values at those points as an array of
 that shape.  Each value is finite or +inf (an infeasible probe), never NaN.
 Every value must depend only on its own point, not on the other points of
-the call.  The whole seed grid is one call and each polish step one call on
-its compass candidates.  Ties resolve to the lexicographically smallest
+the call.  The whole seed grid is one call.  The polish keeps every value it
+receives in a memo keyed on the exact bits of each point (so -0.0 and 0.0
+stay apart), looks seed-grid points up in the grid, and calls the objective
+only on the compass candidates found in neither, so a point already probed
+is never probed again.  Ties resolve to the lexicographically smallest
 point because the grid is scanned row-major over the first coordinate and
 only strict improvements are accepted.
 """
@@ -24,60 +27,99 @@ _MAX_POLISH = 60
 # compass directions in the order the polish tries them, in units of the step
 _DIRECTIONS = np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1)], dtype=float)
 
+# largest seed grid (or trade-off scan grid) accepted, in points; counted before any array is built
+MAX_GRID_POINTS = 10**7
+
 
 def grid_minimize(objective, box, step):
     """Minimise the array function ``objective(x, y)`` over the rectangle ``box``.
 
     ``box`` is (x_lo, x_hi, y_lo, y_hi); the seed grid uses spacing
-    ``step`` (a float or an (x_step, y_step) pair) and includes both
+    ``step`` (a real or an (x_step, y_step) pair) and includes both
     endpoints; its first minimum in row-major order is the seed.  The seed
     is polished by a shrinking compass search until the polish step falls
     below min(x_step, y_step) / 64.  A round walks the eight directions in
-    order and moves to each strictly better candidate; it evaluates the
-    remaining directions from the current point in one call, and calls again
-    on the directions after an accepted one, so the walk is that of a
-    one-point-at-a-time search.
+    order and moves to each strictly better candidate, so the walk is that
+    of a one-point-at-a-time search.
+
+    A round takes the values of the remaining directions from the current
+    point from the seed grid and a memo of every polish probe, and makes one
+    call on those it finds in neither; no point is probed twice.
 
     Returns ((x, y), value).  Raises ValidationError for a reversed or
-    unbounded box or a step that is not a positive real, and
-    InfeasibleError when every grid probe is infeasible.
+    unbounded box, a step that is not a positive real or a pair of them, or
+    a seed grid of more than MAX_GRID_POINTS points, and InfeasibleError
+    when every grid probe is infeasible.
     """
     x_lo, x_hi, y_lo, y_hi = box
-    sx, sy = (step, step) if np.isscalar(step) else step
     if not (x_lo <= x_hi and y_lo <= y_hi and all(math.isfinite(v) for v in box)):
         raise ValidationError(f"search box {tuple(box)} must be finite with lo <= hi")
-    if not (0.0 < sx < math.inf and 0.0 < sy < math.inf):
-        raise ValidationError(f"grid step {step} must be a positive real")
-    gx, gy = np.meshgrid(_axis(x_lo, x_hi, sx), _axis(y_lo, y_hi, sy), indexing="ij")
+    sx, sy = _steps(step)
+    # an axis holds at most span / step + 2 points; a span / step that overflows reads inf
+    if ((float(x_hi) - float(x_lo)) / sx + 2.0) * ((float(y_hi) - float(y_lo)) / sy + 2.0) > MAX_GRID_POINTS:
+        raise ValidationError(f"grid step {step!r} gives a seed grid of more than {MAX_GRID_POINTS} points")
+    ax, ay = _axis(x_lo, x_hi, sx), _axis(y_lo, y_hi, sy)
+    gx, gy = np.meshgrid(ax, ay, indexing="ij")
     values = np.asarray(objective(gx.ravel(), gy.ravel()), dtype=float)
     seed = int(np.argmin(values))
     best_val = float(values[seed])
     if not math.isfinite(best_val):
         raise InfeasibleError("no feasible point on the search grid")
+    values = values.reshape(ax.size, ay.size)
+    lo, hi = np.array([x_lo, y_lo]), np.array([x_hi, y_hi])
+    known = {}
+
+    def recall(points, keys):
+        # enter the values at ``points``, rows (x, y) missing from the memo: a seed-grid
+        # point's from the grid, the others' from one call
+        ix = np.minimum(np.searchsorted(ax, points[:, 0]), ax.size - 1)
+        iy = np.minimum(np.searchsorted(ay, points[:, 1]), ay.size - 1)
+        bits = points.view(np.int64)
+        off = np.flatnonzero((ax[ix].view(np.int64) != bits[:, 0]) | (ay[iy].view(np.int64) != bits[:, 1]))
+        found = values[ix, iy]
+        if off.size:
+            px, py = np.ascontiguousarray(points[off].T)
+            found[off] = objective(px, py)
+        known.update(zip(keys, found.tolist()))
 
     hx, hy = sx / 2.0, sy / 2.0
-    x, y = float(gx.flat[seed]), float(gy.flat[seed])
+    point = np.array([ax[seed // ay.size], ay[seed % ay.size]])
     for _ in range(_MAX_POLISH):
         if max(hx, hy) < min(sx, sy) / 64.0:
             break
         moved = False
         first = 0
         while first < len(_DIRECTIONS):
-            steps = _DIRECTIONS[first:] * (hx, hy)
-            cx = np.minimum(np.maximum(x + steps[:, 0], x_lo), x_hi)
-            cy = np.minimum(np.maximum(y + steps[:, 1], y_lo), y_hi)
-            vals = np.asarray(objective(cx, cy), dtype=float)
-            better = np.flatnonzero(vals < best_val)
-            if not better.size:
+            cand = np.minimum(np.maximum(point + _DIRECTIONS[first:] * (hx, hy), lo), hi)
+            # memo keys: the bit patterns of both coordinates, so -0.0 and 0.0 stay apart
+            keys = list(map(tuple, cand.view(np.int64).tolist()))
+            # a key names one point bit for bit, so any of its rows will do
+            fresh = {k: i for i, k in enumerate(keys) if k not in known}
+            if fresh:
+                recall(cand[list(fresh.values())], fresh)
+            better = next((i for i, k in enumerate(keys) if known[k] < best_val), None)
+            if better is None:
                 break
-            k = int(better[0])
-            x, y, best_val = float(cx[k]), float(cy[k]), float(vals[k])
-            first += k + 1
+            point, best_val = cand[better], known[keys[better]]
+            first += better + 1
             moved = True
         if not moved:
             hx /= 2.0
             hy /= 2.0
+    x, y = point.tolist()
     return (x, y), best_val
+
+
+def _steps(step):
+    """(x_step, y_step) as floats from a positive real or a pair of positive reals."""
+    try:
+        sx, sy = (step, step) if np.isscalar(step) else step
+        valid = 0.0 < sx < math.inf and 0.0 < sy < math.inf
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValidationError(f"grid step {step!r} must be a positive real or a pair of them")
+    return float(sx), float(sy)
 
 
 def _axis(lo, hi, step):

@@ -351,8 +351,7 @@ def _cmd_tradeoff(args, argv) -> int:
         gain_box=(args.mu_min, args.mu_max, args.kappa_min, args.kappa_max),
         grid=(nx, ny),
     )
-    rows = [tuple(float(v) for v in row) for row in scan.rows]
-    _emit(args.out, ["mu", "kappa", "min_risk", "xi_k", "xi_m", "product"], rows, argv)
+    _emit(args.out, ["mu", "kappa", "min_risk", "xi_k", "xi_m", "product"], scan.rows.tolist(), argv)
     print(f"omega_hat {_fmt(scan.omega_hat)}")
     return 0
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._gridopt import grid_minimize
+from ._gridopt import MAX_GRID_POINTS, grid_minimize
 from .errors import InfeasibleError, ValidationError
 from .network import GainSpec, LaplacianSpectrum, effective_resistance, resolve_gains
 from .risk import SystemicSet, risk_value
@@ -247,6 +247,8 @@ def tradeoff_scan(
         raise ValidationError("trade-off scan needs a positive delay")
     if min(grid) < 1:
         raise ValidationError(f"trade-off grid counts must be at least 1, got {grid[0]}x{grid[1]}")
+    if grid[0] * grid[1] > MAX_GRID_POINTS:
+        raise ValidationError(f"trade-off grid counts {grid[0]}x{grid[1]} give more than {MAX_GRID_POINTS} points")
     mu_lo, mu_hi, kap_lo, kap_hi = gain_box
     if mu_lo <= 0.0 or kap_lo <= 0.0:
         raise ValidationError("consensus scalings must be strictly positive in the scan box")

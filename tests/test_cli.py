@@ -497,8 +497,17 @@ def test_risk_from_malformed_stats_row(tmp_path, row):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("grid", ["-5x5", "0x5"])
-def test_tradeoff_bad_grid_counts(two_machine_path, grid):
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        pytest.param("-5x5", "grid counts must be at least 1", id="-5x5"),
+        pytest.param("0x5", "grid counts must be at least 1", id="0x5"),
+        # refused before the grid is built
+        pytest.param("3163x3163", "grid counts 3163x3163 give more than 10000000 points", id="3163x3163"),
+        pytest.param("100000x100000", "grid counts 100000x100000 give more than 10000000 points", id="100000x100000"),
+    ],
+)
+def test_tradeoff_bad_grid_counts(two_machine_path, grid, message):
     argv = ["tradeoff", "--network", two_machine_path, "--tau", "0.1", "--eta", "0.7", "--zeta", "0.6"]
     proc = subprocess.run(
         [sys.executable, "-m", "wacrisk.cli", *argv, f"--grid={grid}"],
@@ -506,7 +515,8 @@ def test_tradeoff_bad_grid_counts(two_machine_path, grid):
         text=True,
     )
     assert proc.returncode == 2
-    assert "grid counts must be at least 1" in proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -521,6 +531,9 @@ def test_tradeoff_bad_grid_counts(two_machine_path, grid):
         ["synth", "--tau", "0.1", "--eta", "0.7", "--mu-max", "-1"],
         ["tradeoff", "--tau", "0.1", "--eta", "0.7", "--zeta", "0.6", "--mu-max", "0.01", "--grid", "2x2"],
         ["simulate", "--tau", "0.1", "--eta", "0.7", "--seed", "-1"],
+        # seed grids of 4e14 points and more, refused before any array is built
+        ["synth", "--tau", "0.1", "--eta", "0.7", "--grid-step", "1e-7"],
+        ["synth", "--tau", "0.1", "--eta", "0.7", "--grid-step", "1e-300"],
     ],
 )
 def test_non_finite_inputs_and_bad_boxes_exit_2(two_machine_path, argv):

@@ -30,6 +30,7 @@ from wacrisk.spectral import (
     weights,
 )
 from wacrisk.stability import ScaledParams, _crossings_many, classify
+from wacrisk.stats import NoiseParams, mode_weight
 
 from conftest import IEEE39_MODES, IEEE39_PARAMS
 
@@ -270,11 +271,22 @@ def test_minimize_empty_box():
         ((0.0, 1.0, 1.0, 0.0), 0.1),
         ((0.0, math.nan, 0.0, 1.0), 0.1),
         ((0.0, math.inf, 0.0, 1.0), 0.1),
+        ((0.0, 1.0, 0.0, 1.0), np.array(0.1)),
+        ((0.0, 1.0, 0.0, 1.0), (0.1,)),
+        ((0.0, 1.0, 0.0, 1.0), (0.1, 0.1, 0.1)),
+        ((0.0, 1.0, 0.0, 1.0), "0.1"),
+        # seed grids past MAX_GRID_POINTS, refused before any array is built
+        ((0.0, 1.0, 0.0, 4.0), 1e-7),
+        ((0.0, 1.0, 0.0, 4.0), 1e-300),
+        ((0.0, 1.0, 0.0, 0.0), (1e-8, 1.0)),
     ],
 )
 def test_grid_minimize_rejects_bad_step_or_box(box, step):
+    def objective(x, y):
+        raise AssertionError("probed despite a bad step or box")
+
     with pytest.raises(ValidationError):
-        grid_minimize(lambda x, y: x * x + y * y, box, step)
+        grid_minimize(objective, box, step)
 
 
 # --- batched weights against the one-tuple least-squares path they replaced ----
@@ -400,7 +412,7 @@ def test_weights_broadcast_and_refuse_without_nan():
     assert weights(np.zeros(0), 1.0, 0.0, 0.0).shape == (0,)
 
 
-# --- speculative compass polish against a one-point-at-a-time walk --------------
+# --- memoised compass polish against a one-point-at-a-time walk -----------------
 
 
 def _reference_walk(objective, box, step):
@@ -441,6 +453,12 @@ def _terraced(x, y):
     return np.where((x > 0.9) & (y > 0.9), math.inf, value)
 
 
+def _ieee39_mode_weight(lam):
+    p = IEEE39_PARAMS
+    noise = NoiseParams(p["eta"], p["eta_meas"])
+    return lambda mu, kappa: mode_weight(lam, mu, kappa, p["d"], p["tau"], noise, p["inertia"])
+
+
 def _lattice(seed):
     """Integers on the quarter lattice of [-1, 1]^2, 20 off it: local minima and
     ties everywhere, so the result depends on the order in which the polish
@@ -470,8 +488,24 @@ def _lattice(seed):
         (_terraced, (-1.0, 1.0, -1.0, 1.0), 0.125),
         (_terraced, (-1.0, 1.0, 0.5, 0.5), (0.1, 1.0)),
         (lambda x, y: np.abs(x - 0.37) + np.abs(y + 0.21), (-1.0, 1.0, -1.0, 1.0), 0.25),
+        # IEEE-39 mode 10 at the criterion-10 parameters: the optimum lies on the mu = 0
+        # face, where clipped candidates coincide with each other and with the walk's point
+        (_ieee39_mode_weight(IEEE39_MODES[8]), (0.0, 1.0, 0.0, 4.0), 0.25),
+        # a box thinner than the first half step: the compass candidates are clipped in y
+        (lambda x, y: (x - 0.37) ** 2 + 3.0 * (y - 0.04) ** 2, (-1.0, 1.0, -0.05, 0.05), 0.5),
     ],
 )
 def test_grid_minimize_equals_one_point_walk(objective, box, step):
+    requested = []
+
+    def recording(x, y):
+        requested.extend(zip(x.view(np.int64).tolist(), y.view(np.int64).tolist()))
+        return objective(x, y)
+
     scalar = lambda x, y: float(objective(np.array([x]), np.array([y]))[0])
-    assert grid_minimize(objective, box, step) == _reference_walk(scalar, box, step)
+    assert grid_minimize(recording, box, step) == _reference_walk(scalar, box, step)
+    # the memo asks for no point twice, and every probe lies inside the box
+    assert len(set(requested)) == len(requested)
+    xs, ys = (np.array(v, dtype=np.int64).view(float) for v in zip(*requested))
+    x_lo, x_hi, y_lo, y_hi = box
+    assert np.all((x_lo <= xs) & (xs <= x_hi) & (y_lo <= ys) & (ys <= y_hi))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wacrisk import synthesis
 from wacrisk.errors import InfeasibleError, ValidationError
 from wacrisk.network import GainSpec, effective_resistance
 from wacrisk.risk import SystemicSet, risk_profile
@@ -16,6 +17,8 @@ from wacrisk.synthesis import (
     synthesize,
     tradeoff_scan,
 )
+
+from conftest import IEEE39_PARAMS
 
 D2, LAM2, J2 = 0.075, 1.584, 2.0
 SET_A = SystemicSet(zeta=math.pi / 3.0, c=1.5, eps=0.1)
@@ -62,6 +65,28 @@ def test_synthesize_weights_are_mode_weights(two_machine_spectrum):
     for l in range(1, two_machine_spectrum.n):
         lam = float(two_machine_spectrum.eigenvalues[l])
         assert result.weights[l] == mode_weight(lam, result.mu[l], result.kappa[l], D2, 0.1, noise, J2)
+
+
+def test_synthesize_probes_each_gain_once(ieee39_spectrum, monkeypatch):
+    # every objective call of the nine IEEE-39 searches, recorded per mode
+    requested = {}
+
+    def recording(lam, mu, kappa, *args):
+        requested.setdefault(lam, []).append((mu.copy(), kappa.copy()))
+        return mode_weight(lam, mu, kappa, *args)
+
+    monkeypatch.setattr(synthesis, "mode_weight", recording)
+    p = IEEE39_PARAMS
+    box = (0.0, 1.0, 0.0, 4.0)
+    synthesize(ieee39_spectrum, p["d"], p["tau"], NoiseParams(p["eta"], p["eta_meas"]), p["inertia"], box, 0.25)
+    assert len(requested) == 9
+    # one call per polish step needed 159 calls here; the memo needs 116
+    assert sum(len(calls) for calls in requested.values()) <= 116
+    for calls in requested.values():
+        mu, kappa = (np.concatenate(v) for v in zip(*calls))
+        points = set(zip(mu.view(np.int64).tolist(), kappa.view(np.int64).tolist()))
+        assert len(points) == mu.size
+        assert np.all((box[0] <= mu) & (mu <= box[1]) & (box[2] <= kappa) & (kappa <= box[3]))
 
 
 def test_synthesize_no_stable_gain(two_machine_spectrum):
@@ -155,7 +180,7 @@ def test_reversed_gain_box_rejected(two_machine_spectrum):
             tradeoff_scan(two_machine_spectrum, D2, 0.1, noise, J2, SET_A, box)
 
 
-@pytest.mark.parametrize("grid", [(-5, 5), (0, 5), (5, 0)])
+@pytest.mark.parametrize("grid", [(-5, 5), (0, 5), (5, 0), (3163, 3163), (10**9, 10**9)])
 def test_tradeoff_scan_rejects_empty_grid(two_machine_spectrum, grid):
     with pytest.raises(ValidationError, match="grid counts"):
         tradeoff_scan(
