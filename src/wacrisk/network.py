@@ -100,13 +100,11 @@ class NetworkModel:
                 raise ValidationError("susceptance entries must be nonnegative")
             object.__setattr__(self, "susceptance", y)
             # equilibrium must keep every coupled pair inside the pi/2 cone
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if y[i, j] > 0 and abs(theta[i] - theta[j]) >= math.pi / 2:
-                        raise ValidationError(
-                            f"equilibrium angle gap |theta_{i} - theta_{j}| ="
-                            f" {abs(theta[i] - theta[j]):.4f} >= pi/2"
-                        )
+            gap = np.abs(theta[:, None] - theta)
+            violations = np.argwhere(np.triu((y > 0) & (gap >= math.pi / 2), 1))
+            if violations.size:
+                i, j = violations[0]  # the first pair in row-major order
+                raise ValidationError(f"equilibrium angle gap |theta_{i} - theta_{j}| = {gap[i, j]:.4f} >= pi/2")
 
         if self.laplacian is not None:
             lap = np.asarray(self.laplacian, dtype=float)

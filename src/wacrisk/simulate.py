@@ -23,12 +23,12 @@ Reproducibility: trajectories are processed in fixed-size chunks, each
 with its own counter-based Philox stream spawned from the master seed, so
 the ensemble output is bit-identical no matter how the chunks are
 scheduled.  A chunk's normals are drawn one block of steps ahead on a
-helper thread (``_DrawAhead``) while the main thread integrates the
-previous block; NumPy releases the GIL inside the Philox fill and the
-matrix products, so the two overlap on two cores.  The stream is
-unchanged: one C-order fill of a ``(rows, paths, n)`` block consumes the
-generator exactly as ``rows`` successive ``(paths, n)`` fills do, and the
-blocks are filled in step order.
+one-worker ``ThreadPoolExecutor`` (``_draws``) while the main thread
+integrates the previous block; NumPy releases the GIL in the Philox fill
+and the matrix products, so the two overlap on two cores (on one CPU they
+take turns).  The stream is unchanged: one ``(rows, paths, n)`` draw
+consumes the generator exactly as ``rows`` successive ``(paths, n)``
+draws do, and the blocks are drawn in step order.
 
 ``impulse_response`` integrates the deterministic unit-delay scalar mode
 with a Heun scheme (delay lookups stay on the grid at both stages) from a
@@ -41,7 +41,6 @@ evaluation.
 from __future__ import annotations
 
 import math
-import threading
 from array import array
 from dataclasses import dataclass
 
@@ -53,10 +52,10 @@ from .stability import ScaledParams, network_verdict
 from .stats import incidence_matrix, pair_list, NoiseParams
 
 _CHUNK = 2048
-# normals per block of steps, two blocks in flight per chunk: 2 steps at 2048
-# paths on three machines, more steps at fewer paths, so the hand-over cost stays
-# small against the draw; 4-step blocks at 2048 paths cost about 1% of peak RSS
-_BLOCK_NORMALS = 12288
+# normals per block of steps: 4 steps at 2048 paths on three machines, more steps
+# at fewer paths, so the executor hand-over per block stays small against the draw
+# (2-step blocks ran about 5% slower); up to three blocks are live, 0.6 MB in all
+_BLOCK_NORMALS = 24576
 
 
 @dataclass(frozen=True)
@@ -125,58 +124,23 @@ def _shock_factor(M: np.ndarray, K: np.ndarray, noise: NoiseParams, inertia: flo
     return np.sqrt(w)[:, None] * v.T
 
 
-class _DrawAhead:
-    """A chunk's standard normals, drawn one block ahead on a helper thread.
+def _draws(pool, rng: np.random.Generator, steps: int, paths: int, n: int):
+    """A chunk's standard normals, one ``(paths, n)`` draw per step in stream order.
 
-    Iterating yields one ``(paths, n)`` draw per step, in stream order.
     A block is as many steps as fit in ``_BLOCK_NORMALS`` normals (at least
-    one, at most ``steps``).  The helper fills two such buffers in turn: the
-    ``free`` semaphore counts buffers it may overwrite, ``filled`` counts
-    blocks ready for the main thread.  Used as a context manager: the exit
-    sets the stop flag and releases ``free`` once, so the helper returns
-    from its next wait, and joins it on every exit path.  An exception in
-    the helper is re-raised in the main thread at the next block.
+    one, at most ``steps``).  Block k + 1 is queued on the one-worker
+    ``pool`` before the caller waits for block k, so the worker goes from
+    one block to the next without waiting for the caller, drawing while it
+    integrates; ``result()`` re-raises a worker's error at that block.
     """
-
-    def __init__(self, rng: np.random.Generator, steps: int, paths: int, n: int):
-        self._rng = rng
-        block = min(steps, max(1, _BLOCK_NORMALS // (paths * n)))
-        self._rows = [min(block, steps - start) for start in range(0, steps, block)]
-        self._buffers = np.empty((2, block, paths, n))
-        self._free = threading.Semaphore(2)
-        self._filled = threading.Semaphore(0)
-        self._stop = False
-        self._error: BaseException | None = None
-        self._helper = threading.Thread(target=self._draw, name="wacrisk-em-draws")
-
-    def _draw(self) -> None:
-        try:
-            for block, rows in enumerate(self._rows):
-                self._free.acquire()
-                if self._stop:
-                    return
-                self._rng.standard_normal(out=self._buffers[block % 2, :rows])
-                self._filled.release()
-        except BaseException as exc:  # handed over: the main thread re-raises it
-            self._error = exc
-            self._filled.release()
-
-    def __enter__(self) -> "_DrawAhead":
-        self._helper.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._stop = True
-        self._free.release()
-        self._helper.join()
-
-    def __iter__(self):
-        for block, rows in enumerate(self._rows):
-            self._filled.acquire()
-            if self._error is not None:
-                raise self._error
-            yield from self._buffers[block % 2, :rows]
-            self._free.release()
+    block = min(steps, max(1, _BLOCK_NORMALS // (paths * n)))
+    pending = None
+    for start in range(0, steps, block):
+        queued = pool.submit(rng.standard_normal, (min(block, steps - start), paths, n))
+        if pending is not None:
+            yield from pending.result()
+        pending = queued
+    yield from pending.result()
 
 
 def simulate(
@@ -193,18 +157,20 @@ def simulate(
     which has the law of the three independent noise channels; Sigma is
     factored once per call, in machine coordinates.
 
-    The draws come from ``_DrawAhead``, one helper thread per chunk, joined
-    before the chunk's statistics are reduced.  Each chunk keeps its
-    ``(2n, paths)`` states in a ring of ``delay_steps + 2`` slots:
-    ``step_now`` writes the next state straight into its slot, then
-    ``step_delayed`` and the shock are added to its omega rows in place.
-    With two slots more than the delay, the slot written is never the
-    current or the delayed one (tau = 0 included), so no step reads a slot
-    it is overwriting.
+    The draws come from ``_draws`` on a one-worker executor per chunk,
+    joined on every exit path before the chunk's statistics are reduced.
+    Each chunk keeps its ``(2n, paths)`` states in a ring of
+    ``delay_steps + 2`` slots: ``step_now`` writes the next state straight
+    into its slot, then ``step_delayed`` and the shock are added to its
+    omega rows in place.  With two slots more than the delay, the slot
+    written is never the current or the delayed one (tau = 0 included), so
+    no step reads a slot it is overwriting.
 
     Raises InfeasibleError when the loop is unstable: its stationary
     statistics are undefined.
     """
+    # not at module level: concurrent.futures imports logging, which `import wacrisk` skips
+    from concurrent.futures import ThreadPoolExecutor
     spectrum = build_laplacian(model)
     d = model.damping_ratio
     inertia = model.inertia
@@ -256,8 +222,8 @@ def simulate(
         acc_y2 = np.zeros((r, paths))
         acc_omega = np.zeros((n, n))
 
-        with _DrawAhead(rng, total_steps, paths, n) as draws:
-            for step_idx, z in enumerate(draws):
+        with ThreadPoolExecutor(1, thread_name_prefix="wacrisk-em-draws") as pool:
+            for step_idx, z in enumerate(_draws(pool, rng, total_steps, paths, n)):
                 state = ring[(step_idx + 1) % slots]
                 np.matmul(step_now, ring[step_idx % slots], out=state)
                 theta, omega = state[:n], state[n:]

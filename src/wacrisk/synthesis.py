@@ -38,7 +38,7 @@ from .errors import InfeasibleError, ValidationError
 from .network import GainSpec, LaplacianSpectrum, effective_resistance, resolve_gains
 from .risk import SystemicSet, risk_value
 from .spectral import weights
-from .stability import ScaledParams, mode_verdicts
+from .stability import mode_verdicts, scaled_coordinates
 from .stats import NoiseParams, mode_weight, pair_sigma
 
 
@@ -146,8 +146,8 @@ def deviation_floor(spectrum: LaplacianSpectrum, d: float, tau: float, eta: floa
     floors = np.zeros(n)
     for l in range(1, n):
         lam = float(spectrum.eigenvalues[l])
-        sp = ScaledParams.from_physical(d, lam, 0.0, 0.0, tau)
-        _, floors[l] = grid_minimize(lambda k1, k2: weights(sp.s1, sp.s2, k1, k2), _FULL_REGION_BOX, _FULL_REGION_STEP)
+        s1, s2, _, _ = scaled_coordinates(d, lam, 0.0, 0.0, tau)
+        _, floors[l] = grid_minimize(lambda k1, k2: weights(s1, s2, k1, k2), _FULL_REGION_BOX, _FULL_REGION_STEP)
     # the floors are mode weights per unit tau^3 (eta / J)^2
     return float(tau**1.5 * eta / inertia * pair_sigma(spectrum.eigenvectors, floors).min())
 

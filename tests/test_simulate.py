@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from wacrisk.simulate import (
     _BLOCK_NORMALS,
     _CHUNK,
     SimConfig,
-    _DrawAhead,
+    _draws,
     _shock_factor,
     _snap_step,
     impulse_response,
@@ -342,7 +343,7 @@ def test_no_thread_outlives_simulate(line3_model, two_machine_model, monkeypatch
     with pytest.raises(InfeasibleError):
         simulate(two_machine_model, GainSpec.uniform(1.0, 0.0), 0.1, NoiseParams(0.7, 0.0), config)
     assert threading.enumerate() == before
-    # a main-loop failure with the helper mid-stream: an incidence matrix one column too wide
+    # a main-loop failure with the worker mid-stream: an incidence matrix one column too wide
     # breaks the first product after burn-in
     module = sys.modules["wacrisk.simulate"]
     monkeypatch.setattr(module, "incidence_matrix", lambda n: np.ones((1, n + 1)))
@@ -359,8 +360,8 @@ _STEPS_PER_BLOCK = _block_steps(_PATHS, _N)
 def test_draw_ahead_is_the_step_by_step_stream():
     assert _STEPS_PER_BLOCK > 1
     steps = 3 * _STEPS_PER_BLOCK + 1
-    with _DrawAhead(np.random.Generator(np.random.Philox(3)), steps, _PATHS, _N) as draws:
-        got = [z.copy() for z in draws]
+    with ThreadPoolExecutor(1) as pool:
+        got = [z.copy() for z in _draws(pool, np.random.Generator(np.random.Philox(3)), steps, _PATHS, _N)]
     reference = np.random.Generator(np.random.Philox(3))
     assert len(got) == steps
     for z in got:
@@ -368,14 +369,14 @@ def test_draw_ahead_is_the_step_by_step_stream():
 
 
 def test_draw_ahead_stress_under_fast_switching():
-    # four consumers, each with its own helper, on fewer cores: a lost or doubled hand-over
+    # four consumers, each with its own worker, on fewer cores: a lost or doubled hand-over
     # would skip or repeat a block of the stream
     steps = 50 * _STEPS_PER_BLOCK + 1
 
     def consume(seed, log):
         reference = np.random.Generator(np.random.Philox(seed))
-        with _DrawAhead(np.random.Generator(np.random.Philox(seed)), steps, _PATHS, _N) as draws:
-            for step, z in enumerate(draws):
+        with ThreadPoolExecutor(1) as pool:
+            for step, z in enumerate(_draws(pool, np.random.Generator(np.random.Philox(seed)), steps, _PATHS, _N)):
                 if not np.array_equal(z, reference.standard_normal((_PATHS, _N))):
                     log.append(step)
         log.append("done")
@@ -401,12 +402,11 @@ class _FailingGenerator:
     def __init__(self, fail_at):
         self.calls, self.fail_at = 0, fail_at
 
-    def standard_normal(self, out):
+    def standard_normal(self, size):
         self.calls += 1
         if self.calls == self.fail_at:
             raise RuntimeError("draw failed")
-        out[...] = self.calls
-        return out
+        return np.full(size, float(self.calls))
 
 
 def test_draw_ahead_hands_helper_errors_to_the_caller_and_joins():
@@ -414,14 +414,14 @@ def test_draw_ahead_hands_helper_errors_to_the_caller_and_joins():
     steps = 5 * _STEPS_PER_BLOCK
     seen = []
     with pytest.raises(RuntimeError, match="draw failed"):
-        with _DrawAhead(_FailingGenerator(fail_at=3), steps, _PATHS, _N) as draws:
-            seen.extend(float(z[0, 0]) for z in draws)
+        with ThreadPoolExecutor(1) as pool:
+            seen.extend(float(z[0, 0]) for z in _draws(pool, _FailingGenerator(fail_at=3), steps, _PATHS, _N))
     # the error may overtake the good blocks, never reorder them
     assert seen == ([1.0] * _STEPS_PER_BLOCK + [2.0] * _STEPS_PER_BLOCK)[: len(seen)]
     assert threading.enumerate() == before
-    # a caller that stops early releases the helper waiting for a free buffer
-    with _DrawAhead(_FailingGenerator(fail_at=0), steps, _PATHS, _N) as draws:
-        next(iter(draws))
+    # a caller that stops early leaves no worker behind
+    with ThreadPoolExecutor(1) as pool:
+        next(_draws(pool, _FailingGenerator(fail_at=0), steps, _PATHS, _N))
     assert threading.enumerate() == before
 
 

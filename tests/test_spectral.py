@@ -435,8 +435,9 @@ def _reference_walk(objective, box, step):
             break
         moved = False
         for dx, dy in ((hx, 0.0), (-hx, 0.0), (0.0, hy), (0.0, -hy), (hx, hy), (-hx, hy), (hx, -hy), (-hx, -hy)):
-            cx = min(max(x + dx, x_lo), x_hi)
-            cy = min(max(y + dy, y_lo), y_hi)
+            # keeps the bound when it and x + dx are zeros of opposite sign, as grid_minimize does
+            cx = min(x_hi, max(x_lo, x + dx))
+            cy = min(y_hi, max(y_lo, y + dy))
             val = objective(cx, cy)
             if val < best_val:
                 x, y, best_val = cx, cy, val
@@ -493,6 +494,8 @@ def _lattice(seed):
         (_ieee39_mode_weight(IEEE39_MODES[8]), (0.0, 1.0, 0.0, 4.0), 0.25),
         # a box thinner than the first half step: the compass candidates are clipped in y
         (lambda x, y: (x - 0.37) ** 2 + 3.0 * (y - 0.04) ** 2, (-1.0, 1.0, -0.05, 0.05), 0.5),
+        # a -0.0 bound: a candidate clipped onto it keeps the bound's sign, not its own
+        (lambda x, y: (x - 0.01) ** 2 + (y - 1.3) ** 2, (-0.0, 1.0, 0.0, 4.0), 0.25),
     ],
 )
 def test_grid_minimize_equals_one_point_walk(objective, box, step):
@@ -502,8 +505,15 @@ def test_grid_minimize_equals_one_point_walk(objective, box, step):
         requested.extend(zip(x.view(np.int64).tolist(), y.view(np.int64).tolist()))
         return objective(x, y)
 
-    scalar = lambda x, y: float(objective(np.array([x]), np.array([y]))[0])
+    walked = set()
+
+    def scalar(x, y):
+        walked.add(tuple(np.array([x, y], dtype=float).view(np.int64).tolist()))
+        return float(objective(np.array([x]), np.array([y]))[0])
+
     assert grid_minimize(recording, box, step) == _reference_walk(scalar, box, step)
+    # every point the walk probes, bit for bit, is probed by the memo too
+    assert walked <= set(requested)
     # the memo asks for no point twice, and every probe lies inside the box
     assert len(set(requested)) == len(requested)
     xs, ys = (np.array(v, dtype=np.int64).view(float) for v in zip(*requested))
