@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import functools
 import json
 import math
 import os
@@ -33,8 +34,6 @@ from .synthesis import synthesize, tradeoff_scan
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float) and math.isinf(value):
-        return "inf"
     return f"{value:.12g}"
 
 
@@ -52,9 +51,17 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _emit(path: str | None, header: list[str], rows, argv: list[str]) -> None:
+    """Write a CSV of ``rows`` under ``header``: floats (NumPy's included) as
+    ``_fmt`` writes them, anything else as ``str``.  Each row is one ``%``
+    operation with a format kept per sequence of value types."""
+    formats = {}
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join("%.12g" if issubclass(kind, float) else "%s" for kind in kinds)
+        lines.append(fmt % tuple(row))
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -136,7 +143,10 @@ def _add_systemic_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps", type=float, default=0.1, help="risk acceptance level in (0, 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``wacrisk`` argument parser, built once per process: parsing
+    keeps its state in the namespace it returns, never in the parser."""
     parser = argparse.ArgumentParser(prog="wacrisk", description=__doc__)
     parser.add_argument("--version", action="version", version=f"wacrisk {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

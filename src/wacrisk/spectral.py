@@ -29,11 +29,18 @@ Array core: :func:`weights` takes arrays of tuples, gates them with one
 ``stability.classify_many`` call and solves only the stable ones, in
 blocks of at most ``_BLOCK`` tuples: one stacked Pade-13 scaling-and-
 squaring matrix exponential with a scaling exponent per slice (Higham,
-SIAM J. Matrix Anal. Appl. 26(4), 2005), a batched QR factorisation with
-back substitution for the consistent 12x8 system, and a batched SVD for
-the reciprocal condition number.  Every step acts on each tuple alone, so
-a tuple's value is the same number whatever block it shares.
-:func:`evaluate` is the one-tuple call that also reports the conditioning.
+SIAM J. Matrix Anal. Appl. 26(4), 2005) and a batched QR factorisation with
+back substitution for the consistent 12x8 system.  Acceptance needs only
+to know that the scaled rcond clears its threshold: a batched Cholesky
+factorisation of each scaled system's Gram matrix, shifted by 12 rho^2,
+proves rcond > rho = 10 _MIN_RCOND growth for the well-conditioned tuples
+(in practice nearly all), and only the tuples it leaves open, those near
+the boundary or with a degenerate scaling, go through the batched SVD that
+gives the rcond itself.  A certified tuple is one the SVD rule accepts too,
+so the values are those the SVD alone would give.  Every step acts on each
+tuple alone, so a tuple's value is the same number whatever block it
+shares.  :func:`evaluate` is the one-tuple call that also reports the
+conditioning; it always takes the SVD.
 :func:`magnitude_sq` is the denominator above, for quadrature cross-checks.
 """
 
@@ -51,7 +58,11 @@ from .stability import ScaledParams, _as_arrays, classify, classify_many
 # about 1e-4 at relative distance 1e-3 from the stability boundary
 _MIN_RCOND = 1e-8
 
-# tuples per stacked expm / QR / SVD: enough to amortise the per-call overhead
+# slack of the Gram-Cholesky certificate: covers the rounding of a Gram
+# matrix of trace 12 and of its 8x8 Cholesky factorisation, both below 1e-13
+_GRAM_SLACK = 1e-12
+
+# tuples per stacked expm / QR / Cholesky / SVD: enough to amortise the per-call overhead
 # (the cost per tuple flattens out by about 85), few enough to bound the
 # working memory of a large grid
 _BLOCK = 128
@@ -162,13 +173,16 @@ def _solve_each(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
-def _solve(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _solve(params: np.ndarray, certify: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mode integral, scaled rcond and flow growth of each row (s1, s2, k1, k2).
 
     Rows go through in blocks of at most ``_BLOCK``; every step acts on each
-    row alone (one exponential per slice, one QR, one SVD), so a row's results do
-    not depend on the block it shares.  A row whose growth reaches
-    1 / _MIN_RCOND is not solved: its rcond is 0.
+    row alone (one exponential per slice, one QR, one SVD or Cholesky), so a
+    row's results do not depend on the block it shares.  A row whose growth
+    reaches 1 / _MIN_RCOND is not solved: its rcond is 0.  With ``certify``,
+    a row whose rcond a Gram-Cholesky certificate bounds by 10 _MIN_RCOND
+    growth reports that bound instead of its rcond, which :func:`_accepted`
+    decides the same way; the other rows report the SVD rcond.
     """
     value, rcond, growth = (np.zeros(len(params)) for _ in range(3))
     for start in range(0, len(params), _BLOCK):
@@ -188,7 +202,10 @@ def _solve(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             solution = np.zeros((len(block), 8))
             solution[solvable] = _least_squares(system[solvable])
             value[rows] = 2.0 * math.pi * solution[:, 3]  # vec index 3 is U(0)[1, 1]
-            rcond[rows] = _scaled_rcond(system, solution)
+            if certify:
+                rcond[rows] = _certified_rcond(system, solution, 10.0 * _MIN_RCOND * growth[rows])
+            else:
+                rcond[rows] = _scaled_rcond(system, solution)
     return value, rcond, growth
 
 
@@ -203,17 +220,62 @@ def _least_squares(system: np.ndarray) -> np.ndarray:
     return x
 
 
-def _scaled_rcond(system: np.ndarray, solution: np.ndarray) -> np.ndarray:
-    """Reciprocal condition number of each system with the columns scaled by
-    the solution and the rows normalised; 0 where that scaling degenerates."""
+def _unit_rows(system: np.ndarray, solution: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The systems with the columns scaled by the solution and the rows
+    normalised, and the mask of systems where that scaling is defined (every
+    row norm finite and nonzero; an unsolved system has a zero solution)."""
     scaled = system * np.abs(solution)[:, None, :]
     norms = np.linalg.norm(scaled, axis=2)
     good = np.all(np.isfinite(norms) & (norms > 0.0), axis=1)
+    return scaled[good] / norms[good][:, :, None], good
+
+
+def _scaled_rcond(system: np.ndarray, solution: np.ndarray) -> np.ndarray:
+    """Reciprocal condition number of each system with the columns scaled by
+    the solution and the rows normalised; 0 where that scaling degenerates."""
+    unit, good = _unit_rows(system, solution)
     rcond = np.zeros(len(system))
     if good.any():
-        sv = np.linalg.svd(scaled[good] / norms[good][:, :, None], compute_uv=False)
+        sv = np.linalg.svd(unit, compute_uv=False)
         rcond[good] = sv[:, -1] / sv[:, 0]
     return rcond
+
+
+def _certified_rcond(system: np.ndarray, solution: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    """``floor`` where a Gram-Cholesky certificate proves that the scaled
+    rcond of a system is at least its floor, the :func:`_scaled_rcond` of
+    the system elsewhere.
+
+    The 12 unit rows of a scaled system S give its Gram matrix G = S^T S the
+    trace 12, so sigma_max^2 <= 12; a Cholesky factor of G - (12 floor^2 +
+    _GRAM_SLACK) I proves sigma_min^2 > 12 floor^2 and so rcond > floor.  The
+    slack covers the rounding of G and of the factorisation.
+    """
+    unit, good = _unit_rows(system, solution)
+    shift = 12.0 * floor[good] ** 2 + _GRAM_SLACK
+    sure = np.zeros(len(system), dtype=bool)
+    sure[good] = _has_cholesky(np.swapaxes(unit, 1, 2) @ unit - shift[:, None, None] * _I8)
+    rcond = np.where(sure, floor, 0.0)
+    if not sure.all():
+        rcond[~sure] = _scaled_rcond(system[~sure], solution[~sure])
+    return rcond
+
+
+def _has_cholesky(stack: np.ndarray) -> np.ndarray:
+    """Mask of the symmetric slices of a stack that have a Cholesky factor.
+
+    ``np.linalg.cholesky`` refuses a whole stack for one slice without a
+    factor, so a refused stack is split in halves until each refusal is
+    pinned to its slice; each slice is factorised on its own either way.
+    """
+    try:
+        np.linalg.cholesky(stack)
+        return np.ones(len(stack), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(stack) == 1:
+            return np.zeros(1, dtype=bool)
+        half = len(stack) // 2
+        return np.concatenate([_has_cholesky(stack[:half]), _has_cholesky(stack[half:])])
 
 
 def _accepted(value: np.ndarray, rcond: np.ndarray, growth: np.ndarray) -> np.ndarray:
@@ -233,7 +295,7 @@ def weights(s1, s2, k1, k2) -> np.ndarray:
     arrays = _as_arrays(s1, s2, k1, k2)
     out = np.full(arrays[0].shape, math.inf)
     stable = classify_many(*arrays).stable
-    value, rcond, growth = _solve(np.stack([a[stable] for a in arrays], axis=-1))
+    value, rcond, growth = _solve(np.stack([a[stable] for a in arrays], axis=-1), certify=True)
     out[stable] = np.where(_accepted(value, rcond, growth), value, math.inf)
     return out
 

@@ -207,6 +207,74 @@ def test_manifest_rerun_byte_identical(two_machine_path, tmp_path):
     assert out.read_bytes() == first
 
 
+def _former_csv(header, rows):
+    """CSV text as the writer built it before one format per row: an
+    ``inf`` branch for infinite floats (which also dropped the sign of
+    -inf), ``.12g`` for other floats, ``str`` for anything else."""
+
+    def fmt(value):
+        return "inf" if math.isinf(value) else f"{value:.12g}"
+
+    lines = [",".join(header)] + [",".join(fmt(v) if isinstance(v, float) else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_emit_matches_the_former_join(tmp_path, capsys):
+    rows = [
+        (1, 2, math.inf, math.nan, 0.1),
+        (3, 4, np.float64(1.0 / 3.0), np.float64(math.inf), np.float64(math.nan)),
+        (True, False, -0.0, 1e300, 5e-324),
+        (np.int64(7), "W0", np.float32(0.25), 123456789012345.0, 2.0),
+        (1, 2, math.inf, math.nan, 0.1),
+        [0.5, 0.25, math.inf, 1e-7, 12.0],
+    ]
+    header = ["a", "b", "c", "d", "e"]
+    out = tmp_path / "rows.csv"
+    cli._emit(str(out), header, rows, ["argv"])
+    assert out.read_text() == _former_csv(header, rows)
+    cli._emit(None, header, rows, ["argv"])
+    assert capsys.readouterr().out == _former_csv(header, rows)
+    # the one value written differently: -inf keeps its sign
+    cli._emit(None, ["x", "y"], [(-math.inf, np.float64(-math.inf))], ["argv"])
+    assert capsys.readouterr().out == "x,y\n-inf,-inf\n"
+    assert _former_csv(["x"], [(-math.inf,)]) == "x\ninf\n"
+
+
+def test_stability_writes_a_negative_infinite_margin(two_machine_path, capsys):
+    # a phase-lag gain of 1e300 overflows the grid mode's margin to -inf; the
+    # former writer printed it as inf, an infinitely stable margin
+    _run_ok(["stability", "--network", two_machine_path, "--tau", "0.1", "--kappa", "1e300"])
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows[1][9:12] == ["false", "-inf", "false"]
+
+
+def test_cached_parser_keeps_no_state(two_machine_path, tmp_path):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    base = ["stats", "--network", two_machine_path, "--tau", "0.1", "--eta", "0.7", "--kappa", "1.0"]
+    with_etap = parser.parse_args([*base, "--etap", "0.3"])
+    without = parser.parse_args(base)
+    synth = parser.parse_args(["synth", "--network", two_machine_path, "--tau", "0.1", "--eta", "0.7"])
+    assert with_etap is not without and (with_etap.etap, without.etap, synth.etap) == (0.3, None, None)
+    assert not hasattr(synth, "modes_out") and not hasattr(without, "mu_max") and synth.mu_max == 1.0
+    assert vars(parser.parse_args([*base, "--etap", "0.3"])) == vars(with_etap)
+    # runs of different commands through the one parser give the bytes of lone runs
+    outs = {name: tmp_path / f"{name}.csv" for name in ("etap", "plain", "zero", "synth", "again")}
+    _run_ok([*base, "--etap", "0.3", "--out", str(outs["etap"])])
+    _run_ok(["synth", "--network", two_machine_path, "--tau", "0.1", "--eta", "0.7", "--etap", "0.3",
+             "--grid-step", "0.25", "--out", str(outs["synth"])])
+    _run_ok([*base, "--out", str(outs["plain"])])
+    _run_ok([*base, "--etap", "0", "--out", str(outs["zero"])])
+    _run_ok([*base, "--etap", "0.3", "--out", str(outs["again"])])
+    assert outs["plain"].read_bytes() == outs["zero"].read_bytes() != outs["etap"].read_bytes()
+    assert outs["again"].read_bytes() == outs["etap"].read_bytes()
+    # a replay through the cached parser rewrites the recorded run byte for byte
+    for name in ("etap", "synth", "plain"):
+        first = outs[name].read_bytes()
+        _run_ok(["--from-manifest", str(outs[name]) + ".manifest.json"])
+        assert outs[name].read_bytes() == first
+
+
 def test_synth_outputs(two_machine_path, tmp_path):
     out = tmp_path / "gains.csv"
     mats = tmp_path / "mk.json"

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -23,13 +24,14 @@ from wacrisk.spectral import (
     _TRANSPOSE,
     _accepted,
     _expm,
+    _has_cholesky,
     _solve,
     _solve_each,
     evaluate,
     magnitude_sq,
     weights,
 )
-from wacrisk.stability import ScaledParams, _crossings_many, classify
+from wacrisk.stability import ScaledParams, _crossings_many, classify, classify_many
 from wacrisk.stats import NoiseParams, mode_weight
 
 from conftest import IEEE39_MODES, IEEE39_PARAMS
@@ -357,6 +359,24 @@ def test_batched_weights_do_not_depend_on_the_batch():
             assert evaluate(ScaledParams(*row)).value == value
         except InfeasibleError:
             assert value == math.inf
+    # one tuple the Gram-Cholesky certificate cannot settle (relative distance 1e-6
+    # from the phase-gain edge) among certified block-mates: every weight stays the
+    # one it has alone, and the SVD rule still decides the uncertified tuple
+    edge = np.array([[0.0075, 0.01584, _bisect_edge(np.array([[0.0075, 0.01584, 0.0, 0.0]]),
+                                                   np.array([[0.0, 0.0, 1.0, 0.0]]))[0] * (1.0 - 1e-6), 0.0]])
+    near = _certification(edge)
+    assert not near.certified[0] and near.exact_rcond[0] >= _MIN_RCOND * near.growth[0]
+    for at in (0, 5, 127):
+        mixed = np.insert(tuples[:127], at, edge[0], axis=0)
+        got = weights(*mixed.T)
+        assert np.array_equal(got, np.insert(alone[:127], at, weights(*edge[0])[()]))
+        accepted = mixed[np.isfinite(got)]
+        assert np.array_equal(accepted[~_certification(accepted).certified], edge)
+    # evaluate reports the exact SVD rcond and the forward bound built on it
+    for row in np.vstack([tuples[np.isfinite(alone)][:20], edge]):
+        value, rcond, growth = (float(a[0]) for a in _solve(row[None]))
+        got = evaluate(ScaledParams(*row))
+        assert (got.value, got.rcond, got.abs_error_estimate) == (value, rcond, value * 2.0**-52 * growth / rcond)
     # a tuple whose flow overflows while squaring leaves its block-mate untouched
     p = IEEE39_PARAMS
     physical = ScaledParams.from_physical(p["d"], IEEE39_MODES[0], *IEEE39_OPTIMA[0], p["tau"])
@@ -365,6 +385,99 @@ def test_batched_weights_do_not_depend_on_the_batch():
         mixed = weights([800.0, physical.s1], [1.0, physical.s2], [0.0, physical.k1], [0.0, physical.k2])
         assert mixed[0] == math.inf
         assert mixed[1] == weights(physical.s1, physical.s2, physical.k1, physical.k2)
+
+
+# --- Gram-Cholesky acceptance certificate against the SVD rule -------------------
+
+
+def _svd_gated(params):
+    """Weight of each row with acceptance decided by the exact SVD rcond
+    (``_scaled_rcond``) alone: the rule ``weights`` must reproduce bit for bit."""
+    out = np.full(len(params), math.inf)
+    stable = classify_many(*params.T).stable
+    value, rcond, growth = _solve(params[stable])
+    out[stable] = np.where(_accepted(value, rcond, growth), value, math.inf)
+    return out
+
+
+def _certification(params):
+    """Per row: whether the certificate settled it, its exact SVD rcond, its growth.
+
+    A settled row reports the floor 10 _MIN_RCOND growth, which must lie
+    strictly below its exact rcond; an unsettled row must report the exact
+    rcond itself.
+    """
+    _, certified_rcond, growth = _solve(params, certify=True)
+    _, exact_rcond, exact_growth = _solve(params)
+    assert np.array_equal(growth, exact_growth)
+    certified = certified_rcond != exact_rcond
+    assert np.array_equal(certified_rcond[certified], 10.0 * _MIN_RCOND * growth[certified])
+    assert np.all(exact_rcond[certified] > certified_rcond[certified])
+    return types.SimpleNamespace(certified=certified, exact_rcond=exact_rcond, growth=growth)
+
+
+def _bisect_edge(start, direction):
+    """Step t > 0 at which start + t direction leaves the stability region
+    (classification), bisected to the last bit; each start must be stable and
+    start + 16 direction unstable."""
+    lo, hi = np.zeros(len(start)), np.full(len(start), 16.0)
+    assert classify_many(*start.T).stable.all()
+    assert not classify_many(*(start + hi[:, None] * direction).T).stable.any()
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        stable = classify_many(*(start + mid[:, None] * direction).T).stable
+        lo, hi = np.where(stable, mid, lo), np.where(stable, hi, mid)
+    return lo
+
+
+def test_certified_weights_match_svd_rule_on_random_tuples():
+    # criterion-07 sampling: s1, s2 uniform on [0, 3], k1, k2 uniform on [-3, 3]
+    rng = np.random.default_rng(2307)
+    tuples = np.column_stack([rng.uniform(0.0, 3.0, (100_000, 2)), rng.uniform(-3.0, 3.0, (100_000, 2))])
+    got = weights(*tuples.T)
+    assert np.array_equal(got, _svd_gated(tuples))
+    assert np.isfinite(got).sum() > 30_000 and np.isinf(got).sum() > 30_000
+    sample = tuples[np.isfinite(got)][:3000]
+    assert _certification(sample).certified.mean() > 0.99
+
+
+def test_certified_weights_match_svd_rule_near_the_stability_edge():
+    # rays from a stable gain-free tuple through a random gain direction, each
+    # bisected to its edge, then probed at relative distances 1e-3 ... 1e-9 inside
+    rng = np.random.default_rng(2308)
+    count = 150
+    start = np.column_stack([rng.uniform(0.05, 3.0, (count, 2)), np.zeros((count, 2))])
+    direction = np.column_stack([np.zeros((count, 2)), rng.uniform(-1.0, 1.0, (count, 2))])
+    direction[:, 2] = np.abs(direction[:, 2]) + 0.5  # a large phase gain always destabilises
+    edge = _bisect_edge(start, direction)
+    gaps = 10.0 ** -np.arange(3.0, 10.0)
+    rows = (start[:, None] + (edge[:, None, None] * (1.0 - gaps)[None, :, None]) * direction[:, None]).reshape(-1, 4)
+    got = weights(*rows.T)
+    assert np.array_equal(got, _svd_gated(rows))
+    solved = rows[classify_many(*rows.T).stable]
+    near = _certification(solved)
+    accepted = near.exact_rcond >= _MIN_RCOND * near.growth
+    # the SVD fallback both accepts and refuses rows the certificate leaves open
+    assert near.certified.any() and (~near.certified & accepted).any() and (~near.certified & ~accepted).any()
+    assert np.isfinite(got).any() and np.isinf(got[classify_many(*rows.T).stable]).any()
+
+
+def test_certified_weights_match_svd_rule_on_strongly_damped_tuples():
+    # growth rises with s1 until the flow overflows; RuntimeWarnings are errors
+    rng = np.random.default_rng(2309)
+    s1 = np.concatenate([np.linspace(10.0, 30.0, 401), [100.0, 800.0]])
+    rows = np.column_stack([s1, rng.uniform(0.1, 3.0, len(s1)), rng.uniform(-0.5, 0.5, (len(s1), 2))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = weights(*rows.T)
+        assert np.array_equal(got, _svd_gated(rows))
+        near = _certification(rows[classify_many(*rows.T).stable])
+    assert np.isfinite(got).any() and np.isinf(got[-2:]).all()
+    assert near.certified.any() and (~near.certified).any()
+    # the Cholesky stack is split until each refusal is pinned to its slice
+    shifted = np.stack([np.eye(8), -np.eye(8), np.eye(8), np.diag([1.0] * 7 + [-1e-12]), np.eye(8)])
+    assert _has_cholesky(shifted).tolist() == [True, False, True, False, True]
+    assert _has_cholesky(np.zeros((0, 8, 8))).shape == (0,)
 
 
 def _flow_generators(params):
