@@ -67,20 +67,11 @@ def grid_minimize(objective, box, step):
         raise InfeasibleError("no feasible point on the search grid")
     values = values.reshape(ax.size, ay.size)
     lo, hi = np.array([x_lo, y_lo]), np.array([x_hi, y_hi])
+    # seed-grid index of each axis value, keyed on its bit pattern: a point lies on the
+    # seed grid exactly when both of its coordinates are found
+    x_at = {bits: i for i, bits in enumerate(ax.view(np.int64).tolist())}
+    y_at = {bits: j for j, bits in enumerate(ay.view(np.int64).tolist())}
     known = {}
-
-    def recall(points, keys):
-        # enter the values at ``points``, rows (x, y) missing from the memo: a seed-grid
-        # point's from the grid, the others' from one call
-        ix = np.minimum(np.searchsorted(ax, points[:, 0]), ax.size - 1)
-        iy = np.minimum(np.searchsorted(ay, points[:, 1]), ay.size - 1)
-        bits = points.view(np.int64)
-        off = np.flatnonzero((ax[ix].view(np.int64) != bits[:, 0]) | (ay[iy].view(np.int64) != bits[:, 1]))
-        found = values[ix, iy]
-        if off.size:
-            px, py = np.ascontiguousarray(points[off].T)
-            found[off] = objective(px, py)
-        known.update(zip(keys, found.tolist()))
 
     hx, hy = sx / 2.0, sy / 2.0
     point = np.array([ax[seed // ay.size], ay[seed % ay.size]])
@@ -93,10 +84,18 @@ def grid_minimize(objective, box, step):
             cand = np.minimum(np.maximum(point + _DIRECTIONS[first:] * (hx, hy), lo), hi)
             # memo keys: the bit patterns of both coordinates, so -0.0 and 0.0 stay apart
             keys = list(map(tuple, cand.view(np.int64).tolist()))
-            # a key names one point bit for bit, so any of its rows will do
-            fresh = {k: i for i, k in enumerate(keys) if k not in known}
-            if fresh:
-                recall(cand[list(fresh.values())], fresh)
+            # candidates in neither the memo nor the seed grid; a key names one point
+            # bit for bit, so any of its rows will do
+            off = {}
+            for i, (bx, by) in enumerate(keys):
+                if (bx, by) not in known:
+                    if bx in x_at and by in y_at:
+                        known[bx, by] = float(values[x_at[bx], y_at[by]])
+                    else:
+                        off[bx, by] = i
+            if off:
+                px, py = np.ascontiguousarray(cand[list(off.values())].T)
+                known.update(zip(off, np.asarray(objective(px, py), dtype=float).tolist()))
             better = next((i for i, k in enumerate(keys) if known[k] < best_val), None)
             if better is None:
                 break

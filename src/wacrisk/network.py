@@ -369,7 +369,8 @@ def resolve_gains(gains: GainSpec | ModeGains, spectrum: LaplacianSpectrum) -> M
 
     Dense gains that the spectrum's eigenbasis does not diagonalise are
     rejected outright; every downstream formula requires a shared eigenbasis.
-    Gains already resolved against ``spectrum`` are returned unchanged.
+    Non-finite gains are rejected too, naming the field.  Gains already
+    resolved against ``spectrum`` are returned unchanged.
     """
     if isinstance(gains, ModeGains):
         return gains
@@ -387,18 +388,29 @@ def resolve_gains(gains: GainSpec | ModeGains, spectrum: LaplacianSpectrum) -> M
         mu[0] = 0.0
         kappa[0] = 0.0
     elif gains.mode == "consensus":
-        mu = float(gains.mu) * lams
-        kappa = float(gains.kappa) * lams
+        with np.errstate(over="ignore", invalid="ignore"):  # a product that is not finite is refused below
+            mu = float(gains.mu) * lams
+            kappa = float(gains.kappa) * lams
     elif gains.mode == "dense":
-        return _dense_mode_gains(np.asarray(gains.M, float), np.asarray(gains.K, float), spectrum)
+        M, K = np.asarray(gains.M, float), np.asarray(gains.K, float)
+        _require_finite(M=M, K=K)
+        return _dense_mode_gains(M, K, spectrum)
     else:
         raise ValidationError(f"unknown gain mode {gains.mode!r}")
 
+    _require_finite(mu=mu, kappa=kappa)
     M = (q * mu) @ q.T
     K = (q * kappa) @ q.T
     return ModeGains(
         lambdas=lams, mu=mu, kappa=kappa, eigenvectors=q, M=0.5 * (M + M.T), K=0.5 * (K + K.T)
     )
+
+
+def _require_finite(**gains: np.ndarray) -> None:
+    """Raise ValidationError naming the first gain that holds a NaN or an infinity."""
+    for name, value in gains.items():
+        if not np.isfinite(value).all():
+            raise ValidationError(f"gain {name} must be finite")
 
 
 def _read_json_object(path, what: str) -> dict:

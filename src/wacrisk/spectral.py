@@ -40,7 +40,11 @@ gives the rcond itself.  A certified tuple is one the SVD rule accepts too,
 so the values are those the SVD alone would give.  Every step acts on each
 tuple alone, so a tuple's value is the same number whatever block it
 shares.  :func:`evaluate` is the one-tuple call that also reports the
-conditioning; it always takes the SVD.
+conditioning; it always takes the SVD.  The gain search calls
+:func:`weights` on about ten tuples at a time, so its fixed cost is kept
+small: one ``np.errstate`` per call, one parameter array filled by
+broadcasting, and a full slice, not a copy, for a row mask that selects
+every row.
 :func:`magnitude_sq` is the denominator above, for quadrature cross-checks.
 """
 
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .stability import ScaledParams, _as_arrays, classify, classify_many
+from .stability import ScaledParams, classify, classify_many
 
 # refusal threshold for the scaled reciprocal condition number, which is
 # about 1e-4 at relative distance 1e-3 from the stability boundary
@@ -77,6 +81,7 @@ _PADE13 = (
 _THETA13 = 5.371920351148152
 
 _I2, _I8 = np.eye(2), np.eye(8)
+_PADE_EYE = (_PADE13[0] * _I8, _PADE13[1] * _I8)  # b_0 I and b_1 I
 _TRANSPOSE_ROWS = [0, 2, 1, 3]
 _TRANSPOSE = np.eye(4)[_TRANSPOSE_ROWS]  # vec(X^T) = _TRANSPOSE @ vec(X), column-major vec
 
@@ -129,7 +134,7 @@ _SLOPES_BY_PARAMETER = _PARTS_SLOPES.reshape(-1, 4).T
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of each slice of a stack of square matrices.
+    """Matrix exponential of each slice of a stack of 8x8 matrices.
 
     Degree-13 Pade approximant with scaling and squaring (Higham 2005) and a
     scaling exponent per slice: each slice is scaled to 1-norm at most
@@ -143,16 +148,19 @@ def _expm(a: np.ndarray) -> np.ndarray:
     b = _PADE13
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
     finite = np.isfinite(norm)
-    s = np.ceil(np.log2(np.maximum(np.where(finite, norm, 0.0) / _THETA13, 1.0))).astype(int)
-    a = np.ldexp(np.where(finite[:, None, None], a, 0.0), -s[:, None, None])  # exact: powers of two
-    eye = np.eye(a.shape[-1])
+    everywhere = np.count_nonzero(finite) == len(finite)
+    if not everywhere:  # a non-finite slice is computed from zeros and set to NaN below
+        norm, a = np.where(finite, norm, 0.0), np.where(finite[:, None, None], a, 0.0)
+    s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
+    a = np.ldexp(a, -s[:, None, None])  # exact: powers of two
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    r = eye + _solve_each(v - u, 2.0 * u)
-    r[~finite] = math.nan
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + _PADE_EYE[1])
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + _PADE_EYE[0]
+    r = _I8 + _solve_each(v - u, 2.0 * u)
+    if not everywhere:
+        r[~finite] = math.nan
     for k in range(int(s.max(initial=0))):
         r = np.where((s > k)[:, None, None], r @ r, r)
     return r
@@ -184,13 +192,12 @@ def _solve(params: np.ndarray, certify: bool = False) -> tuple[np.ndarray, np.nd
     growth reports that bound instead of its rcond, which :func:`_accepted`
     decides the same way; the other rows report the SVD rcond.
     """
-    value, rcond, growth = (np.zeros(len(params)) for _ in range(3))
-    for start in range(0, len(params), _BLOCK):
-        rows = slice(start, start + _BLOCK)
-        block = params[rows]
-        # a strongly damped flow overflows; the growth test refuses it
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            parts = _PARTS_AT_ZERO + (block @ _SLOPES_BY_PARAMETER).reshape(-1, 12, 8)
+    value, rcond, growth = (np.empty(len(params)) for _ in range(3))
+    # a strongly damped flow overflows; the growth test refuses it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, len(params), _BLOCK):
+            rows = slice(start, start + _BLOCK)
+            parts = _PARTS_AT_ZERO + (params[rows] @ _SLOPES_BY_PARAMETER).reshape(-1, 12, 8)
             flow = _expm(parts[:, :8])
             # boundary conditions on [vec U(0); vec U(-1)]: Z(1) - X(0) = 0,
             # Z(0) - X(1)^T = 0, then the algebraic condition
@@ -198,8 +205,8 @@ def _solve(params: np.ndarray, certify: bool = False) -> tuple[np.ndarray, np.nd
             # shooting across the unit delay loses accuracy in proportion to the growth
             # of the flow: near 1 for physical tuples, too large once s1 exceeds 16
             growth[rows] = np.maximum(np.abs(system[:, :8]).max(axis=(1, 2)), 1.0)
-            solvable = growth[rows] < 1.0 / _MIN_RCOND
-            solution = np.zeros((len(block), 8))
+            solvable = _selector(growth[rows] < 1.0 / _MIN_RCOND)
+            solution = np.zeros((len(system), 8))
             solution[solvable] = _least_squares(system[solvable])
             value[rows] = 2.0 * math.pi * solution[:, 3]  # vec index 3 is U(0)[1, 1]
             if certify:
@@ -209,24 +216,31 @@ def _solve(params: np.ndarray, certify: bool = False) -> tuple[np.ndarray, np.nd
     return value, rcond, growth
 
 
+def _selector(mask: np.ndarray):
+    """Index of the rows ``mask`` selects: the mask, or a full slice when it
+    selects every row, so that indexing with it makes views instead of copies."""
+    return slice(None) if np.count_nonzero(mask) == len(mask) else mask
+
+
 def _least_squares(system: np.ndarray) -> np.ndarray:
     """Solution of each consistent 12x8 system against the right-hand side
     -vec(W) = -e_8 (the first algebraic row): QR, then back substitution."""
     q, r = np.linalg.qr(system)
     x = np.full((len(system), 8), math.nan)  # NaN where R is singular: refused downstream
-    regular = np.all(np.diagonal(r, axis1=1, axis2=2) != 0.0, axis=1)
+    regular = _selector(np.all(np.diagonal(r, axis1=1, axis2=2) != 0.0, axis=1))
     # R is upper triangular, so the LU solve does no pivoting and is back substitution
     x[regular] = np.linalg.solve(r[regular], -q[regular, 8, :, None])[..., 0]  # Q^T (-e_8)
     return x
 
 
-def _unit_rows(system: np.ndarray, solution: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _unit_rows(system: np.ndarray, solution: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
     """The systems with the columns scaled by the solution and the rows
-    normalised, and the mask of systems where that scaling is defined (every
-    row norm finite and nonzero; an unsolved system has a zero solution)."""
+    normalised, and the index of the systems where that scaling is defined
+    (every row norm finite and nonzero; an unsolved system has a zero
+    solution): a mask, or a full slice when it holds for every system."""
     scaled = system * np.abs(solution)[:, None, :]
-    norms = np.linalg.norm(scaled, axis=2)
-    good = np.all(np.isfinite(norms) & (norms > 0.0), axis=1)
+    norms = np.sqrt((scaled * scaled).sum(axis=2))  # np.linalg.norm(scaled, axis=2), bit for bit
+    good = _selector((np.isfinite(norms) & (norms > 0.0)).all(axis=1))
     return scaled[good] / norms[good][:, :, None], good
 
 
@@ -235,7 +249,7 @@ def _scaled_rcond(system: np.ndarray, solution: np.ndarray) -> np.ndarray:
     the solution and the rows normalised; 0 where that scaling degenerates."""
     unit, good = _unit_rows(system, solution)
     rcond = np.zeros(len(system))
-    if good.any():
+    if len(unit):
         sv = np.linalg.svd(unit, compute_uv=False)
         rcond[good] = sv[:, -1] / sv[:, 0]
     return rcond
@@ -256,7 +270,7 @@ def _certified_rcond(system: np.ndarray, solution: np.ndarray, floor: np.ndarray
     sure = np.zeros(len(system), dtype=bool)
     sure[good] = _has_cholesky(np.swapaxes(unit, 1, 2) @ unit - shift[:, None, None] * _I8)
     rcond = np.where(sure, floor, 0.0)
-    if not sure.all():
+    if np.count_nonzero(sure) < len(sure):
         rcond[~sure] = _scaled_rcond(system[~sure], solution[~sure])
     return rcond
 
@@ -292,10 +306,11 @@ def weights(s1, s2, k1, k2) -> np.ndarray:
     Only the tuples :func:`~wacrisk.stability.classify_many` finds stable
     are solved; each value equals the ``evaluate`` value of its tuple.
     """
-    arrays = _as_arrays(s1, s2, k1, k2)
-    out = np.full(arrays[0].shape, math.inf)
-    stable = classify_many(*arrays).stable
-    value, rcond, growth = _solve(np.stack([a[stable] for a in arrays], axis=-1), certify=True)
+    params = np.empty((*np.broadcast(s1, s2, k1, k2).shape, 4))  # one row (s1, s2, k1, k2) per tuple
+    params[..., 0], params[..., 1], params[..., 2], params[..., 3] = s1, s2, k1, k2
+    stable = classify_many(params[..., 0], params[..., 1], params[..., 2], params[..., 3]).stable
+    value, rcond, growth = _solve(params[stable], certify=True)
+    out = np.full(stable.shape, math.inf)
     out[stable] = np.where(_accepted(value, rcond, growth), value, math.inf)
     return out
 

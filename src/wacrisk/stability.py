@@ -157,28 +157,28 @@ def _crossings_many(s1, s2, k1, k2):
     on a new leading axis; entries that do not exist are meaningless.
     ``crossing`` marks tuples with a positive crossing frequency, ``two`` the
     side prod > 0 where gamma- can exist, and ``gap`` = 2 sqrt(prod) - delta
-    is the slack of the two-crossing condition delta > 2 sqrt(prod).
+    is the slack of the two-crossing condition delta > 2 sqrt(prod).  Runs
+    under the caller's ``np.errstate``, for the entries that do not exist.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        delta = k2 * k2 + 2.0 * s2 - s1 * s1
-        prod = s2 * s2 - k1 * k1  # product of the squared crossing frequencies
-        gap = 2.0 * np.sqrt(np.maximum(prod, 0.0)) - delta
+    delta = k2 * k2 + 2.0 * s2 - s1 * s1
+    prod = s2 * s2 - k1 * k1  # product of the squared crossing frequencies
+    gap = 2.0 * np.sqrt(np.maximum(prod, 0.0)) - delta
 
-        # squared crossing frequencies (g+^2, g-^2): roots of g^2 - delta g + prod;
-        # with prod > 0 both exist only for delta > 2 sqrt(prod), else only g+
-        disc = delta * delta - 4.0 * prod
-        root = np.sqrt(disc)
-        squares = 0.5 * np.stack([delta + root, delta - root])
-        two = prod > 0.0
-        crossing = np.where(two, (delta > 0.0) & (disc > 0.0) & (squares[1] > 0.0), squares[0] > 0.0)
+    # squared crossing frequencies (g+^2, g-^2): roots of g^2 - delta g + prod;
+    # with prod > 0 both exist only for delta > 2 sqrt(prod), else only g+
+    disc = delta * delta - 4.0 * prod
+    root = np.sqrt(disc)
+    squares = 0.5 * np.array([delta + root, delta - root])
+    two = prod > 0.0
+    crossing = np.where(two, (delta > 0.0) & (disc > 0.0) & (squares[1] > 0.0), squares[0] > 0.0)
 
-        # phases phi+- in [0, 2 pi) at which the delayed term cancels c(i gamma)
-        gamma = np.sqrt(squares)
-        g2 = gamma * gamma
-        denom = k2 * k2 * g2 + k1 * k1
-        cos_val = -(s1 * k2 * g2 + k1 * (s2 - g2)) / denom
-        sin_val = (s1 * k1 * gamma - k2 * gamma * (s2 - g2)) / denom
-        phi = np.mod(np.arctan2(sin_val, cos_val), _TWO_PI)
+    # phases phi+- in [0, 2 pi) at which the delayed term cancels c(i gamma)
+    gamma = np.sqrt(squares)
+    g2 = gamma * gamma
+    denom = k2 * k2 * g2 + k1 * k1
+    cos_val = -(s1 * k2 * g2 + k1 * (s2 - g2)) / denom
+    sin_val = (s1 * k1 * gamma - k2 * gamma * (s2 - g2)) / denom
+    phi = np.mod(np.arctan2(sin_val, cos_val), _TWO_PI)
     return gamma, phi, crossing, two, gap
 
 
@@ -192,8 +192,7 @@ def _cutoffs_below(gamma, phi):
 def _as_arrays(*values) -> list[np.ndarray]:
     """Float arrays of one common shape (broadcast views only where needed)."""
     arrays = [np.asarray(v, dtype=float) for v in values]
-    shape = arrays[0].shape
-    if any(a.shape != shape for a in arrays):
+    if len({a.shape for a in arrays}) > 1:
         arrays = np.broadcast_arrays(*arrays)
     return arrays
 
@@ -221,12 +220,14 @@ def classify_many(s1, s2, k1, k2, band: float = BOUNDARY_BAND) -> Verdicts:
     for non-finite entries or negative s1, s2, as ScaledParams does.
     """
     s1, s2, k1, k2 = _as_arrays(s1, s2, k1, k2)
-    values = np.array([s1, s2, k1, k2])
-    if not np.isfinite(values).all():
-        raise ValidationError("s1, s2, k1 and k2 must be finite")
-    if not (values[:2] >= 0.0).all():
-        raise ValidationError("s1 and s2 must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # a finite sum has finite terms; only a sum that is not finite, or has
+        # overflowed, needs the terms checked one by one
+        unsure = np.count_nonzero(~np.isfinite(s1 + s2 + k1 + k2))
+        if unsure and not all(np.isfinite(v).all() for v in (s1, s2, k1, k2)):
+            raise ValidationError("s1, s2, k1 and k2 must be finite")
+        if np.count_nonzero(np.minimum(s1, s2) < 0.0):
+            raise ValidationError("s1 and s2 must be nonnegative")
         hard = k1 + s2  # sign of c(0); negative means a permanent real unstable root
         a0 = s1 + k2
         start_stable = a0 > 0.0  # the delay-free quadratic has no unstable root
@@ -253,7 +254,7 @@ def classify_many(s1, s2, k1, k2, band: float = BOUNDARY_BAND) -> Verdicts:
         region = 2 + crossing * (1 + w3)  # W1, W2 or W3
 
         w0 = (s2 == 0.0) & (k1 == 0.0)
-        if w0.any():
+        if np.count_nonzero(w0):
             # consensus branch: stable for |k2| < s1 or up to an arccot-type cut-off
             root = np.sqrt(np.maximum(k2 * k2 - s1 * s1, 0.0))
             arccot = math.pi / 2.0 - np.arctan(-s1 / root)

@@ -123,15 +123,16 @@ def mode_weight(lam, mu, kappa, d: float, tau: float, noise: NoiseParams, inerti
     """
     if not 0.0 <= tau < math.inf:
         raise ValidationError(f"tau must be finite and nonnegative, got {tau}")
-    lam, mu, kappa = (np.asarray(v, dtype=float) for v in (lam, mu, kappa))
+    lam, mu, kappa = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float), np.asarray(kappa, dtype=float)
     intensity = noise.mode_intensity_sq(mu, kappa, inertia)
     # an unstable mode keeps +inf instead of the product, so zero noise cannot turn inf into nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if tau == 0.0:
+    if tau == 0.0:
+        with np.errstate(divide="ignore", invalid="ignore"):
             stable = delay_free_stable(d, lam, mu, kappa)
             weight = np.where(stable, TWO_PI * intensity / (2.0 * (d + kappa) * (lam + mu)), math.inf)
-        else:
-            value = weights(*scaled_coordinates(d, lam, mu, kappa, tau))
+    else:
+        value = weights(*scaled_coordinates(d, lam, mu, kappa, tau))  # under an errstate of its own
+        with np.errstate(invalid="ignore"):
             weight = np.where(np.isinf(value), math.inf, tau**3 * intensity * value)
     return weight if weight.ndim else float(weight)
 

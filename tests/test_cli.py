@@ -723,3 +723,21 @@ def test_risk_from_stats_names_the_bad_line_after_good_rows(tmp_path):
     )
     assert proc.returncode == 2
     assert f"{stats} line 5: expected i,j,sigma with sigma >= 0, got '2,3,-0.1'" in proc.stderr
+
+
+def test_non_finite_gains_exit_2_without_a_warning(line3_path, tmp_path):
+    # scalar flags and a --gains file holding NaN (which Python's json accepts) are
+    # refused where the gains are resolved, before any arithmetic can warn
+    nan_gains = tmp_path / "nan_gains.json"
+    nan_gains.write_text('{"mode": "uniform", "mu": NaN, "kappa": 1.0}')
+    for argv, field in (
+        (["stability", "--network", line3_path, "--tau", "0.1", "--kappa", "inf"], "kappa"),
+        (["stability", "--network", line3_path, "--tau", "0.1", "--mu", "nan", "--gain-mode", "consensus"], "mu"),
+        (["stats", "--network", line3_path, "--tau", "0.1", "--eta", "0.7", "--gains", str(nan_gains)], "mu"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "wacrisk.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"gain {field} must be finite" in proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -280,3 +281,28 @@ def test_load_network_missing_field(tmp_path):
     path.write_text('{"generators": []}')
     with pytest.raises(ValidationError):
         load_network(str(path))
+
+
+_LINE3_LAPLACIAN = [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "gains, field",
+    [
+        (GainSpec.uniform(math.inf, 1.0), "mu"),
+        (GainSpec.uniform(0.5, math.nan), "kappa"),
+        (GainSpec.consensus(math.nan, 1.0), "mu"),
+        (GainSpec.consensus(0.2, -math.inf), "kappa"),
+        (GainSpec.consensus(0.2, 1e308), "kappa"),  # finite, but overflows on the modes
+        (GainSpec.eigen([0.0, 0.5, math.nan], [0.0, 1.0, 1.0]), "mu"),
+        (GainSpec.eigen([0.0, 0.5, 0.5], [0.0, math.inf, 1.0]), "kappa"),
+        (GainSpec.dense(np.where(np.eye(3) > 0, math.nan, 0.0), _LINE3_LAPLACIAN), "M"),
+        (GainSpec.dense(_LINE3_LAPLACIAN, np.where(np.eye(3) > 0, math.inf, 0.0)), "K"),
+    ],
+)
+def test_resolve_gains_refuses_non_finite_gains(gains, field, line3_spectrum):
+    # refused before any product with the eigenbasis: no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=f"gain {field} must be finite"):
+            resolve_gains(gains, line3_spectrum)

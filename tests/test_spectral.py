@@ -17,9 +17,13 @@ import wacrisk
 from wacrisk._gridopt import _MAX_POLISH, _axis, grid_minimize
 from wacrisk.errors import InfeasibleError, ValidationError
 from wacrisk.spectral import (
+    _BLOCK,
+    _GRAM_SLACK,
     _MIN_RCOND,
+    _PADE13,
     _PARTS_AT_ZERO,
     _PARTS_SLOPES,
+    _SLOPES_BY_PARAMETER,
     _THETA13,
     _TRANSPOSE,
     _accepted,
@@ -31,10 +35,18 @@ from wacrisk.spectral import (
     magnitude_sq,
     weights,
 )
-from wacrisk.stability import ScaledParams, _crossings_many, classify, classify_many
+from wacrisk.stability import ScaledParams, classify, classify_many
+from wacrisk.stability import _crossings_many as _crossing_kernel
 from wacrisk.stats import NoiseParams, mode_weight
 
 from conftest import IEEE39_MODES, IEEE39_PARAMS
+
+
+def _crossings_many(s1, s2, k1, k2):
+    """The crossing kernel under the ``np.errstate`` that its callers in the
+    package hold: entries that do not exist divide by zero or take roots of negatives."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _crossing_kernel(s1, s2, k1, k2)
 
 # published per-mode optimal (mu, kappa) of the ten-machine study
 IEEE39_OPTIMA = [(0.25, 2.75), (0.20, 2.75), (0.15, 2.75), (0.10, 2.75), (0.10, 2.70),
@@ -525,6 +537,190 @@ def test_weights_broadcast_and_refuse_without_nan():
     assert weights(np.zeros(0), 1.0, 0.0, 0.0).shape == (0,)
 
 
+# --- the mode-weight chain as it stood before its Python-level trims ------------
+
+
+def _reference_expm(a):
+    """``spectral._expm`` as it stood before its trims: the finite mask applied to
+    every slice, and the identity and its Pade multiples built on every call."""
+    b = _PADE13
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    finite = np.isfinite(norm)
+    s = np.ceil(np.log2(np.maximum(np.where(finite, norm, 0.0) / _THETA13, 1.0))).astype(int)
+    a = np.ldexp(np.where(finite[:, None, None], a, 0.0), -s[:, None, None])
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    try:
+        r = eye + np.linalg.solve(v - u, 2.0 * u)
+    except np.linalg.LinAlgError:
+        r = np.full(a.shape, math.nan)
+        for i, (left, right) in enumerate(zip(v - u, 2.0 * u)):
+            try:
+                r[i] = eye + np.linalg.solve(left, right)
+            except np.linalg.LinAlgError:
+                pass
+    r[~finite] = math.nan
+    for k in range(int(s.max(initial=0))):
+        r = np.where((s > k)[:, None, None], r @ r, r)
+    return r
+
+
+def _reference_unit_rows(system, solution):
+    scaled = system * np.abs(solution)[:, None, :]
+    norms = np.linalg.norm(scaled, axis=2)
+    good = np.all(np.isfinite(norms) & (norms > 0.0), axis=1)
+    return scaled[good] / norms[good][:, :, None], good
+
+
+def _reference_scaled_rcond(system, solution):
+    unit, good = _reference_unit_rows(system, solution)
+    rcond = np.zeros(len(system))
+    if good.any():
+        sv = np.linalg.svd(unit, compute_uv=False)
+        rcond[good] = sv[:, -1] / sv[:, 0]
+    return rcond
+
+
+def _reference_has_cholesky(stack):
+    try:
+        np.linalg.cholesky(stack)
+        return np.ones(len(stack), dtype=bool)
+    except np.linalg.LinAlgError:
+        if len(stack) == 1:
+            return np.zeros(1, dtype=bool)
+        half = len(stack) // 2
+        return np.concatenate([_reference_has_cholesky(stack[:half]), _reference_has_cholesky(stack[half:])])
+
+
+def _reference_solve(params, certify=False):
+    """``spectral._solve`` as it stood before its trims: an errstate per block,
+    np.linalg.norm, and every boolean compaction taken even when it keeps every row."""
+    value, rcond, growth = (np.zeros(len(params)) for _ in range(3))
+    for start in range(0, len(params), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        block = params[rows]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            parts = _PARTS_AT_ZERO + (block @ _SLOPES_BY_PARAMETER).reshape(-1, 12, 8)
+            flow = _reference_expm(parts[:, :8])
+            eye = np.eye(8)
+            system = np.concatenate([flow[:, 4:] - eye[:4], eye[4:] - flow[:, [0, 2, 1, 3]], parts[:, 8:]], axis=1)
+            growth[rows] = np.maximum(np.abs(system[:, :8]).max(axis=(1, 2)), 1.0)
+            solvable = growth[rows] < 1.0 / _MIN_RCOND
+            solution = np.zeros((len(block), 8))
+            q, r = np.linalg.qr(system[solvable])
+            x = np.full((len(q), 8), math.nan)
+            regular = np.all(np.diagonal(r, axis1=1, axis2=2) != 0.0, axis=1)
+            x[regular] = np.linalg.solve(r[regular], -q[regular, 8, :, None])[..., 0]
+            solution[solvable] = x
+            value[rows] = 2.0 * math.pi * solution[:, 3]
+            if certify:
+                floor = 10.0 * _MIN_RCOND * growth[rows]
+                unit, good = _reference_unit_rows(system, solution)
+                shift = 12.0 * floor[good] ** 2 + _GRAM_SLACK
+                sure = np.zeros(len(system), dtype=bool)
+                sure[good] = _reference_has_cholesky(np.swapaxes(unit, 1, 2) @ unit - shift[:, None, None] * eye)
+                rcond[rows] = np.where(sure, floor, 0.0)
+                if not sure.all():
+                    rcond[rows][~sure] = _reference_scaled_rcond(system[~sure], solution[~sure])
+            else:
+                rcond[rows] = _reference_scaled_rcond(system, solution)
+    return value, rcond, growth
+
+
+def _reference_weights(s1, s2, k1, k2):
+    """``spectral.weights`` on the reference chain."""
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (s1, s2, k1, k2)))
+    out = np.full(arrays[0].shape, math.inf)
+    stable = classify_many(*arrays).stable
+    value, rcond, growth = _reference_solve(np.stack([a[stable] for a in arrays], axis=-1), certify=True)
+    out[stable] = np.where(_accepted(value, rcond, growth), value, math.inf)
+    return out
+
+
+def _same_bits(got, want):
+    """Equal arrays of one dtype and shape, floats compared through their int64 view
+    (so -0.0 and 0.0, and NaN payloads, count as different)."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype == np.float64:
+        got, want = got.view(np.int64), want.view(np.int64)
+    return np.array_equal(got, want)
+
+
+def _reference_probe_tuples():
+    """200,000 seeded criterion-07 tuples (s1, s2 on [0, 3], k1, k2 on [-3, 3]), then
+    the zero faces, tuples 1e-3 ... 1e-9 inside a stability edge, strongly damped
+    tuples and IEEE-39 mode tuples."""
+    rng = np.random.default_rng(2407)
+    random = np.column_stack([rng.uniform(0.0, 3.0, (200_000, 2)), rng.uniform(-3.0, 3.0, (200_000, 2))])
+    faces = np.repeat(random[:500], 5, axis=0)
+    faces[0::5, 1] = 0.0  # s2 = 0
+    faces[1::5, 2] = 0.0  # k1 = 0
+    faces[2::5, 1:3] = 0.0  # the consensus branch s2 = k1 = 0
+    faces[3::5, 0] = 0.0  # s1 = 0
+    faces[4::5, 3] = -0.0  # k2 = -0.0
+    count = 60
+    start = np.column_stack([rng.uniform(0.05, 3.0, (count, 2)), np.zeros((count, 2))])
+    direction = np.column_stack([np.zeros((count, 2)), rng.uniform(-1.0, 1.0, (count, 2))])
+    direction[:, 2] = np.abs(direction[:, 2]) + 0.5
+    edge = _bisect_edge(start, direction)
+    gaps = 10.0 ** -np.arange(3.0, 10.0)
+    band = (start[:, None] + (edge[:, None, None] * (1.0 - gaps)[None, :, None]) * direction[:, None]).reshape(-1, 4)
+    damped = np.column_stack([np.concatenate([np.linspace(10.0, 30.0, 101), [100.0, 800.0]]),
+                              rng.uniform(0.1, 3.0, 103), rng.uniform(-0.5, 0.5, (103, 2))])
+    return np.vstack([random, faces, band, damped, _mixed_tuples(500, 2407)])
+
+
+def test_solve_and_weights_match_the_reference_chain_bit_for_bit():
+    tuples = _reference_probe_tuples()
+    got = weights(*tuples.T)
+    assert _same_bits(got, _reference_weights(*tuples.T))
+    assert np.isfinite(got).sum() > 80_000
+    stable = tuples[classify_many(*tuples.T).stable]
+    for certify in (True, False):
+        rows = stable if certify else stable[::8]
+        for mine, theirs in zip(_solve(rows, certify=certify), _reference_solve(rows, certify=certify)):
+            assert _same_bits(mine, theirs), certify
+    # one-tuple calls (0-d), Python lists and broadcast inputs
+    for row in tuples[-300:]:
+        assert _same_bits(weights(*row), _reference_weights(*row))
+    lists = [list(column) for column in tuples[-50:].T]
+    assert _same_bits(weights(*lists), _reference_weights(*lists))
+    k1, k2 = np.linspace(-0.5, 3.0, 8)[:, None], np.linspace(-1.0, 4.0, 6)
+    assert _same_bits(weights(0.5, 1.0, k1, k2), _reference_weights(0.5, 1.0, k1, k2))
+    # evaluate's value, rcond and forward bound
+    for row in stable[-200:]:
+        value, rcond, growth = (float(a[0]) for a in _reference_solve(row[None]))
+        if rcond >= _MIN_RCOND * growth and value > 0.0:
+            got = evaluate(ScaledParams(*row))
+            assert (got.value, got.rcond, got.abs_error_estimate) == (value, rcond, value * 2.0**-52 * growth / rcond)
+        else:
+            with pytest.raises(InfeasibleError):
+                evaluate(ScaledParams(*row))
+
+
+def test_mode_weight_matches_the_reference_chain_bit_for_bit():
+    # tau > 0 through the spectral weights, tau = 0 through the closed form
+    p = IEEE39_PARAMS
+    noise = NoiseParams(p["eta"], p["eta_meas"])
+    lam = np.array(IEEE39_MODES)[:, None]
+    mus, kappas = (v.ravel() for v in np.meshgrid(np.linspace(0.0, 1.0, 11), np.linspace(-0.5, 4.0, 19)))
+    intensity = (p["eta"] / p["inertia"]) ** 2 + p["eta_meas"] ** 2 * (mus * mus + kappas * kappas)
+    for tau in (0.03, 0.1):
+        value = _reference_weights(p["d"] * tau, lam * tau * tau, mus * tau * tau, kappas * tau)
+        with np.errstate(invalid="ignore"):
+            want = np.where(np.isinf(value), math.inf, tau**3 * intensity * value)
+        assert _same_bits(mode_weight(lam, mus, kappas, p["d"], tau, noise, p["inertia"]), want)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stable = (kappas + p["d"] > 0.0) & (lam + mus > 0.0)
+        want = np.where(stable, 2.0 * math.pi * intensity / (2.0 * (p["d"] + kappas) * (lam + mus)), math.inf)
+    assert _same_bits(mode_weight(lam, mus, kappas, p["d"], 0.0, noise, p["inertia"]), want)
+
+
 # --- memoised compass polish against a one-point-at-a-time walk -----------------
 
 
@@ -609,6 +805,16 @@ def _lattice(seed):
         (lambda x, y: (x - 0.37) ** 2 + 3.0 * (y - 0.04) ** 2, (-1.0, 1.0, -0.05, 0.05), 0.5),
         # a -0.0 bound: a candidate clipped onto it keeps the bound's sign, not its own
         (lambda x, y: (x - 0.01) ** 2 + (y - 1.3) ** 2, (-0.0, 1.0, 0.0, 4.0), 0.25),
+        # the seed axis starts at -0.0 + 0.0 = +0.0 while candidates clipped onto the
+        # lower y bound are -0.0: the same value, a different point for the lookup
+        (lambda x, y: (x - 0.2) ** 2 + (y + 0.3) ** 2, (0.0, 1.0, -0.0, 1.0), 0.25),
+        # half steps of a quarter: every other polish candidate lands exactly on a
+        # seed-grid value, looked up instead of probed
+        (_lattice(7), (-1.0, 1.0, -1.0, 1.0), 0.5),
+        (lambda x, y: np.abs(x - 0.6) + np.abs(y - 0.2), (0.0, 1.0, 0.0, 1.0), 0.5),
+        # spans that are no multiple of the step end on an appended axis value, which
+        # candidates clipped onto the upper bounds hit bit for bit
+        (lambda x, y: (x - 1.2) ** 2 + (y - 0.95) ** 2, (0.0, 0.9, 0.0, 0.9), 0.25),
     ],
 )
 def test_grid_minimize_equals_one_point_walk(objective, box, step):
@@ -625,9 +831,10 @@ def test_grid_minimize_equals_one_point_walk(objective, box, step):
         return float(objective(np.array([x]), np.array([y]))[0])
 
     assert grid_minimize(recording, box, step) == _reference_walk(scalar, box, step)
-    # every point the walk probes, bit for bit, is probed by the memo too
+    # every point the walk probes, bit for bit, is probed by the memo too (the seed
+    # grid's in its one call): none is missed
     assert walked <= set(requested)
-    # the memo asks for no point twice, and every probe lies inside the box
+    # the memo asks for no point twice, seed-grid points included, and every probe lies inside the box
     assert len(set(requested)) == len(requested)
     xs, ys = (np.array(v, dtype=np.int64).view(float) for v in zip(*requested))
     x_lo, x_hi, y_lo, y_hi = box

@@ -14,7 +14,6 @@ from wacrisk.network import GainSpec
 from wacrisk.stability import (
     REGIONS,
     ScaledParams,
-    _crossings_many,
     classify,
     classify_many,
     delay_free_stable,
@@ -27,10 +26,18 @@ from wacrisk.stability import (
     _modulus_bound,
     _rightmost_at,
 )
+from wacrisk.stability import _crossings_many as _crossing_kernel
 from wacrisk.stats import NoiseParams
 from wacrisk.synthesis import synthesize
 
 from conftest import IEEE39_PARAMS
+
+
+def _crossings_many(s1, s2, k1, k2):
+    """The crossing kernel under the ``np.errstate`` that its callers in the
+    package hold: entries that do not exist divide by zero or take roots of negatives."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _crossing_kernel(s1, s2, k1, k2)
 
 # --- table of explicit region predicates, kept independent of classify() ----
 # so the implementation is cross-checked against a literal transcription
@@ -316,6 +323,148 @@ def test_classify_many_broadcasts_and_validates():
         classify_many([0.5, -0.1], 1.0, 0.0, 0.0)
     with pytest.raises(ValidationError):
         classify_many(0.5, 1.0, [0.0, math.nan], 0.0)
+
+
+# --- classify_many as it stood before its Python-level trims ----------------------
+
+
+def _reference_classify_many(s1, s2, k1, k2, band=stability.BOUNDARY_BAND):
+    """``classify_many`` as it stood before its trims: the inputs copied into one
+    (4, N) array for validation, an errstate nested in the crossing helper, and
+    np.stack; the oracle the kernel must equal bit for bit."""
+    s1, s2, k1, k2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (s1, s2, k1, k2)))
+    values = np.array([s1, s2, k1, k2])
+    if not np.isfinite(values).all():
+        raise ValidationError("s1, s2, k1 and k2 must be finite")
+    if not (values[:2] >= 0.0).all():
+        raise ValidationError("s1 and s2 must be nonnegative")
+    two_pi = 2.0 * math.pi
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        hard = k1 + s2
+        a0 = s1 + k2
+        start_stable = a0 > 0.0
+        split = s2 - np.abs(k1)
+        w3 = split > 0.0
+        delta = k2 * k2 + 2.0 * s2 - s1 * s1
+        prod = s2 * s2 - k1 * k1
+        gap = 2.0 * np.sqrt(np.maximum(prod, 0.0)) - delta
+        disc = delta * delta - 4.0 * prod
+        root = np.sqrt(disc)
+        squares = 0.5 * np.stack([delta + root, delta - root])
+        two = prod > 0.0
+        crossing = np.where(two, (delta > 0.0) & (disc > 0.0) & (squares[1] > 0.0), squares[0] > 0.0)
+        gamma = np.sqrt(squares)
+        g2 = gamma * gamma
+        denom = k2 * k2 * g2 + k1 * k1
+        cos_val = -(s1 * k2 * g2 + k1 * (s2 - g2)) / denom
+        sin_val = (s1 * k1 * gamma - k2 * gamma * (s2 - g2)) / denom
+        phi = np.mod(np.arctan2(sin_val, cos_val), two_pi)
+        cutoffs = np.where(gamma < phi, 0.0, np.floor((gamma - phi) / two_pi) + 1.0)
+        slacks = np.abs(gamma - phi - two_pi * np.maximum(0.0, np.rint((gamma - phi) / two_pi)))
+        crossing_stable = np.where(start_stable, 0.0, 2.0) + 2.0 * (cutoffs[0] - np.where(two, cutoffs[1], 0.0)) == 0.0
+        slack = np.where(two, np.minimum(slacks[0], slacks[1]), slacks[0])
+        crossing_margin = np.minimum(
+            np.minimum(np.minimum(hard, np.abs(a0)), np.where(w3, np.minimum(split, -gap), -split)), slack
+        )
+        crossing_margin = np.where(crossing_stable, crossing_margin, np.minimum(crossing_margin, -crossing_margin))
+        free_margin = np.where(start_stable, np.minimum(np.minimum(np.minimum(hard, a0), split), gap), a0)
+        margin = np.where(hard <= band, hard, np.where(crossing, crossing_margin, free_margin))
+        stable = np.where(crossing, crossing_stable, start_stable)
+        region = 2 + crossing * (1 + w3)
+        w0 = (s2 == 0.0) & (k1 == 0.0)
+        if w0.any():
+            root = np.sqrt(np.maximum(k2 * k2 - s1 * s1, 0.0))
+            arccot = math.pi / 2.0 - np.arctan(-s1 / root)
+            cut = (k2 > s1) & (root > 0.0)
+            w0_margin = np.maximum(s1 - np.abs(k2), np.where(cut, np.minimum(k2 - s1, arccot - root), k2 - s1))
+            margin = np.where(w0, w0_margin, margin)
+            stable |= w0
+            region = np.where(w0, 1, region)
+    stable &= margin > band
+    return stability.Verdicts(
+        stable=stable, region=region * stable, margin=margin, boundary=~stable & (np.abs(margin) <= band)
+    )
+
+
+def _assert_same_verdicts(got, want):
+    """Every field equal in dtype, shape and value; the margin through its int64
+    view, so that -0.0 and 0.0 count as different."""
+    for field in stability.Verdicts._fields:
+        mine, theirs = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape, field
+        if mine.dtype == np.float64:
+            mine, theirs = mine.view(np.int64), theirs.view(np.int64)
+        assert np.array_equal(mine, theirs), field
+
+
+def _reference_stream():
+    """200,000 seeded criterion-07 tuples, then the zero faces and probes around
+    the boundary band of the slacks hard = s2 + k1, a0 = s1 + k2 and split = s2 - |k1|."""
+    rng = np.random.default_rng(2408)
+    random = np.column_stack([rng.uniform(0.0, 3.0, (200_000, 2)), rng.uniform(-3.0, 3.0, (200_000, 2))])
+    faces = np.repeat(random[:500], 5, axis=0)
+    faces[0::5, 1] = 0.0
+    faces[1::5, 2] = 0.0
+    faces[2::5, 1:3] = 0.0
+    faces[3::5, 0] = 0.0
+    faces[4::5, 3] = -0.0
+    offsets = np.array([-2e-9, -1e-9, -5e-10, -0.0, 0.0, 5e-10, 1e-9, 2e-9])
+    base = np.repeat(random[:200], len(offsets), axis=0)
+    eps = np.tile(offsets, 200)
+    hard, a0, split = base.copy(), base.copy(), base.copy()
+    hard[:, 2] = eps - hard[:, 1]
+    a0[:, 3] = eps - a0[:, 0]
+    split[:, 1] = np.abs(split[:, 2]) + np.abs(eps)
+    return np.vstack([random, faces, hard, a0, split])
+
+
+def test_classify_many_matches_the_reference_bit_for_bit():
+    tuples = _reference_stream()
+    for band in (stability.BOUNDARY_BAND, 1e-3):
+        _assert_same_verdicts(classify_many(*tuples.T, band=band), _reference_classify_many(*tuples.T, band=band))
+    # one tuple (0-d entries), Python lists and broadcast inputs
+    for row in tuples[-400:]:
+        _assert_same_verdicts(classify(ScaledParams(*row)), _reference_classify_many(*row))
+    lists = [list(column) for column in tuples[-64:].T]
+    _assert_same_verdicts(classify_many(*lists), _reference_classify_many(*lists))
+    k1, k2 = np.linspace(-2.0, 2.0, 5)[:, None], np.linspace(-1.0, 3.0, 4)
+    _assert_same_verdicts(classify_many(0.5, 1.0, k1, k2), _reference_classify_many(0.5, 1.0, k1, k2))
+    empty = np.zeros(0)
+    _assert_same_verdicts(classify_many(empty, 1.0, 0.0, 0.0), _reference_classify_many(empty, 1.0, 0.0, 0.0))
+
+
+def test_mode_verdicts_match_the_reference_bit_for_bit():
+    # physical modes at tau > 0 through the scaled tuples, at tau = 0 through the delay-free rule
+    rng = np.random.default_rng(2409)
+    d, lam = rng.uniform(0.0, 0.5, 2000), rng.uniform(0.0, 120.0, 2000)
+    mu, kappa = rng.uniform(-1.0, 2.0, 2000), rng.uniform(-1.0, 5.0, 2000)
+    lam[:200] = mu[:200] = 0.0
+    for tau in (0.01, 0.03, 0.3):
+        got = mode_verdicts(d, lam, mu, kappa, tau)
+        _assert_same_verdicts(got, _reference_classify_many(*scaled_coordinates(d, lam, mu, kappa, tau)))
+    stable = delay_free_stable(d, lam, mu, kappa) | ((lam == 0.0) & (mu == 0.0) & (kappa + d > 0.0))
+    want = stability.Verdicts(stable, np.where(stable, REGIONS.index("delay-free"), 0),
+                              np.full(2000, math.nan), np.zeros(2000, dtype=bool))
+    _assert_same_verdicts(mode_verdicts(d, lam, mu, kappa, 0.0), want)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(math.nan, 1.0, 0.0, 0.0), (0.5, math.inf, 0.0, 0.0), (0.5, 1.0, -math.inf, 0.0), (0.5, 1.0, 0.0, math.nan),
+     (math.inf, 1.0, -math.inf, 0.0), (-0.1, 1.0, 0.0, 0.0), (0.5, -1e-300, 0.0, 0.0),
+     (1e308, 1e308, 1e308, 1e308), (1e308, 0.0, -1e308, -1e308), (0.0, -0.0, -0.0, 0.0)],
+)
+def test_classify_many_validates_like_the_reference(values):
+    # a finite tuple whose sum overflows is checked term by term, and passes
+    try:
+        want = _reference_classify_many(*values)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError, match=re.escape(str(exc))):
+            classify_many(*values)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_same_verdicts(classify_many(*values), want)
 
 
 # --- delay-free conditions ----------------------------------------------------
