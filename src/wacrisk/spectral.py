@@ -44,7 +44,12 @@ conditioning; it always takes the SVD.  The gain search calls
 :func:`weights` on about ten tuples at a time, so its fixed cost is kept
 small: one ``np.errstate`` per call, one parameter array filled by
 broadcasting, and a full slice, not a copy, for a row mask that selects
-every row.
+every row.  The solve, QR and Cholesky steps call the LAPACK gufuncs of
+``numpy.linalg._umath_linalg`` that the ``np.linalg`` wrappers call, so
+their values are the wrappers' bit for bit; a slice that LAPACK refuses
+(a singular Pade denominator or triangular factor, a Gram matrix without
+a Cholesky factor) comes back NaN under the caller's ``np.errstate``
+instead of raising for the whole stack.
 :func:`magnitude_sq` is the denominator above, for quadrature cross-checks.
 """
 
@@ -54,6 +59,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InfeasibleError
 from .stability import ScaledParams, classify, classify_many
@@ -80,7 +86,12 @@ _PADE13 = (
 )
 _THETA13 = 5.371920351148152
 
+# NumPy 2 sizes the raw-QR output by min(m, n) in one gufunc; NumPy 1.x has one
+# gufunc per shape, and ours is tall (12 x 8)
+_QR_R_RAW = getattr(_umath_linalg, "qr_r_raw", None) or _umath_linalg.qr_r_raw_n
+
 _I2, _I8 = np.eye(2), np.eye(8)
+_BELOW_DIAGONAL = np.tri(8, k=-1, dtype=bool)  # np.triu zeroes these entries
 _PADE_EYE = (_PADE13[0] * _I8, _PADE13[1] * _I8)  # b_0 I and b_1 I
 _TRANSPOSE_ROWS = [0, 2, 1, 3]
 _TRANSPOSE = np.eye(4)[_TRANSPOSE_ROWS]  # vec(X^T) = _TRANSPOSE @ vec(X), column-major vec
@@ -143,7 +154,9 @@ def _expm(a: np.ndarray) -> np.ndarray:
     I + 2 (V - U)^-1 U, which equals (V - U)^-1 (V + U) and gives exp(0) = I
     exactly.  A slice with a non-finite norm or a singular Pade denominator
     V - U comes back NaN, one that overflows while squaring comes back
-    non-finite, and neither disturbs the other slices.
+    non-finite, and neither disturbs the other slices.  Runs under its
+    caller's ``np.errstate``, which must ignore ``invalid`` (the flag a
+    singular denominator raises) and ``over``.
     """
     b = _PADE13
     norm = np.abs(a).sum(axis=-2).max(axis=-1)
@@ -158,27 +171,12 @@ def _expm(a: np.ndarray) -> np.ndarray:
     a6 = a2 @ a4
     u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + _PADE_EYE[1])
     v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + _PADE_EYE[0]
-    r = _I8 + _solve_each(v - u, 2.0 * u)
+    r = _I8 + _umath_linalg.solve(v - u, 2.0 * u)  # NaN for a singular denominator
     if not everywhere:
         r[~finite] = math.nan
     for k in range(int(s.max(initial=0))):
         r = np.where((s > k)[:, None, None], r @ r, r)
     return r
-
-
-def _solve_each(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """lhs^-1 rhs for each slice; NaN for a singular slice instead of an
-    error for the whole stack."""
-    try:
-        return np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError:
-        out = np.full(rhs.shape, math.nan)
-        for i, (left, right) in enumerate(zip(lhs, rhs)):
-            try:
-                out[i] = np.linalg.solve(left, right)
-            except np.linalg.LinAlgError:
-                pass  # singular: stays NaN
-        return out
 
 
 def _solve(params: np.ndarray, certify: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -224,13 +222,15 @@ def _selector(mask: np.ndarray):
 
 def _least_squares(system: np.ndarray) -> np.ndarray:
     """Solution of each consistent 12x8 system against the right-hand side
-    -vec(W) = -e_8 (the first algebraic row): QR, then back substitution."""
-    q, r = np.linalg.qr(system)
-    x = np.full((len(system), 8), math.nan)  # NaN where R is singular: refused downstream
-    regular = _selector(np.all(np.diagonal(r, axis1=1, axis2=2) != 0.0, axis=1))
+    -vec(W) = -e_8 (the first algebraic row): QR, then back substitution;
+    NaN where R is singular, which is refused downstream.  Runs under its
+    caller's ``np.errstate``, which must ignore ``invalid``."""
+    factors = system.copy()  # the raw QR overwrites its argument with R and the reflectors
+    tau = _QR_R_RAW(factors)
+    q = _umath_linalg.qr_reduced(factors, tau)
+    r = np.where(_BELOW_DIAGONAL, 0.0, factors[:, :8])  # np.triu, bit for bit
     # R is upper triangular, so the LU solve does no pivoting and is back substitution
-    x[regular] = np.linalg.solve(r[regular], -q[regular, 8, :, None])[..., 0]  # Q^T (-e_8)
-    return x
+    return _umath_linalg.solve(r, -q[:, 8, :, None])[..., 0]  # Q^T (-e_8)
 
 
 def _unit_rows(system: np.ndarray, solution: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
@@ -263,33 +263,19 @@ def _certified_rcond(system: np.ndarray, solution: np.ndarray, floor: np.ndarray
     The 12 unit rows of a scaled system S give its Gram matrix G = S^T S the
     trace 12, so sigma_max^2 <= 12; a Cholesky factor of G - (12 floor^2 +
     _GRAM_SLACK) I proves sigma_min^2 > 12 floor^2 and so rcond > floor.  The
-    slack covers the rounding of G and of the factorisation.
+    slack covers the rounding of G and of the factorisation.  Runs under its
+    caller's ``np.errstate``, which must ignore ``invalid`` (the flag a shifted
+    Gram matrix without a Cholesky factor raises).
     """
     unit, good = _unit_rows(system, solution)
     shift = 12.0 * floor[good] ** 2 + _GRAM_SLACK
     sure = np.zeros(len(system), dtype=bool)
-    sure[good] = _has_cholesky(np.swapaxes(unit, 1, 2) @ unit - shift[:, None, None] * _I8)
+    factor = _umath_linalg.cholesky_lo(np.swapaxes(unit, 1, 2) @ unit - shift[:, None, None] * _I8)
+    sure[good] = ~np.isnan(factor[:, 0, 0])  # a slice without a factor comes back NaN
     rcond = np.where(sure, floor, 0.0)
     if np.count_nonzero(sure) < len(sure):
         rcond[~sure] = _scaled_rcond(system[~sure], solution[~sure])
     return rcond
-
-
-def _has_cholesky(stack: np.ndarray) -> np.ndarray:
-    """Mask of the symmetric slices of a stack that have a Cholesky factor.
-
-    ``np.linalg.cholesky`` refuses a whole stack for one slice without a
-    factor, so a refused stack is split in halves until each refusal is
-    pinned to its slice; each slice is factorised on its own either way.
-    """
-    try:
-        np.linalg.cholesky(stack)
-        return np.ones(len(stack), dtype=bool)
-    except np.linalg.LinAlgError:
-        if len(stack) == 1:
-            return np.zeros(1, dtype=bool)
-        half = len(stack) // 2
-        return np.concatenate([_has_cholesky(stack[:half]), _has_cholesky(stack[half:])])
 
 
 def _accepted(value: np.ndarray, rcond: np.ndarray, growth: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 from scipy.integrate import quad
 from scipy.linalg import expm
 
@@ -23,14 +24,14 @@ from wacrisk.spectral import (
     _PADE13,
     _PARTS_AT_ZERO,
     _PARTS_SLOPES,
+    _QR_R_RAW,
     _SLOPES_BY_PARAMETER,
     _THETA13,
     _TRANSPOSE,
     _accepted,
+    _certified_rcond,
     _expm,
-    _has_cholesky,
     _solve,
-    _solve_each,
     evaluate,
     magnitude_sq,
     weights,
@@ -486,10 +487,22 @@ def test_certified_weights_match_svd_rule_on_strongly_damped_tuples():
         near = _certification(rows[classify_many(*rows.T).stable])
     assert np.isfinite(got).any() and np.isinf(got[-2:]).all()
     assert near.certified.any() and (~near.certified).any()
-    # the Cholesky stack is split until each refusal is pinned to its slice
+    # each slice of the Cholesky stack is decided alone: a slice without a factor
+    # comes back NaN, which is how the certificate reads a refusal
     shifted = np.stack([np.eye(8), -np.eye(8), np.eye(8), np.diag([1.0] * 7 + [-1e-12]), np.eye(8)])
-    assert _has_cholesky(shifted).tolist() == [True, False, True, False, True]
-    assert _has_cholesky(np.zeros((0, 8, 8))).shape == (0,)
+    with np.errstate(invalid="ignore"):
+        has_factor = ~np.isnan(_umath_linalg.cholesky_lo(shifted)[:, 0, 0])
+        assert has_factor.tolist() == [True, False, True, False, True]
+        assert _umath_linalg.cholesky_lo(np.zeros((0, 8, 8)))[:, 0, 0].shape == (0,)
+        # the certificate on a stack alternating full-rank systems with systems that
+        # leave their last column out: the floor for the first, the SVD rcond of 0 for the second
+        full = np.vstack([np.eye(8), np.eye(8)[:4]])
+        deficient = np.vstack([np.eye(8)[[0, 1, 2, 3, 4, 5, 6, 0]], np.eye(8)[:4]])
+        systems = np.stack([full, deficient, full, deficient, full])
+        floor = np.full(5, 1e-7)
+        got = _certified_rcond(systems, np.ones((5, 8)), floor)
+        assert np.array_equal(got, [1e-7, 0.0, 1e-7, 0.0, 1e-7])
+        assert _certified_rcond(np.zeros((0, 12, 8)), np.zeros((0, 8)), np.zeros(0)).shape == (0,)
 
 
 def _flow_generators(params):
@@ -518,10 +531,58 @@ def test_expm_bad_slice_leaves_the_stack_intact():
     got = _expm(bad)
     assert np.isnan(got[[1, 3]]).all()
     assert np.array_equal(got[[0, 2, 4]], alone)
-    # a singular slice of a batched solve gives NaN there, not an error for the stack
+    # a singular slice of the batched solve that _expm calls gives NaN there, not an
+    # error for the stack
     lhs = np.stack([2.0 * np.eye(3), np.zeros((3, 3)), np.eye(3)])
-    solved = _solve_each(lhs, np.stack([np.eye(3)] * 3))
+    with np.errstate(invalid="ignore"):
+        solved = _umath_linalg.solve(lhs, np.stack([np.eye(3)] * 3))
     assert np.array_equal(solved[[0, 2]], [0.5 * np.eye(3), np.eye(3)]) and np.isnan(solved[1]).all()
+
+
+def test_lapack_gufuncs_keep_the_surface_the_kernel_assumes(monkeypatch):
+    # spectral calls these private gufuncs of numpy.linalg directly; a NumPy release that
+    # renames one or changes its core dimensions or loops fails here first
+    raw_qr = "(m,n)->(p)" if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else "(m,n)->(n)"
+    for gufunc, signature, loop in [(_umath_linalg.solve, "(m,m),(m,n)->(m,n)", "dd->d"),
+                                    (_umath_linalg.cholesky_lo, "(m,m)->(m,m)", "d->d"),
+                                    (_QR_R_RAW, raw_qr, "d->d"),
+                                    (_umath_linalg.qr_reduced, "(m,n),(k)->(m,k)", "dd->d")]:
+        assert gufunc.signature == signature and loop in gufunc.types, gufunc.__name__
+    rng = np.random.default_rng(2501)
+    square = rng.normal(size=(5, 8, 8))
+    square[2] = 0.0  # singular, and without a Cholesky factor
+    spd = np.swapaxes(square, 1, 2) @ square + np.eye(8)
+    spd[3] = -np.eye(8)
+    tall = rng.normal(size=(4, 12, 8))
+    tall[1, :, 5] = 0.0  # rank-deficient: QR still factorises it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore"):
+            solved = _umath_linalg.solve(square, tall[0, :8][None].repeat(5, axis=0))
+            factor = _umath_linalg.cholesky_lo(spd)
+            factors = tall.copy()
+            q = _umath_linalg.qr_reduced(factors, _QR_R_RAW(factors))
+            empty = (_umath_linalg.solve(np.zeros((0, 8, 8)), np.zeros((0, 8, 1))),
+                     _umath_linalg.cholesky_lo(np.zeros((0, 8, 8))),
+                     _QR_R_RAW(np.zeros((0, 12, 8))))
+    # a failed slice is NaN; its neighbours are the public wrapper's result bit for bit
+    assert np.isnan(solved[2]).all() and np.isnan(factor[3]).all()
+    for i in (0, 1, 3, 4):
+        assert _same_bits(solved[i], np.linalg.solve(square[i], tall[0, :8]))
+    for i in (0, 1, 2, 4):
+        assert _same_bits(factor[i], np.linalg.cholesky(spd[i]))
+    want_q, want_r = np.linalg.qr(tall)
+    assert _same_bits(q, want_q) and _same_bits(np.triu(factors[:, :8]), want_r)
+    assert [a.shape for a in empty] == [(0, 8, 1), (0, 8, 8), (0, 8)]
+    # the kernel reaches no np.linalg solve, QR or Cholesky, and a block in which
+    # no row is solvable (both flows overflow) gives an empty stack to factorise
+    for name in ("solve", "qr", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert weights(np.array([800.0, 100.0]), 1.0, 0.1, 0.1).tolist() == [math.inf, math.inf]
+        assert np.isfinite(weights(0.5, 1.0, 0.2, 0.3))
+        assert _solve(np.zeros((0, 4)), certify=True)[0].shape == (0,)
 
 
 def test_weights_broadcast_and_refuse_without_nan():
@@ -538,6 +599,8 @@ def test_weights_broadcast_and_refuse_without_nan():
 
 
 # --- the mode-weight chain as it stood before its Python-level trims ------------
+# It calls the public np.linalg wrappers, so the chain tests check the LAPACK
+# gufuncs that spectral calls directly against NumPy's public API.
 
 
 def _reference_expm(a):
