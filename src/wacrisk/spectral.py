@@ -86,10 +86,6 @@ _PADE13 = (
 )
 _THETA13 = 5.371920351148152
 
-# NumPy 2 sizes the raw-QR output by min(m, n) in one gufunc; NumPy 1.x has one
-# gufunc per shape, and ours is tall (12 x 8)
-_QR_R_RAW = getattr(_umath_linalg, "qr_r_raw", None) or _umath_linalg.qr_r_raw_n
-
 _I2, _I8 = np.eye(2), np.eye(8)
 _BELOW_DIAGONAL = np.tri(8, k=-1, dtype=bool)  # np.triu zeroes these entries
 _PADE_EYE = (_PADE13[0] * _I8, _PADE13[1] * _I8)  # b_0 I and b_1 I
@@ -226,7 +222,7 @@ def _least_squares(system: np.ndarray) -> np.ndarray:
     NaN where R is singular, which is refused downstream.  Runs under its
     caller's ``np.errstate``, which must ignore ``invalid``."""
     factors = system.copy()  # the raw QR overwrites its argument with R and the reflectors
-    tau = _QR_R_RAW(factors)
+    tau = _umath_linalg.qr_r_raw(factors)
     q = _umath_linalg.qr_reduced(factors, tau)
     r = np.where(_BELOW_DIAGONAL, 0.0, factors[:, :8])  # np.triu, bit for bit
     # R is upper triangular, so the LU solve does no pivoting and is back substitution

@@ -11,14 +11,13 @@ F being the spectral integral of :mod:`wacrisk.spectral`; the consensus
 mode never contributes because phase differences annihilate it.  The pair
 deviation then reads
 
-    sigma_ij = sqrt( (1/2 pi) sum_{l>=2} (q_il - q_jl)^2 weight_l ),
-
-and the full covariance of the pair vector is
-(1/2 pi) B Q diag(weight) Q^T B^T for the complete incidence matrix B.
+    sigma_ij = sqrt( (1/2 pi) sum_{l>=2} (q_il - q_jl)^2 weight_l ).
 
 ``pair_sigma`` is the one place that evaluates sigma_ij, for weight rows of
 any batch shape; ``pair_deviations``, the trade-off scan and the deviation
-floor all read their deviations from it.
+floor all read their deviations from it.  It reduces one row of pairs (i, j > i)
+at a time, so a network of n machines costs O(n^2) memory, the size of its
+eigenbasis and of its n (n-1) / 2 deviations.
 
 F is read off the delay Lyapunov matrix of the mode, exact up to
 rounding.  ``mode_weight`` is the one place that computes a mode weight:
@@ -74,14 +73,13 @@ class PairStats:
     """Stationary pair deviations plus the underlying mode decomposition.
 
     ``mode_weights[l]`` is 2 pi times the stationary variance of mode l
-    (zero for the consensus mode), so that
-    covariance = (1/2 pi) B Q diag(mode_weights) Q^T B^T.
+    (zero for the consensus mode), so that ``sigma`` is
+    ``pair_sigma(eigenvectors, mode_weights)``.
     """
 
     pairs: tuple[tuple[int, int], ...]
     sigma: np.ndarray
     mode_weights: np.ndarray
-    covariance: np.ndarray
 
     @property
     def n(self) -> int:
@@ -102,13 +100,19 @@ def incidence_matrix(n: int) -> np.ndarray:
 def pair_sigma(eigenvectors: np.ndarray, weights) -> np.ndarray:
     """Pair deviations sqrt(sum_l (q_il - q_jl)^2 w_l / 2 pi) of weight rows ``(..., n)``.
 
-    Returns ``(..., n (n-1) / 2)`` in row-wise pair order.  Each row is reduced
-    along the mode axis alone (no matrix product), so it gives the same bits in any batch.
+    Returns ``(..., n (n-1) / 2)`` in row-wise pair order, for n >= 2.  Each
+    deviation is reduced along the mode axis alone (no matrix product), so it
+    gives the same bits in any batch; the pairs (i, j > i) of one i are reduced
+    together, so no array holds more than n - 1 pairs per weight row.
     """
-    i, j = np.triu_indices(eigenvectors.shape[0], 1)
-    gaps = eigenvectors[i] - eigenvectors[j]
-    weights = np.asarray(weights, dtype=float)[..., None, :]
-    return np.sqrt(np.sum(gaps * weights * gaps, axis=-1) / TWO_PI)
+    # C order keeps the mode axis contiguous, so each reduction takes the same pairwise sum
+    q = np.ascontiguousarray(eigenvectors, dtype=float)
+    weights = np.ascontiguousarray(weights, dtype=float)[..., None, :]
+    rows = []
+    for i in range(q.shape[0] - 1):
+        gaps = q[i] - q[i + 1:]
+        rows.append(np.sum(gaps * weights * gaps, axis=-1))
+    return np.sqrt(np.concatenate(rows, axis=-1) / TWO_PI)
 
 
 def mode_weight(lam, mu, kappa, d: float, tau: float, noise: NoiseParams, inertia: float):
@@ -160,12 +164,5 @@ def pair_deviations(
     unstable = np.flatnonzero(np.isinf(weights))
     if unstable.size:
         raise InfeasibleError(f"mode {unstable[0] + 1} is unstable at tau={tau}; stationary statistics undefined")
-    q = resolved.eigenvectors
-    bq = incidence_matrix(spectrum.n) @ q
-    covariance = (bq * weights) @ bq.T / TWO_PI
-    return PairStats(
-        pairs=pair_list(spectrum.n),
-        sigma=pair_sigma(q, weights),
-        mode_weights=weights,
-        covariance=0.5 * (covariance + covariance.T),
-    )
+    sigma = pair_sigma(resolved.eigenvectors, weights)
+    return PairStats(pairs=pair_list(spectrum.n), sigma=sigma, mode_weights=weights)

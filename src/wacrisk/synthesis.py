@@ -1,6 +1,6 @@
 """Risk-aware gain design and the limits delay and noise impose on it.
 
-Because commuting gains act mode by mode and the pair covariance is a
+Because commuting gains act mode by mode and each pair variance is a
 positively-weighted sum of mode weights, minimising every mode weight
 separately minimises every pair deviation simultaneously.  The designer
 therefore runs one small 2-D minimisation per non-consensus mode (grid

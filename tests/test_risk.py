@@ -184,7 +184,6 @@ def test_risk_profile_zero_sigma():
         pairs=pair_list(3),
         sigma=np.zeros(3),
         mode_weights=np.zeros(3),
-        covariance=np.zeros((3, 3)),
     )
     profile = risk_profile(stats, SET_A)
     assert np.all(profile.values == 0.0)

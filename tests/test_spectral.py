@@ -24,7 +24,6 @@ from wacrisk.spectral import (
     _PADE13,
     _PARTS_AT_ZERO,
     _PARTS_SLOPES,
-    _QR_R_RAW,
     _SLOPES_BY_PARAMETER,
     _THETA13,
     _TRANSPOSE,
@@ -542,10 +541,9 @@ def test_expm_bad_slice_leaves_the_stack_intact():
 def test_lapack_gufuncs_keep_the_surface_the_kernel_assumes(monkeypatch):
     # spectral calls these private gufuncs of numpy.linalg directly; a NumPy release that
     # renames one or changes its core dimensions or loops fails here first
-    raw_qr = "(m,n)->(p)" if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else "(m,n)->(n)"
     for gufunc, signature, loop in [(_umath_linalg.solve, "(m,m),(m,n)->(m,n)", "dd->d"),
                                     (_umath_linalg.cholesky_lo, "(m,m)->(m,m)", "d->d"),
-                                    (_QR_R_RAW, raw_qr, "d->d"),
+                                    (_umath_linalg.qr_r_raw, "(m,n)->(p)", "d->d"),
                                     (_umath_linalg.qr_reduced, "(m,n),(k)->(m,k)", "dd->d")]:
         assert gufunc.signature == signature and loop in gufunc.types, gufunc.__name__
     rng = np.random.default_rng(2501)
@@ -561,10 +559,10 @@ def test_lapack_gufuncs_keep_the_surface_the_kernel_assumes(monkeypatch):
             solved = _umath_linalg.solve(square, tall[0, :8][None].repeat(5, axis=0))
             factor = _umath_linalg.cholesky_lo(spd)
             factors = tall.copy()
-            q = _umath_linalg.qr_reduced(factors, _QR_R_RAW(factors))
+            q = _umath_linalg.qr_reduced(factors, _umath_linalg.qr_r_raw(factors))
             empty = (_umath_linalg.solve(np.zeros((0, 8, 8)), np.zeros((0, 8, 1))),
                      _umath_linalg.cholesky_lo(np.zeros((0, 8, 8))),
-                     _QR_R_RAW(np.zeros((0, 12, 8))))
+                     _umath_linalg.qr_r_raw(np.zeros((0, 12, 8))))
     # a failed slice is NaN; its neighbours are the public wrapper's result bit for bit
     assert np.isnan(solved[2]).all() and np.isnan(factor[3]).all()
     for i in (0, 1, 3, 4):

@@ -1,14 +1,19 @@
+import csv
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wacrisk.cli import run
 from wacrisk.errors import InfeasibleError, ValidationError
 from wacrisk.network import (
     GainSpec,
     GeneratorParams,
     NetworkModel,
     build_laplacian,
+    load_network,
 )
 from wacrisk.stats import (
     NoiseParams,
@@ -37,23 +42,98 @@ def test_pair_enumeration_row_wise():
         assert np.array_equal(incidence_matrix(n), want)
 
 
-@pytest.mark.parametrize("network", ["line3", "ieee39"])
-def test_pair_sigma_rows_independent_of_batch(network, line3_spectrum, ieee39_spectrum):
-    # n = 10 takes NumPy's eight-accumulator pairwise sum; a row must still
-    # give the same bits alone as inside a batch of any shape
-    q = {"line3": line3_spectrum, "ieee39": ieee39_spectrum}[network].eigenvectors
+def _reference_pair_sigma(eigenvectors, weights):
+    # the former one-gather form: every eigenvector gap in one (pairs, n) array
+    i, j = np.triu_indices(eigenvectors.shape[0], 1)
+    gaps = eigenvectors[i] - eigenvectors[j]
+    weights = np.asarray(weights, dtype=float)[..., None, :]
+    return np.sqrt(np.sum(gaps * weights * gaps, axis=-1) / (2.0 * math.pi))
+
+
+@pytest.mark.parametrize("basis", ["two_machine", "line3", "ieee39", 2, 3, 10, 40, 120])
+def test_pair_sigma_rows_independent_of_batch(basis, request):
+    # n >= 8 takes NumPy's eight-accumulator pairwise sum; a row must still give the
+    # same bits alone as inside a batch of any shape, and the bits of the one-gather form.
+    # An integer basis is a seeded orthonormal n x n matrix
+    if isinstance(basis, str):
+        spectrum = request.getfixturevalue(f"{basis}_spectrum")
+        q = spectrum.eigenvectors
+    else:
+        spectrum = None
+        q = np.linalg.qr(np.random.default_rng(basis).normal(size=(basis, basis)))[0]
     n = q.shape[0]
     rng = np.random.default_rng(23)
     rows = rng.uniform(0.0, 2.0, size=(12, n)) * 10.0 ** rng.integers(-6, 3, size=(12, 1))
     rows[:, 0] = 0.0
+    rows[1] = 0.0
+    rows[2] = 1e-6 * rows[3]
     batch = pair_sigma(q, rows)
     assert batch.shape == (12, n * (n - 1) // 2)
     assert np.array_equal(pair_sigma(q, rows.reshape(3, 4, n)), batch.reshape(3, 4, -1))
-    bq = incidence_matrix(n) @ q
+    # the zero and the 1e-6-scaled rows are among the first four
+    assert np.array_equal(batch[:4], _reference_pair_sigma(q, rows[:4]))
+    square = rows[:4].reshape(2, 2, n)
+    assert np.array_equal(pair_sigma(q, square), _reference_pair_sigma(q, square))
+    assert np.array_equal(pair_sigma(np.asfortranarray(q), np.asfortranarray(rows)), batch)
     for row, sigma in zip(rows, batch):
         assert np.array_equal(pair_sigma(q, row), sigma)
+        assert np.array_equal(_reference_pair_sigma(q, row), sigma)
+    assert not batch[1].any()
+    if spectrum is None:
+        return
+    bq = incidence_matrix(n) @ q
+    for row, sigma in zip(rows, batch):
         covariance = (bq * row) @ bq.T / (2.0 * math.pi)
         np.testing.assert_allclose(sigma, np.sqrt(np.diag(covariance)), rtol=1e-15, atol=0.0)
+    # pair_deviations gives the one-gather bits of its own mode weights
+    for tau in (0.0, 0.03):
+        for gains in (GainSpec.uniform(0.0, 0.8), GainSpec.uniform(0.1, 0.5)):
+            stats = pair_deviations(spectrum, gains, D2, tau, NoiseParams(0.7, 0.3), J2)
+            assert np.array_equal(stats.sigma, _reference_pair_sigma(q, stats.mode_weights))
+
+
+def test_stats_cli_on_a_200_machine_ring_stays_small(tmp_path):
+    # a ring with a chord from every tenth machine: the pair vector has 19,900 entries, so a
+    # pairs x pairs array would need 3 GB and one pairs x n array 30 MiB; sigma needs the
+    # eigenbasis and one row of pairs
+    n = 200
+    y = np.zeros((n, n))
+    for i in range(n):
+        y[i, (i + 1) % n] = y[(i + 1) % n, i] = 1.0
+    for i in range(0, n, 10):
+        y[i, (i + 47) % n] = y[(i + 47) % n, i] = 0.5
+    doc = {
+        "generators": [{"J": 2.0, "beta": 0.15, "E": 1.0}] * n,
+        "equilibrium_theta": [0.0] * n,
+        "susceptance": y.tolist(),
+    }
+    network, out = tmp_path / "ring200.json", tmp_path / "ring200.csv"
+    network.write_text(json.dumps(doc))
+    argv = ["stats", "--network", str(network), "--tau", "0.03", "--eta", "0.7", "--etap", "0.3",
+            "--mu", "0.1", "--kappa", "0.5", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["i", "j", "sigma"] and len(rows) - 1 == n * (n - 1) // 2 == 19_900
+    model = load_network(network)
+    spectrum = build_laplacian(model)
+    d, noise = model.damping_ratio, NoiseParams(0.7, 0.3)
+    sigma = pair_deviations(spectrum, GainSpec.uniform(0.1, 0.5), d, 0.03, noise, model.inertia).sigma
+    assert [(int(i), int(j)) for i, j, _ in rows[1:]] == list(pair_list(n))
+    assert [value for _, _, value in rows[1:]] == [f"{value:.12g}" for value in sigma]
+    # a plain Python loop over pair_list, from the eigenbasis and the mode weights alone
+    q = spectrum.eigenvectors.tolist()
+    weights = [0.0] + mode_weight(spectrum.eigenvalues[1:], 0.1, 0.5, d, 0.03, noise, model.inertia).tolist()
+    for row, (i, j) in enumerate(pair_list(n)):
+        if row % 97 == 0 or row == len(sigma) - 1:
+            want = math.sqrt(sum((a - b) ** 2 * w for a, b, w in zip(q[i - 1], q[j - 1], weights)) / (2.0 * math.pi))
+            assert sigma[row] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_open_loop_two_machine_sigma(two_machine_spectrum):
@@ -85,8 +165,10 @@ def test_two_machine_mode_weight_relation(two_machine_spectrum):
     )
     assert stats.mode_weights[0] == 0.0
     assert stats.sigma[0] ** 2 == pytest.approx(stats.mode_weights[1] / math.pi, rel=1e-12)
-    assert stats.covariance.shape == (1, 1)
-    assert stats.covariance[0, 0] == pytest.approx(stats.sigma[0] ** 2, rel=1e-12)
+    bq = incidence_matrix(2) @ two_machine_spectrum.eigenvectors
+    covariance = (bq * stats.mode_weights) @ bq.T / (2.0 * math.pi)
+    assert covariance.shape == (1, 1)
+    assert covariance[0, 0] == pytest.approx(stats.sigma[0] ** 2, rel=1e-12)
 
 
 def test_mode_weight_direct_vs_vectorised(two_machine_spectrum):
@@ -210,8 +292,10 @@ def test_covariance_psd_random_networks():
             NoiseParams(0.5, 0.2),
             2.0,
         )
-        eigs = np.linalg.eigvalsh(stats.covariance)
-        assert eigs.min() >= -1e-10 * max(np.trace(stats.covariance), 1e-30)
+        bq = incidence_matrix(n) @ spec.eigenvectors
+        covariance = (bq * stats.mode_weights) @ bq.T / (2.0 * math.pi)
+        eigs = np.linalg.eigvalsh(covariance)
+        assert eigs.min() >= -1e-10 * max(np.trace(covariance), 1e-30)
 
 
 def test_mode_one_invariance(line3_model, line3_spectrum):
