@@ -2,7 +2,8 @@
 
 Subcommands: stability, spectral, stats, risk, synth, tradeoff, simulate,
 nu.  Outputs are plot-ready CSV (header row, '.' decimal, literal "inf"
-for infinite risk) or JSON for matrices; every file written is accompanied
+for infinite risk; each column of one type, floats written as ``%.12g``)
+or JSON for matrices; every file written is accompanied
 by a ``<file>.manifest.json`` recording the tool version, timestamp and
 the exact arguments, and ``wacrisk --from-manifest <manifest>`` replays a
 recorded run byte-identically (same seed included).
@@ -21,6 +22,8 @@ import math
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 from . import __version__
 from .errors import InfeasibleError, ValidationError
@@ -50,19 +53,12 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(path: str | None, header: list[str], rows, argv: list[str]) -> None:
-    """Write a CSV of ``rows`` under ``header``: floats (NumPy's included) as
-    ``_fmt`` writes them, anything else as ``str``.  Each row is one ``%``
-    operation with a format kept per sequence of value types."""
-    formats = {}
-    lines = [",".join(header)]
-    for row in rows:
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = ",".join("%.12g" if issubclass(kind, float) else "%s" for kind in kinds)
-        lines.append(fmt % tuple(row))
-    text = "\n".join(lines) + "\n"
+def _emit(path: str | None, header: list[str], columns: list[list], argv: list[str]) -> None:
+    """Write a CSV of ``columns``, one list per ``header`` entry, each of one
+    type: a float column as ``_fmt`` writes it, any other as ``str``.  The
+    format is chosen once per column, and each line is one ``%`` operation."""
+    fmt = ",".join("%.12g" if column and isinstance(column[0], float) else "%s" for column in columns)
+    text = "\n".join([",".join(header), *(fmt % row for row in zip(*columns))]) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
@@ -233,28 +229,27 @@ def _noise(args) -> NoiseParams:
 _MODE_HEADER = ["l", "lambda", "mu", "kappa", "frak_f"]
 
 
-def _mode_rows(lambdas, mu, kappa, *columns) -> list[tuple]:
-    """One ``l, lambda, mu, kappa`` row per mode (l from 1), followed by its entry of each column."""
-    return [(l + 1, *(float(v) for v in values)) for l, values in enumerate(zip(lambdas, mu, kappa, *columns))]
+def _mode_columns(lambdas, *columns) -> list[list]:
+    """The mode index column (from 1), then ``lambdas`` and each array of ``columns`` as a list."""
+    return [list(range(1, len(lambdas) + 1)), *(a.tolist() for a in (lambdas, *columns))]
 
 
-def _pair_rows(pairs, *columns) -> list[tuple]:
-    """One ``i, j`` row per machine pair, followed by that pair's entry of each column."""
-    return [(i, j, *(float(v) for v in values)) for (i, j), *values in zip(pairs, *columns)]
+def _pair_columns(pairs, *columns) -> list[list]:
+    """The ``i`` and ``j`` columns of ``pairs``, then each array of ``columns`` as a list."""
+    return [[i for i, _ in pairs], [j for _, j in pairs], *(a.tolist() for a in columns)]
 
 
 def _cmd_stability(args, argv) -> int:
     model, spectrum = _load(args)
     verdict = network_verdict(spectrum, _gains_from_args(args), model.damping_ratio, args.tau)
     g, v = verdict.gains, verdict.verdicts
-    modes = _mode_rows(g.lambdas, g.mu, g.kappa, verdict.s1, verdict.s2, verdict.k1, verdict.k2)
-    columns = (a.tolist() for a in (v.region, v.stable, v.margin, v.boundary, verdict.tau_lo, verdict.tau_hi))
-    rows = [
-        (*mode, REGIONS[region], str(stable).lower(), margin, str(boundary).lower(), lo, hi)
-        for mode, region, stable, margin, boundary, lo, hi in zip(modes, *columns)
-    ]
+    stable, boundary = (np.where(flags, "true", "false") for flags in (v.stable, v.boundary))
+    columns = _mode_columns(
+        g.lambdas, g.mu, g.kappa, verdict.s1, verdict.s2, verdict.k1, verdict.k2,
+        np.array(REGIONS)[v.region], stable, v.margin, boundary, verdict.tau_lo, verdict.tau_hi,
+    )
     header = ["mode_index", "lambda", "mu", "kappa", "s1", "s2", "k1", "k2", "region", "stable"]
-    _emit(args.out, header + ["margin", "boundary", "tau_lo", "tau_hi"], rows, argv)
+    _emit(args.out, header + ["margin", "boundary", "tau_lo", "tau_hi"], columns, argv)
     return 0
 
 
@@ -280,10 +275,10 @@ def _stats_for_args(args):
 
 def _cmd_stats(args, argv) -> int:
     stats, resolved = _stats_for_args(args)
-    _emit(args.out, ["i", "j", "sigma"], _pair_rows(stats.pairs, stats.sigma), argv)
+    _emit(args.out, ["i", "j", "sigma"], _pair_columns(stats.pairs, stats.sigma), argv)
     if args.modes_out:
-        rows = _mode_rows(resolved.lambdas, resolved.mu, resolved.kappa, stats.mode_weights)
-        _emit(args.modes_out, _MODE_HEADER, rows, argv)
+        columns = _mode_columns(resolved.lambdas, resolved.mu, resolved.kappa, stats.mode_weights)
+        _emit(args.modes_out, _MODE_HEADER, columns, argv)
     return 0
 
 
@@ -313,13 +308,13 @@ def _cmd_risk(args, argv) -> int:
                     ) from exc
                 pairs.append((i, j))
                 sigmas.append(sigma)
-        rows = _pair_rows(pairs, sigmas, risk_value(sigmas, sset))
+        columns = _pair_columns(pairs, np.array(sigmas), risk_value(sigmas, sset))
     elif not args.network:
         raise ValidationError("risk needs --network (or --from-stats)")
     else:
         stats, _ = _stats_for_args(args)
-        rows = _pair_rows(stats.pairs, stats.sigma, risk_profile(stats, sset).values)
-    _emit(args.out, ["i", "j", "sigma", "risk"], rows, argv)
+        columns = _pair_columns(stats.pairs, stats.sigma, risk_profile(stats, sset).values)
+    _emit(args.out, ["i", "j", "sigma", "risk"], columns, argv)
     return 0
 
 
@@ -334,7 +329,7 @@ def _cmd_synth(args, argv) -> int:
         gain_box=(0.0, args.mu_max, 0.0, args.kappa_max),
         grid_step=args.grid_step,
     )
-    _emit(args.out, _MODE_HEADER, _mode_rows(result.lambdas, result.mu, result.kappa, result.weights), argv)
+    _emit(args.out, _MODE_HEADER, _mode_columns(result.lambdas, result.mu, result.kappa, result.weights), argv)
     if args.matrices_out:
         doc = {"mode": "dense", "M": result.M.tolist(), "K": result.K.tolist()}
         _write_atomic(args.matrices_out, json.dumps(doc, indent=2) + "\n")
@@ -361,7 +356,7 @@ def _cmd_tradeoff(args, argv) -> int:
         gain_box=(args.mu_min, args.mu_max, args.kappa_min, args.kappa_max),
         grid=(nx, ny),
     )
-    _emit(args.out, ["mu", "kappa", "min_risk", "xi_k", "xi_m", "product"], scan.rows.tolist(), argv)
+    _emit(args.out, ["mu", "kappa", "min_risk", "xi_k", "xi_m", "product"], scan.rows.T.tolist(), argv)
     print(f"omega_hat {_fmt(scan.omega_hat)}")
     return 0
 
@@ -372,8 +367,8 @@ def _cmd_simulate(args, argv) -> int:
         step=args.h, horizon=args.T, trajectories=args.paths, burn_in=args.burnin, seed=args.seed
     )
     stats = simulate(model, _gains_from_args(args), args.tau, _noise(args), config)
-    sigma = [math.sqrt(max(v, 0.0)) for v in stats.pair_variance]
-    _emit(args.out, ["i", "j", "sigma"], _pair_rows(stats.pairs, sigma), argv)
+    sigma = np.sqrt(np.maximum(stats.pair_variance, 0.0))
+    _emit(args.out, ["i", "j", "sigma"], _pair_columns(stats.pairs, sigma), argv)
     return 0
 
 

@@ -159,8 +159,8 @@ class LaplacianSpectrum:
         grid are known.
         """
         lams = np.sort(np.asarray(nonzero_eigenvalues, dtype=float))
-        if lams.size == 0 or np.any(lams <= 0):
-            raise ValidationError("nonzero mode eigenvalues must be positive")
+        if lams.size == 0 or not np.all(np.isfinite(lams) & (lams > 0)):
+            raise ValidationError("nonzero mode eigenvalues must be finite and positive")
         n = lams.size + 1
         ones = np.full(n, 1.0 / math.sqrt(n))
         u = np.zeros(n)
@@ -264,8 +264,8 @@ def effective_resistance(spectrum_or_values) -> float:
         values = np.asarray(spectrum_or_values, dtype=float)
     if values.size == 0:
         raise ValidationError("need at least one nonzero mode")
-    if np.any(values <= 0):
-        raise ValidationError("all nonzero mode values must be strictly positive")
+    if not np.all(np.isfinite(values) & (values > 0)):
+        raise ValidationError("nonzero mode eigenvalues must be finite and strictly positive")
     return float(np.sum(1.0 / values))
 
 

@@ -137,7 +137,7 @@ class NetworkStability:
     tau_lo: np.ndarray
     tau_hi: np.ndarray
     gains: ModeGains
-    # consensus limit theta -> rho * ones when mode-1 gains vanish:
+    # consensus limit theta -> rho * ones when mode-1 gains vanish and mode 1 converges (d > 0):
     # rho = rho_theta_coeff * sum(theta(0)) + rho_omega_coeff * sum(omega(0))
     rho_theta_coeff: float | None
     rho_omega_coeff: float | None
@@ -332,8 +332,8 @@ def network_verdict(
 
     The network converges (to a consensus point on the phase axis) exactly
     when every scaled mode tuple is stable.  When the consensus-mode gains
-    vanish the limit is rho * ones with rho determined by the initial data;
-    the returned coefficients give rho as
+    vanish and that mode converges (d > 0), the limit is rho * ones with rho
+    determined by the initial data; the returned coefficients give rho as
     rho_theta_coeff * sum(phi_theta(0)) + rho_omega_coeff * sum(phi_omega(0)).
     ``tau_lo`` and ``tau_hi`` hold each mode's stable delay interval
     (:func:`delay_windows`); on a stable loop the smallest ``tau_hi`` is the
@@ -345,7 +345,7 @@ def network_verdict(
     tau_lo, tau_hi = _windows(*modes, tau, verdicts.stable)
     # the delay-free rule has no scaled tuple: report all-zero ones (+0.0, not tau * mu = -0.0)
     s1, s2, k1, k2 = scaled_coordinates(*modes, tau) if tau > 0.0 else np.zeros((4, spectrum.n))
-    if mode_gains.mu[0] == 0.0 and mode_gains.kappa[0] == 0.0:
+    if verdicts.stable[0] and mode_gains.mu[0] == 0.0 and mode_gains.kappa[0] == 0.0:
         n = spectrum.n
         rho_theta, rho_omega = 1.0 / n, 1.0 / (d * n)
     else:

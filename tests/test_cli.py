@@ -135,7 +135,7 @@ def test_stability_csv_unstable_mode_and_zero_delay(line3_path, capsys):
     assert rows[0][13] == "inf" and 0.0 < float(rows[2][13]) < float(rows[1][13]) < math.inf
 
 
-def test_stats_risk_round_trip(two_machine_path, tmp_path):
+def test_stats_risk_round_trip(two_machine_path, tmp_path, capsys):
     stats_out = tmp_path / "stats.csv"
     modes_out = tmp_path / "modes.csv"
     base = [
@@ -178,6 +178,11 @@ def test_stats_risk_round_trip(two_machine_path, tmp_path):
     _, fused_rows = _read_csv(fused)
     _, reread_rows = _read_csv(from_stats)
     assert [r[3] for r in fused_rows] == [r[3] for r in reread_rows]
+    # a stats file without pairs gives a risk table without rows
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text("i,j,sigma\n")
+    _run_ok(["risk", "--from-stats", str(header_only), "--zeta", "1.0472"])
+    assert capsys.readouterr().out == "i,j,sigma,risk\n"
 
 
 def test_manifest_rerun_byte_identical(two_machine_path, tmp_path):
@@ -220,22 +225,24 @@ def _former_csv(header, rows):
 
 
 def test_emit_matches_the_former_join(tmp_path, capsys):
-    rows = [
-        (1, 2, math.inf, math.nan, 0.1),
-        (3, 4, np.float64(1.0 / 3.0), np.float64(math.inf), np.float64(math.nan)),
-        (True, False, -0.0, 1e300, 5e-324),
-        (np.int64(7), "W0", np.float32(0.25), 123456789012345.0, 2.0),
-        (1, 2, math.inf, math.nan, 0.1),
-        [0.5, 0.25, math.inf, 1e-7, 12.0],
+    # one type per column, as the commands pass them: ints, strings, and floats,
+    # Python's own or NumPy's through tolist
+    columns = [
+        [1, 3, 7, 1, 12],
+        ["W0", "none", "true", "delay-free", "false"],
+        [math.inf, math.nan, -0.0, 0.25, 0.5],
+        np.array([1.0 / 3.0, math.inf, 1e300, 123456789012345.0, 1e-7]).tolist(),
+        np.array([math.nan, 0.1, 5e-324, 2.0, 12.0]).tolist(),
     ]
     header = ["a", "b", "c", "d", "e"]
-    out = tmp_path / "rows.csv"
-    cli._emit(str(out), header, rows, ["argv"])
+    rows = list(zip(*columns))
+    out = tmp_path / "columns.csv"
+    cli._emit(str(out), header, columns, ["argv"])
     assert out.read_text() == _former_csv(header, rows)
-    cli._emit(None, header, rows, ["argv"])
+    cli._emit(None, header, columns, ["argv"])
     assert capsys.readouterr().out == _former_csv(header, rows)
     # the one value written differently: -inf keeps its sign
-    cli._emit(None, ["x", "y"], [(-math.inf, np.float64(-math.inf))], ["argv"])
+    cli._emit(None, ["x", "y"], [[-math.inf], np.array([-math.inf]).tolist()], ["argv"])
     assert capsys.readouterr().out == "x,y\n-inf,-inf\n"
     assert _former_csv(["x"], [(-math.inf,)]) == "x\ninf\n"
 

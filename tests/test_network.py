@@ -144,6 +144,12 @@ def test_effective_resistance_consensus_ratio(mu, kappa):
 def test_effective_resistance_rejects_nonpositive():
     with pytest.raises(ValidationError):
         effective_resistance([1.0, -0.5])
+    # non-finite values are refused where they enter, not later as non-finite scaled tuples
+    for values in ([math.nan, 2.0], [math.inf], [1.0, -math.inf]):
+        with pytest.raises(ValidationError, match="eigenvalues must be finite"):
+            effective_resistance(values)
+        with pytest.raises(ValidationError, match="eigenvalues must be finite"):
+            LaplacianSpectrum.from_eigenvalues(values)
 
 
 # --- commutation -------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wacrisk import stability
 from wacrisk.errors import InfeasibleError, ValidationError
-from wacrisk.network import GainSpec
+from wacrisk.network import GainSpec, LaplacianSpectrum
 from wacrisk.stability import (
     REGIONS,
     ScaledParams,
@@ -1059,6 +1059,15 @@ def test_network_verdict_two_machine(two_machine_spectrum):
         assert rightmost_root(ScaledParams(*row)).real < 0
     assert verdict.rho_theta_coeff == pytest.approx(0.5)
     assert verdict.rho_omega_coeff == pytest.approx(1.0 / (0.075 * 2))
+
+
+def test_network_verdict_without_damping_is_unstable():
+    # zero damping leaves the consensus mode a double root at 0: no consensus limit to report
+    spectrum = LaplacianSpectrum.from_eigenvalues([1.0, 2.0])
+    for tau in (0.0, 0.1):
+        verdict = network_verdict(spectrum, GainSpec.uniform(0.2, 0.5), 0.0, tau)
+        assert not verdict.stable and not verdict.verdicts.stable[0]
+        assert verdict.rho_theta_coeff is None and verdict.rho_omega_coeff is None
 
 
 def test_network_verdict_zero_gains_delay_irrelevant(two_machine_spectrum):
