@@ -32,16 +32,16 @@ draws do, and the blocks are drawn in step order.
 
 ``impulse_response`` integrates the deterministic unit-delay scalar mode
 with a Heun scheme (delay lookups stay on the grid at both stages) from a
-unit velocity kick, keeping only the samples of one 25-unit block plus the
-delay; its squared time-integral times 2 pi must reproduce the spectral
-integral, which is the package's independent check of the delay-Lyapunov
-evaluation.
+unit velocity kick, keeping one unit delay of samples and a running
+envelope of each 25-unit block; its squared time-integral times 2 pi must
+reproduce the spectral integral, the package's independent check of the
+delay-Lyapunov evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +56,8 @@ _CHUNK = 2048
 # at fewer paths, so the executor hand-over per block stays small against the draw
 # (2-step blocks ran about 5% slower); up to three blocks are live, 0.6 MB in all
 _BLOCK_NORMALS = 24576
+# largest delay ring (one chunk) or per-path accumulator accepted, in floats; counted before any array is built
+_MAX_FLOATS = 10**8
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,8 @@ def simulate(
     no step reads a slot it is overwriting.
 
     Raises InfeasibleError when the loop is unstable: its stationary
-    statistics are undefined.
+    statistics are undefined, and ValidationError, before any array is built,
+    when a chunk's delay ring or the per-path averages exceed ``_MAX_FLOATS``.
     """
     # not at module level: concurrent.futures imports logging, which `import wacrisk` skips
     from concurrent.futures import ThreadPoolExecutor
@@ -179,7 +182,14 @@ def simulate(
         raise InfeasibleError("closed loop is unstable; stationary statistics undefined")
 
     n = spectrum.n
+    r = n * (n - 1) // 2
     h, delay_steps = _snap_step(config.step, tau)
+    ring_floats = (delay_steps + 2) * 2 * n * min(config.trajectories, _CHUNK)
+    averages = config.trajectories * r
+    if ring_floats > _MAX_FLOATS:
+        raise ValidationError(f"step {config.step!r} needs a delay ring of {ring_floats} floats, over {_MAX_FLOATS}")
+    if averages > _MAX_FLOATS:
+        raise ValidationError(f"{config.trajectories} paths need {averages} pair averages, over {_MAX_FLOATS}")
     total_steps = max(int(round(config.horizon / h)), delay_steps + 2)
     burn_steps = int(config.burn_in * total_steps)
     steps_averaged = total_steps - burn_steps
@@ -187,7 +197,6 @@ def simulate(
     L = spectrum.laplacian
     M, K = verdict.gains.M, verdict.gains.K
     b = incidence_matrix(n)
-    r = b.shape[0]
 
     phi_theta = np.zeros(n) if config.phi_theta is None else np.asarray(config.phi_theta, float)
     phi_omega = np.zeros(n) if config.phi_omega is None else np.asarray(config.phi_omega, float)
@@ -285,16 +294,17 @@ class ImpulseResponse:
 def impulse_response(sp: ScaledParams, step: float = 0.002, t_max: float = 4000.0) -> ImpulseResponse:
     """Integrate x'' + s1 x' + s2 x + k2 x'(t-1) + k1 x(t-1) = 0 from x=0, x'=1.
 
-    Heun integration with the step snapped to an exact divisor of the unit
-    delay; terminates once the response envelope over the last 25 time
-    units falls below 1e-8 and raises InfeasibleError when it has not
-    decayed by ``t_max`` (or grows).  The samples of x and x' are Python
-    floats in ``array("d")`` delay lines that hold one 25-unit block plus
-    the unit delay: x(t - 1) and x'(t - 1) are read from them, and the
-    samples older than both are dropped at every block, so memory does not
-    grow with the horizon.  The arithmetic is the Heun recurrence in the
-    operation order of a NumPy-array loop, and ``integral_sq`` and
-    ``steps`` are bit-identical to it.
+    Heun integration in 25-unit blocks, the step snapped to an exact divisor
+    of the unit delay.  Keeps one unit delay of samples: FIFO ``deque``s of
+    x and x' that start as zero history then x(0) = 0, x'(0) = 1, each step
+    popping the sample at t + h - 1 and appending the new one.  The envelope
+    of a block is the running max |x| + max |x'| over its samples, its first
+    sample included; the loop stops once it falls below 1e-8 and raises
+    InfeasibleError when the response has not decayed by ``t_max`` or grows
+    (an overflow is refused as growth in its block).  A final partial block
+    (``t_max`` not a multiple of 25) is judged on its own samples.  The
+    arithmetic is the Heun recurrence in the operation order of a
+    NumPy-array loop; ``integral_sq`` and ``steps`` are bit-identical to it.
     """
     if not 0.0 < step <= 0.01:
         raise ValidationError(f"impulse-response step must be a real in (0, 0.01], got {step!r}")
@@ -306,12 +316,10 @@ def impulse_response(sp: ScaledParams, step: float = 0.002, t_max: float = 4000.
     s1, s2, k1, k2 = (float(c) for c in (sp.s1, sp.s2, sp.k1, sp.k2))
 
     max_steps = int(t_max / h)
-    # x[i - first], v[i - first] hold the samples at grid index i >= first
-    x = array("d", [0.0])
-    v = array("d", [1.0])
-    first = 0
-    xi, vi = 0.0, 1.0
-    xd0 = vd0 = xd1 = vd1 = 0.0  # delayed state at t_i - 1 and t_i + h - 1 (zero history)
+    # the samples at t_i + h - 1, ..., t_i: zero history, then x(0) and x'(0)
+    xs = deque([0.0] * substeps)
+    vs = deque([0.0] * (substeps - 1) + [1.0])
+    xi, vi, xd0, vd0 = 0.0, 1.0, 0.0, 0.0  # the state at t_i and the delayed state at t_i - 1
     half_h = 0.5 * h
 
     integral = 0.0
@@ -320,13 +328,9 @@ def impulse_response(sp: ScaledParams, step: float = 0.002, t_max: float = 4000.
     m = 0
     while m < max_steps:
         stop = min(m + block, max_steps)
-        # keep the samples this block reads as delayed state and its envelope reads
-        drop = max(first, min(m + 1 - substeps, stop - block)) - first
-        del x[:drop], v[:drop]
-        first += drop
-        for j in range(m + 1 - substeps - first, stop + 1 - substeps - first):
-            if j >= 0:
-                xd1, vd1 = x[j], v[j]
+        x_peak, v_peak = abs(xi), abs(vi)
+        for _ in range(m, stop):
+            xd1, vd1 = xs.popleft(), vs.popleft()
             a1 = -s1 * vi - s2 * xi - k2 * vd0 - k1 * xd0
             xp = xi + h * vi
             vp = vi + h * a1
@@ -334,15 +338,14 @@ def impulse_response(sp: ScaledParams, step: float = 0.002, t_max: float = 4000.
             xn = xi + half_h * (vi + vp)
             vn = vi + half_h * (a1 + a2)
             integral += half_h * (xi * xi + xn * xn)
-            x.append(xn)
-            v.append(vn)
+            xs.append(xn)
+            vs.append(vn)
+            x_peak = abs(xn) if abs(xn) > x_peak else x_peak
+            v_peak = abs(vn) if abs(vn) > v_peak else v_peak
             xi, vi = xn, vn
             xd0, vd0 = xd1, vd1
         m = stop
-        lo = max(0, m - block) - first
-        peak = float(np.max(np.abs(np.frombuffer(x[lo:], dtype=float)))) + float(
-            np.max(np.abs(np.frombuffer(v[lo:], dtype=float)))
-        )
+        peak = x_peak + v_peak
         if peak < 1e-8:
             return ImpulseResponse(integral_sq=integral, step=h, steps=m)
         if peak > 1e9 or (m > 4 * block and peak > 100.0 * prev_block_peak):

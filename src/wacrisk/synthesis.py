@@ -13,7 +13,8 @@ Fundamental limits quantified here:
 
 * ``deviation_floor``: with perfect measurements the delay alone keeps the
   spectral integral of each mode above a positive minimum, which no gain
-  choice can beat: sigma_ij >= sigma* for every pair;
+  choice can beat (the synthesis of the delay-scaled loop finds it):
+  sigma_ij >= sigma* for every pair;
 * ``risk_floor``: the trichotomy of the least achievable risk implied by
   sigma* against a systemic set (reducible to zero / floored at a positive
   value / infinite for every gain);
@@ -37,8 +38,7 @@ from ._gridopt import MAX_GRID_POINTS, grid_minimize
 from .errors import InfeasibleError, ValidationError
 from .network import GainSpec, LaplacianSpectrum, effective_resistance, resolve_gains
 from .risk import SystemicSet, risk_value
-from .spectral import weights
-from .stability import mode_verdicts, scaled_coordinates
+from .stability import mode_verdicts
 from .stats import NoiseParams, mode_weight, pair_sigma
 
 
@@ -94,7 +94,7 @@ def synthesize(
     noise: NoiseParams,
     inertia: float,
     gain_box: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 4.0),
-    grid_step: float = 0.05,
+    grid_step: float | tuple[float, float] = 0.05,
 ) -> SynthesisResult:
     """Minimise every non-consensus mode weight over (mu, kappa) in ``gain_box``.
 
@@ -132,24 +132,20 @@ _FULL_REGION_STEP = (1.0, 0.25)
 def deviation_floor(spectrum: LaplacianSpectrum, d: float, tau: float, eta: float, inertia: float) -> float:
     """Delay-induced lower bound on every pair deviation (perfect measurements).
 
-    Minimises the spectral integral of each mode (``spectral.weights``, so
-    unstable probes cost only their classification) over the stable gains and
-    combines the minima through the eigenvector pair weights: no gain choice
-    in the searched box can push any sigma_ij below the returned value.  The
-    box is the nonnegative-gain part of each mode's (compact) stability
-    region; negative gains are not searched, and the acceptance tests check
-    on a gain grid that reaches negative phase gains that none goes below it.
+    The perfect-measurement synthesis of the delay-scaled loop (eigenvalues
+    times tau^2, damping d tau, unit delay, noise and inertia) minimises each
+    mode's spectral integral over the nonnegative-gain part of its (compact)
+    stability region; the minima combine through the eigenvector pair
+    weights, so no gain in that box pushes any sigma_ij below the result.
+    Negative gains are not searched; the acceptance tests check on a gain
+    grid that reaches negative phase gains that none goes below it.
     """
     if tau <= 0:
         raise ValidationError("the deviation floor is a delay effect; tau must be positive")
-    n = spectrum.n
-    floors = np.zeros(n)
-    for l in range(1, n):
-        lam = float(spectrum.eigenvalues[l])
-        s1, s2, _, _ = scaled_coordinates(d, lam, 0.0, 0.0, tau)
-        _, floors[l] = grid_minimize(lambda k1, k2: weights(s1, s2, k1, k2), _FULL_REGION_BOX, _FULL_REGION_STEP)
-    # the floors are mode weights per unit tau^3 (eta / J)^2
-    return float(tau**1.5 * eta / inertia * pair_sigma(spectrum.eigenvectors, floors).min())
+    scaled = LaplacianSpectrum(spectrum.laplacian * tau * tau, spectrum.eigenvalues * tau * tau, spectrum.eigenvectors)
+    result = synthesize(scaled, d * tau, 1.0, NoiseParams(1.0), 1.0, _FULL_REGION_BOX, _FULL_REGION_STEP)
+    # the scaled weights are mode weights per unit tau^3 (eta / J)^2
+    return float(tau**1.5 * eta / inertia * pair_sigma(spectrum.eigenvectors, result.weights).min())
 
 
 def risk_floor(sigma_star: float, sset: SystemicSet) -> LimitReport:

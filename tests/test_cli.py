@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 
 from wacrisk import cli
 from wacrisk.cli import run
+from wacrisk.errors import ValidationError
 from wacrisk.network import GainSpec
 from wacrisk.stats import NoiseParams, pair_deviations
 from wacrisk.synthesis import synthesize
@@ -609,6 +611,9 @@ def test_tradeoff_bad_grid_counts(two_machine_path, grid, message):
         # seed grids of 4e14 points and more, refused before any array is built
         ["synth", "--tau", "0.1", "--eta", "0.7", "--grid-step", "1e-7"],
         ["synth", "--tau", "0.1", "--eta", "0.7", "--grid-step", "1e-300"],
+        # a delay ring of 2e17 floats and a per-path accumulator of 1e9, refused before any array is built
+        ["simulate", "--tau", "0.05", "--eta", "0.7", "--h", "1e-15"],
+        ["simulate", "--tau", "0.05", "--eta", "0.7", "--paths", "1000000000"],
     ],
 )
 def test_non_finite_inputs_and_bad_boxes_exit_2(two_machine_path, argv):
@@ -620,6 +625,27 @@ def test_non_finite_inputs_and_bad_boxes_exit_2(two_machine_path, argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--h", "1e-15", "step 1e-15 needs a delay ring of 300000000000012000 floats, over 100000000"),
+        ("--paths", "1000000000", "1000000000 paths need 3000000000 pair averages, over 100000000"),
+    ],
+)
+def test_simulate_refuses_huge_arrays_before_allocating(line3_path, flag, value, message):
+    # the ring would take 2.08 EiB and the accumulator 24 GB: both are counted, neither is built
+    argv = ["simulate", "--network", line3_path, "--tau", "0.05", "--eta", "0.7", "--T", "10", flag, value]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as err:
+            run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == message
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("tau", ["nan", "inf"])
