@@ -32,16 +32,20 @@ draws do, and the blocks are drawn in step order.
 
 ``impulse_response`` integrates the deterministic unit-delay scalar mode
 with a Heun scheme (delay lookups stay on the grid at both stages) from a
-unit velocity kick, keeping one unit delay of samples and a running
-envelope of each 25-unit block; its squared time-integral times 2 pi must
-reproduce the spectral integral, the package's independent check of the
+unit velocity kick.  The delayed channel u = k1 x + k2 x' enters one unit
+late, so over the next unit it is already known and the Heun step is an
+affine map of (x, x') driven by u: NumPy forms the drive, the sum of x^2
+and the envelope one unit at a time, and a plain-float loop keeps only the
+2x2 recurrence.  Memory is one unit delay of u and a running envelope of
+each 25-unit block.  Its squared time-integral times 2 pi must reproduce
+the spectral integral, the package's independent check of the
 delay-Lyapunov evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +62,8 @@ _CHUNK = 2048
 _BLOCK_NORMALS = 24576
 # largest delay ring (one chunk) or per-path accumulator accepted, in floats; counted before any array is built
 _MAX_FLOATS = 10**8
+# most Euler-Maruyama steps accepted per path (about 100 s a path at 100 ns a path-step); counted before any array is built
+_MAX_STEPS = 10**9
 
 
 @dataclass(frozen=True)
@@ -106,10 +112,16 @@ class EnsembleStats:
 
 
 def _snap_step(step: float, tau: float) -> tuple[float, int]:
-    """Largest step dividing tau exactly, at most min(step, tau/10)."""
+    """Largest step dividing tau exactly, at most min(step, tau/10).
+
+    Raises ValidationError when tau/step overflows (a subnormal step).
+    """
     if tau == 0.0:
         return step, 0
-    substeps = max(10, int(math.ceil(tau / step - 1e-12)))
+    ratio = tau / step
+    if not math.isfinite(ratio):
+        raise ValidationError(f"step {step!r} is too small for delay {tau!r}: tau/step overflows")
+    substeps = max(10, int(math.ceil(ratio - 1e-12)))
     return tau / substeps, substeps
 
 
@@ -170,7 +182,9 @@ def simulate(
 
     Raises InfeasibleError when the loop is unstable: its stationary
     statistics are undefined, and ValidationError, before any array is built,
-    when a chunk's delay ring or the per-path averages exceed ``_MAX_FLOATS``.
+    when the step is too small to snap (tau/step overflows), when a chunk's
+    delay ring or the per-path averages exceed ``_MAX_FLOATS``, or when the
+    horizon needs more than ``_MAX_STEPS`` steps.
     """
     # not at module level: concurrent.futures imports logging, which `import wacrisk` skips
     from concurrent.futures import ThreadPoolExecutor
@@ -190,7 +204,10 @@ def simulate(
         raise ValidationError(f"step {config.step!r} needs a delay ring of {ring_floats} floats, over {_MAX_FLOATS}")
     if averages > _MAX_FLOATS:
         raise ValidationError(f"{config.trajectories} paths need {averages} pair averages, over {_MAX_FLOATS}")
-    total_steps = max(int(round(config.horizon / h)), delay_steps + 2)
+    horizon_steps = config.horizon / h
+    if not horizon_steps <= _MAX_STEPS:
+        raise ValidationError(f"horizon {config.horizon!r} at step {h!r} needs {horizon_steps:.4g} steps, over {_MAX_STEPS}")
+    total_steps = max(int(round(horizon_steps)), delay_steps + 2)
     burn_steps = int(config.burn_in * total_steps)
     steps_averaged = total_steps - burn_steps
 
@@ -294,17 +311,32 @@ class ImpulseResponse:
 def impulse_response(sp: ScaledParams, step: float = 0.002, t_max: float = 4000.0) -> ImpulseResponse:
     """Integrate x'' + s1 x' + s2 x + k2 x'(t-1) + k1 x(t-1) = 0 from x=0, x'=1.
 
-    Heun integration in 25-unit blocks, the step snapped to an exact divisor
-    of the unit delay.  Keeps one unit delay of samples: FIFO ``deque``s of
-    x and x' that start as zero history then x(0) = 0, x'(0) = 1, each step
-    popping the sample at t + h - 1 and appending the new one.  The envelope
-    of a block is the running max |x| + max |x'| over its samples, its first
+    Heun integration in 25-unit blocks, the step h snapped to an exact
+    divisor of the unit delay.  The channel u = k1 x + k2 x' enters one
+    unit late and is known that far ahead, so one Heun step is the affine
+    map
+
+        x_n = (1 - c s2) x + (h - c s1) x' - c u0,
+        x'_n = h/2 (s1 h s2 - 2 s2) x + (1 + h/2 (s1^2 h - s2 h - 2 s1)) x'
+               + h/2 (s1 h - 1) u0 - h/2 u1,
+
+    c = h^2/2, u0 = u(t - 1), u1 = u(t + h - 1).  Only one unit delay of u
+    is kept, so memory is O(delay): NumPy turns each run of at most one
+    unit into the drive terms of the map, a plain-float loop runs the 2x2
+    recurrence over it, and NumPy then takes the run's u for the next
+    unit, its trapezoid sum of x^2 and its envelope.  A run also stops at
+    each block end, so a block need not be a whole number of units.  The
+    map reorders the Heun arithmetic: ``steps`` equals the step-by-step
+    loop's, ``integral_sq`` agrees with it to rounding (about 1e-13
+    relative), not bit for bit.
+
+    The envelope of a block is max |x| + max |x'| over its samples, its first
     sample included; the loop stops once it falls below 1e-8 and raises
-    InfeasibleError when the response has not decayed by ``t_max`` or grows
-    (an overflow is refused as growth in its block).  A final partial block
-    (``t_max`` not a multiple of 25) is judged on its own samples.  The
-    arithmetic is the Heun recurrence in the operation order of a
-    NumPy-array loop; ``integral_sq`` and ``steps`` are bit-identical to it.
+    InfeasibleError when the response has not decayed by ``t_max`` or grows:
+    past 1e9 (an overflow, non-finite samples included, is refused as growth
+    in its block) or 100-fold over the previous block after four blocks.  A
+    final partial block (``t_max`` not a multiple of 25) is judged on its
+    own samples.
     """
     if not 0.0 < step <= 0.01:
         raise ValidationError(f"impulse-response step must be a real in (0, 0.01], got {step!r}")
@@ -314,41 +346,50 @@ def impulse_response(sp: ScaledParams, step: float = 0.002, t_max: float = 4000.
     h = 1.0 / substeps
     # plain floats: NumPy scalar fields would make every product a NumPy call
     s1, s2, k1, k2 = (float(c) for c in (sp.s1, sp.s2, sp.k1, sp.k2))
+    half_h = 0.5 * h
+    c = half_h * h
+    a11, a12 = 1.0 - c * s2, h - c * s1
+    a21, a22 = half_h * (s1 * h * s2 - 2.0 * s2), 1.0 + half_h * (s1 * s1 * h - s2 * h - 2.0 * s1)
+    b0 = half_h * (s1 * h - 1.0)
 
     max_steps = int(t_max / h)
-    # the samples at t_i + h - 1, ..., t_i: zero history, then x(0) and x'(0)
-    xs = deque([0.0] * substeps)
-    vs = deque([0.0] * (substeps - 1) + [1.0])
-    xi, vi, xd0, vd0 = 0.0, 1.0, 0.0, 0.0  # the state at t_i and the delayed state at t_i - 1
-    half_h = 0.5 * h
-
+    # u at t_i - 1, ..., t_i: zero history, then u(0) = k1 x(0) + k2 x'(0) = k2
+    u = np.zeros(substeps + 1)
+    u[-1] = k2
+    x, v = 0.0, 1.0  # the state at t_i
     integral = 0.0
     block = max(int(25.0 / h), 1)
     prev_block_peak = math.inf
     m = 0
-    while m < max_steps:
-        stop = min(m + block, max_steps)
-        x_peak, v_peak = abs(xi), abs(vi)
-        for _ in range(m, stop):
-            xd1, vd1 = xs.popleft(), vs.popleft()
-            a1 = -s1 * vi - s2 * xi - k2 * vd0 - k1 * xd0
-            xp = xi + h * vi
-            vp = vi + h * a1
-            a2 = -s1 * vp - s2 * xp - k2 * vd1 - k1 * xd1
-            xn = xi + half_h * (vi + vp)
-            vn = vi + half_h * (a1 + a2)
-            integral += half_h * (xi * xi + xn * xn)
-            xs.append(xn)
-            vs.append(vn)
-            x_peak = abs(xn) if abs(xn) > x_peak else x_peak
-            v_peak = abs(vn) if abs(vn) > v_peak else v_peak
-            xi, vi = xn, vn
-            xd0, vd0 = xd1, vd1
-        m = stop
-        peak = x_peak + v_peak
-        if peak < 1e-8:
-            return ImpulseResponse(integral_sq=integral, step=h, steps=m)
-        if peak > 1e9 or (m > 4 * block and peak > 100.0 * prev_block_peak):
-            raise InfeasibleError("impulse response grows: mode tuple is unstable")
-        prev_block_peak = peak
+    # a growing response overflows to inf and nan before its unit is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m < max_steps:
+            stop = min(m + block, max_steps)
+            x_peak, v_peak = abs(x), abs(v)
+            while m < stop:
+                n = min(substeps, stop - m)
+                drive_x = -c * u[:n]
+                drive_v = b0 * u[:n] - half_h * u[1 : n + 1]
+                # raw doubles in and out: a run holds no list of float objects
+                xs, vs = array("d"), array("d")
+                x_append, v_append = xs.append, vs.append
+                x0 = x
+                for p, q in zip(memoryview(drive_x), memoryview(drive_v)):
+                    x, v = a11 * x + a12 * v + p, a21 * x + a22 * v + q
+                    x_append(x)
+                    v_append(v)
+                run_x, run_v = np.frombuffer(xs), np.frombuffer(vs)
+                run_x_peak, run_v_peak = float(np.abs(run_x).max()), float(np.abs(run_v).max())
+                if not run_x_peak + run_v_peak <= 1e9:
+                    raise InfeasibleError("impulse response grows: mode tuple is unstable")
+                x_peak, v_peak = max(x_peak, run_x_peak), max(v_peak, run_v_peak)
+                integral += half_h * (x0 * x0 + 2.0 * float(run_x @ run_x) - x * x)
+                u = np.concatenate((u[n:], k1 * run_x + k2 * run_v))
+                m += n
+            peak = x_peak + v_peak
+            if peak < 1e-8:
+                return ImpulseResponse(integral_sq=integral, step=h, steps=m)
+            if peak > 1e9 or (m > 4 * block and peak > 100.0 * prev_block_peak):
+                raise InfeasibleError("impulse response grows: mode tuple is unstable")
+            prev_block_peak = peak
     raise InfeasibleError(f"impulse response did not decay below 1e-8 within t_max={t_max}")

@@ -614,6 +614,10 @@ def test_tradeoff_bad_grid_counts(two_machine_path, grid, message):
         # a delay ring of 2e17 floats and a per-path accumulator of 1e9, refused before any array is built
         ["simulate", "--tau", "0.05", "--eta", "0.7", "--h", "1e-15"],
         ["simulate", "--tau", "0.05", "--eta", "0.7", "--paths", "1000000000"],
+        # a step too small to snap to the delay, and horizons of 1e16 and inf steps
+        ["simulate", "--tau", "0.05", "--eta", "0.7", "--h", "1e-320"],
+        ["simulate", "--tau", "0", "--eta", "0.7", "--h", "1e-15"],
+        ["simulate", "--tau", "0", "--eta", "0.7", "--h", "1e-320"],
     ],
 )
 def test_non_finite_inputs_and_bad_boxes_exit_2(two_machine_path, argv):
@@ -632,11 +636,35 @@ def test_non_finite_inputs_and_bad_boxes_exit_2(two_machine_path, argv):
     [
         ("--h", "1e-15", "step 1e-15 needs a delay ring of 300000000000012000 floats, over 100000000"),
         ("--paths", "1000000000", "1000000000 paths need 3000000000 pair averages, over 100000000"),
+        # tau/h is 5e318: the step cannot be snapped to a divisor of the delay
+        ("--h", "1e-320", "step 1e-320 is too small for delay 0.05: tau/step overflows"),
     ],
 )
 def test_simulate_refuses_huge_arrays_before_allocating(line3_path, flag, value, message):
-    # the ring would take 2.08 EiB and the accumulator 24 GB: both are counted, neither is built
+    # the ring would take 2.08 EiB and the accumulator 24 GB: both are counted, neither is built;
+    # a step of 1e-320 is refused before it is snapped
     argv = ["simulate", "--network", line3_path, "--tau", "0.05", "--eta", "0.7", "--T", "10", flag, value]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError) as err:
+            run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == message
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "h, message",
+    [
+        # no delay to snap the step to: 1e16 steps of 1e-15, and 10/1e-320 overflows
+        ("1e-15", "horizon 10.0 at step 1e-15 needs 1e+16 steps, over 1000000000"),
+        ("1e-320", "horizon 10.0 at step 1e-320 needs inf steps, over 1000000000"),
+    ],
+)
+def test_simulate_refuses_step_counts_over_the_bound(line3_path, h, message):
+    argv = ["simulate", "--network", line3_path, "--tau", "0", "--eta", "0.7", "--T", "10", "--h", h]
     tracemalloc.start()
     try:
         with pytest.raises(ValidationError) as err:

@@ -3,6 +3,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -500,7 +501,8 @@ def test_impulse_response_step_validated():
 
 
 def _impulse_response_numpy_loop(sp, step=0.002, t_max=4000.0):
-    """The Heun loop on preallocated NumPy arrays, the reference for bit-identity."""
+    """The Heun loop on preallocated NumPy arrays, step by step: the oracle of
+    ``impulse_response``, with its block envelope and refusals."""
     substeps = int(round(1.0 / step))
     h = 1.0 / substeps
     s1, s2, k1, k2 = sp.s1, sp.s2, sp.k1, sp.k2
@@ -514,10 +516,11 @@ def _impulse_response_numpy_loop(sp, step=0.002, t_max=4000.0):
 
     integral = 0.0
     block = max(int(25.0 / h), 1)
+    prev_block_peak = math.inf
     m = 0
     while m < max_steps:
-        stop = min(m + block, max_steps)
-        for i in range(m, stop):
+        start, stop = m, min(m + block, max_steps)
+        for i in range(start, stop):
             di = i - substeps
             xd0 = x[di] if di >= 0 else 0.0
             vd0 = v[di] if di >= 0 else 0.0
@@ -532,12 +535,13 @@ def _impulse_response_numpy_loop(sp, step=0.002, t_max=4000.0):
             v[i + 1] = v[i] + 0.5 * h * (a1 + a2)
             integral += 0.5 * h * (x[i] * x[i] + x[i + 1] * x[i + 1])
         m = stop
-        peak = float(np.max(np.abs(x[max(0, m - block) : m + 1]))) + float(
-            np.max(np.abs(v[max(0, m - block) : m + 1]))
-        )
+        peak = float(np.max(np.abs(x[start : m + 1]))) + float(np.max(np.abs(v[start : m + 1])))
         if peak < 1e-8:
             return m, integral
-    raise AssertionError("reference response did not decay")
+        if peak > 1e9 or (m > 4 * block and peak > 100.0 * prev_block_peak):
+            raise InfeasibleError("impulse response grows: mode tuple is unstable")
+        prev_block_peak = peak
+    raise InfeasibleError(f"impulse response did not decay below 1e-8 within t_max={t_max}")
 
 
 @pytest.mark.parametrize(
@@ -554,18 +558,54 @@ def _impulse_response_numpy_loop(sp, step=0.002, t_max=4000.0):
     ],
 )
 def test_impulse_response_bit_identical_to_numpy_loop(sp):
+    # the affine recurrence reorders the Heun arithmetic: its steps and time
+    # grid are the loop's bit for bit, its integral_sq agrees within 1e-10
     assert rightmost_root(sp).real <= -0.05
-    steps, integral_sq = _impulse_response_numpy_loop(sp)
-    ir = impulse_response(sp)
-    assert ir.steps == steps
-    assert ir.integral_sq == integral_sq
-    assert np.array_equal(ir.times, np.arange(steps + 1) * ir.step)
+    # 1/150: a 25-unit block is 3749 steps, not a whole number of 150-step units
+    for step in (0.002, 0.003, 1.0 / 150.0):
+        steps, integral_sq = _impulse_response_numpy_loop(sp, step)
+        ir = impulse_response(sp, step)
+        assert ir.steps == steps
+        assert ir.integral_sq == pytest.approx(integral_sq, rel=1e-10, abs=0.0)
+        assert np.array_equal(ir.times, np.arange(steps + 1) * ir.step)
+
+
+@pytest.mark.parametrize(
+    "sp, block",
+    [
+        # each refused past 1e9: the envelope grows 72-fold per block (rightmost
+        # root 0.17 + 1.67i), 4870-fold, then 12-fold
+        (ScaledParams(0.0, 0.0, 0.0, 2.0), 5),
+        (ScaledParams(0.0, 1.0, 0.0, -2.0), 3),
+        (ScaledParams(0.0, 1.0, 0.0, -0.4), 9),
+    ],
+)
+def test_impulse_response_refuses_growth_on_the_numpy_loop_block(sp, block):
+    # a horizon ending one block short of the refusal is not long enough to decay;
+    # both the recurrence and the oracle call it so, then refuse the same block
+    for t_max in (25.0 * (block - 1), 25.0 * block):
+        with pytest.raises(InfeasibleError) as oracle:
+            _impulse_response_numpy_loop(sp, t_max=t_max)
+        with pytest.raises(InfeasibleError) as recurrence:
+            impulse_response(sp, t_max=t_max)
+        assert str(recurrence.value) == str(oracle.value)
+    assert "grows" in str(recurrence.value)
+
+
+def test_impulse_response_overflow_in_first_block_is_growth():
+    # the kick arrives through gains of 1e300 one unit late and overflows within
+    # that unit; no RuntimeWarning escapes the NumPy steps of the run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibleError, match="grows"):
+            impulse_response(ScaledParams(0.0, 0.0, -1e300, -1e300), t_max=100.0)
 
 
 def test_impulse_response_memory_bounded_by_one_block():
-    # a slow decay (rate 0.2) runs 125 time units, 1 MB of samples; the delay
-    # lines keep one unit delay of samples (2 x 500 floats) and the envelope
-    # is a running max, so the peak stays near 33 KB, not one 25-unit block
+    # a slow decay (rate 0.2) runs 125 time units, 1 MB of samples; the loop
+    # keeps one unit delay of u (501 floats) and one unit of x and x' as raw
+    # doubles, and the envelope is a running max, so the peak stays near 35 KB,
+    # not one 25-unit block
     sp = ScaledParams(0.4, 1.0, 0.0, 0.0)
     tracemalloc.start()
     try:
