@@ -106,6 +106,8 @@ def _gains_from_args(args) -> GainSpec:
 def _systemic_set(args) -> SystemicSet:
     if args.zeta is None and args.zeta_deg is None:
         raise ValidationError("a systemic set needs --zeta (radians) or --zeta-deg")
+    if args.zeta is not None and args.zeta_deg is not None:
+        raise ValidationError("--zeta cannot be combined with --zeta-deg")
     zeta = args.zeta if args.zeta is not None else math.radians(args.zeta_deg)
     return SystemicSet(zeta=zeta, c=args.c, eps=args.eps)
 
@@ -222,8 +224,7 @@ def _load(args):
 
 
 def _noise(args) -> NoiseParams:
-    eta, etap = (0.0 if v is None else v for v in (args.eta, args.etap))
-    return NoiseParams(eta=eta, eta_meas=etap)
+    return NoiseParams(eta=args.eta, eta_meas=0.0 if args.etap is None else args.etap)
 
 
 _MODE_HEADER = ["l", "lambda", "mu", "kappa", "frak_f"]
@@ -311,6 +312,8 @@ def _cmd_risk(args, argv) -> int:
         columns = _pair_columns(pairs, np.array(sigmas), risk_value(sigmas, sset))
     elif not args.network:
         raise ValidationError("risk needs --network (or --from-stats)")
+    elif args.eta is None:
+        raise ValidationError("risk --network needs --eta (load noise)")
     else:
         stats, _ = _stats_for_args(args)
         columns = _pair_columns(stats.pairs, stats.sigma, risk_profile(stats, sset).values)

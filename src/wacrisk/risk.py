@@ -157,11 +157,6 @@ class RiskProfile:
     pairs: tuple[tuple[int, int], ...]
     values: np.ndarray
 
-    @property
-    def max_finite(self) -> float:
-        finite = self.values[np.isfinite(self.values)]
-        return float(finite.max()) if finite.size else math.nan
-
 
 def risk_profile(stats: PairStats, sset: SystemicSet) -> RiskProfile:
     """Apply the closed-form risk to every pair deviation in one ``risk_value`` call."""

@@ -98,14 +98,6 @@ class ScaledParams:
         if self.s1 < 0 or self.s2 < 0:
             raise ValidationError("s1 and s2 must be nonnegative")
 
-    @classmethod
-    def from_physical(cls, d: float, lam: float, mu: float, kappa: float, tau: float) -> "ScaledParams":
-        """Absorb the delay into the parameters: (d*tau, lam*tau^2; mu*tau^2, kappa*tau)."""
-        if tau <= 0:
-            raise ValidationError("tau must be positive when scaling parameters")
-        s1, s2, k1, k2 = scaled_coordinates(d, lam, mu, kappa, tau)
-        return cls(s1=s1, s2=s2, k1=k1, k2=k2)
-
 
 def scaled_coordinates(d, lam, mu, kappa, tau: float):
     """Delay-suppressed coordinates (d*tau, lam*tau^2, mu*tau^2, kappa*tau) of
@@ -190,11 +182,8 @@ def _cutoffs_below(gamma, phi):
 
 
 def _as_arrays(*values) -> list[np.ndarray]:
-    """Float arrays of one common shape (broadcast views only where needed)."""
-    arrays = [np.asarray(v, dtype=float) for v in values]
-    if len({a.shape for a in arrays}) > 1:
-        arrays = np.broadcast_arrays(*arrays)
-    return arrays
+    """Float arrays of the inputs; NumPy's broadcasting gives them their common shape."""
+    return [np.asarray(v, dtype=float) for v in values]
 
 
 def classify_many(s1, s2, k1, k2, band: float = BOUNDARY_BAND) -> Verdicts:
@@ -340,7 +329,8 @@ def network_verdict(
     critical delay.
     """
     mode_gains = resolve_gains(gains, spectrum)
-    modes = _as_arrays(d, mode_gains.lambdas, mode_gains.mu, mode_gains.kappa)
+    # d as an (n,) array: the record holds one scaled tuple per mode
+    modes = _as_arrays(np.full(spectrum.n, float(d)), mode_gains.lambdas, mode_gains.mu, mode_gains.kappa)
     verdicts = mode_verdicts(*modes, tau)
     tau_lo, tau_hi = _windows(*modes, tau, verdicts.stable)
     # the delay-free rule has no scaled tuple: report all-zero ones (+0.0, not tau * mu = -0.0)
@@ -368,14 +358,6 @@ def network_verdict(
 # ---------------------------------------------------------------------------
 # Rightmost characteristic root (independent numerical oracle)
 # ---------------------------------------------------------------------------
-
-
-def _char(sp: ScaledParams, z: complex) -> complex:
-    return z * z + sp.s1 * z + sp.s2 + (sp.k2 * z + sp.k1) * cmath.exp(-z)
-
-
-def _char_deriv(sp: ScaledParams, z: complex) -> complex:
-    return 2.0 * z + sp.s1 + (sp.k2 - sp.k2 * z - sp.k1) * cmath.exp(-z)
 
 
 @functools.lru_cache(maxsize=8)
@@ -494,8 +476,8 @@ def _rightmost_at(sp: ScaledParams, nodes: int) -> complex:
     else:
         a0 = np.array([[0.0, 1.0], [-sp.s2, -sp.s1]])
         a1 = np.array([[0.0, 0.0], [-sp.k1, -sp.k2]])
-        char = lambda z: _char(sp, z)
-        deriv = lambda z: _char_deriv(sp, z)
+        char = lambda z: z * z + sp.s1 * z + sp.s2 + (sp.k2 * z + sp.k1) * cmath.exp(-z)
+        deriv = lambda z: 2.0 * z + sp.s1 + (sp.k2 - sp.k2 * z - sp.k1) * cmath.exp(-z)
 
     eigs = np.linalg.eigvals(_collocation_matrix(a0, a1, nodes))
     # collocation resolves roots of moderate modulus; large spurious ones are dropped

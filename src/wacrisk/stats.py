@@ -81,10 +81,6 @@ class PairStats:
     sigma: np.ndarray
     mode_weights: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.mode_weights.shape[0]
-
 
 def pair_list(n: int) -> tuple[tuple[int, int], ...]:
     """Row-wise pair enumeration with 1-based generator indices."""
@@ -151,18 +147,22 @@ def pair_deviations(
 ) -> PairStats:
     """Stationary pair deviations of the closed loop at any delay tau >= 0.
 
-    Raises InfeasibleError naming the first unstable mode.  The consensus
-    mode never reaches phase differences; it is checked at every delay by the
-    rule of ``network_verdict``, ``stability.mode_verdicts``.
+    Stability is the rule of ``network_verdict``, ``stability.mode_verdicts``,
+    over all n modes, the consensus mode included although it never reaches
+    phase differences.  Raises InfeasibleError naming the first unstable mode,
+    or else the first stable mode whose weight is refused (+inf).
     """
     resolved = resolve_gains(gains, spectrum)
     lams, mu, kappa = resolved.lambdas, resolved.mu, resolved.kappa
-    if not mode_verdicts(d, lams[0], mu[0], kappa[0], tau).stable:
-        raise InfeasibleError(f"mode 1 is unstable at tau={tau}; stationary statistics undefined")
-    weights = np.zeros(spectrum.n)
-    weights[1:] = mode_weight(lams[1:], mu[1:], kappa[1:], d, tau, noise, inertia)
-    unstable = np.flatnonzero(np.isinf(weights))
+    unstable = np.flatnonzero(~mode_verdicts(d, lams, mu, kappa, tau).stable)
     if unstable.size:
         raise InfeasibleError(f"mode {unstable[0] + 1} is unstable at tau={tau}; stationary statistics undefined")
+    weights = np.zeros(spectrum.n)
+    weights[1:] = mode_weight(lams[1:], mu[1:], kappa[1:], d, tau, noise, inertia)
+    refused = np.flatnonzero(np.isinf(weights))
+    if refused.size:
+        raise InfeasibleError(
+            f"mode {refused[0] + 1} is stable at tau={tau} but its weight is refused; stationary statistics undefined"
+        )
     sigma = pair_sigma(resolved.eigenvectors, weights)
     return PairStats(pairs=pair_list(spectrum.n), sigma=sigma, mode_weights=weights)

@@ -15,7 +15,7 @@ from wacrisk.network import GainSpec
 from wacrisk.risk import SystemicSet, risk_profile, risk_search, risk_value
 from wacrisk.simulate import SimConfig, impulse_response, simulate
 from wacrisk.spectral import evaluate
-from wacrisk.stability import ScaledParams, classify, rightmost_root
+from wacrisk.stability import ScaledParams, classify, rightmost_root, scaled_coordinates
 from wacrisk.stats import NoiseParams, pair_deviations
 from wacrisk.synthesis import deviation_floor, risk_floor, synthesize, tradeoff_scan
 
@@ -268,7 +268,7 @@ def test_criterion_10_ieee39_synthesis(ieee39_spectrum):
     # the mode eigenvalue, matching the table's ordering
     weights_at_table = []
     for lam, mu, kappa, _ in IEEE39_TABLE:
-        sp = ScaledParams.from_physical(p["d"], lam, mu, kappa, p["tau"])
+        sp = ScaledParams(*scaled_coordinates(p["d"], lam, mu, kappa, p["tau"]))
         w = p["tau"] ** 3 * noise.mode_intensity_sq(mu, kappa, p["inertia"]) * evaluate(sp, rel_tol=1e-6).value
         weights_at_table.append(w)
     assert all(b < a for a, b in zip(weights_at_table, weights_at_table[1:]))

@@ -533,6 +533,11 @@ def test_zeta_degrees(two_machine_path, tmp_path):
     _run_ok([*base, "--zeta", str(math.radians(60.0)), "--out", str(out_rad)])
     _run_ok([*base, "--zeta-deg", "60", "--out", str(out_deg)])
     assert out_rad.read_text() == out_deg.read_text()
+    # one limit or the other, never both: --zeta would silently win over --zeta-deg
+    stats = tmp_path / "stats.csv"
+    stats.write_text("i,j,sigma\n1,2,0.3\n")
+    with pytest.raises(ValidationError, match="--zeta cannot be combined with --zeta-deg"):
+        run(["risk", "--from-stats", str(stats), "--zeta", "0.3", "--zeta-deg", "60"])
 
 
 def test_gains_file(two_machine_path, tmp_path):
@@ -709,6 +714,11 @@ def test_non_finite_delay_exits_2_without_warning(two_machine_path, argv, tau):
         (["simulate", "--tau", "0.1", "--eta", "0.7", "--gains", "GAINS", "--mu", "-0"], "combined with --mu"),
         (["risk", "--from-stats", "STATS", "--zeta", "1.0"], "--from-stats cannot be combined with --network"),
         (["risk", "--from-stats", "STATS", "--zeta", "1.0", "--gains", "GAINS"], "--network, --gains"),
+        (["risk", "--tau", "0.05", "--kappa", "0.5", "--zeta", "1.0"], "risk --network needs --eta"),
+        (["risk", "--tau", "0", "--eta", "0.7", "--zeta", "0.3", "--zeta-deg", "60"],
+         "--zeta cannot be combined with --zeta-deg"),
+        (["tradeoff", "--tau", "0.1", "--eta", "0.7", "--zeta", "0.6", "--zeta-deg", "60"],
+         "--zeta cannot be combined with --zeta-deg"),
     ],
 )
 def test_gain_flags_only_where_read_and_never_overridden(two_machine_path, tmp_path, argv, message):

@@ -10,7 +10,6 @@ from scipy.stats import norm
 from wacrisk.errors import ValidationError
 from wacrisk.network import GainSpec
 from wacrisk.risk import (
-    RiskProfile,
     SystemicSet,
     acceptance_quantile,
     risk_profile,
@@ -203,12 +202,6 @@ def test_risk_profile_two_machine_gain_interval(two_machine_spectrum):
     assert profile_at(1.0).values[0] == 0.0
     assert profile_at(0.3).values[0] > 0.0
     assert profile_at(3.0).values[0] > 0.0
-
-
-def test_risk_profile_max_finite():
-    values = np.array([0.0, 2.5, math.inf])
-    profile = RiskProfile(pairs=pair_list(3), values=values)
-    assert profile.max_finite == 2.5
 
 
 def test_risk_never_negative_just_above_zero_risk_threshold():

@@ -35,7 +35,7 @@ from wacrisk.spectral import (
     magnitude_sq,
     weights,
 )
-from wacrisk.stability import ScaledParams, classify, classify_many
+from wacrisk.stability import ScaledParams, classify, classify_many, scaled_coordinates
 from wacrisk.stability import _crossings_many as _crossing_kernel
 from wacrisk.stats import NoiseParams, mode_weight
 
@@ -195,7 +195,7 @@ def test_matches_independent_quadrature():
     tuples = [_random_stable(rng) for _ in range(40)]
     p = IEEE39_PARAMS
     tuples += [
-        ScaledParams.from_physical(p["d"], lam, mu, kappa, p["tau"])
+        ScaledParams(*scaled_coordinates(p["d"], lam, mu, kappa, p["tau"]))
         for lam, (mu, kappa) in zip(IEEE39_MODES, IEEE39_OPTIMA)
     ]
     for sp in tuples:
@@ -211,7 +211,7 @@ def test_consensus_branch_refused():
 
 def test_closed_form_at_small_delay():
     p = IEEE39_PARAMS
-    sp = ScaledParams.from_physical(p["d"], IEEE39_MODES[0], 0.0, 0.0, 1e-3)
+    sp = ScaledParams(*scaled_coordinates(p["d"], IEEE39_MODES[0], 0.0, 0.0, 1e-3))
     assert evaluate(sp).value == pytest.approx(math.pi / (sp.s1 * sp.s2), rel=1e-9)
 
 
@@ -391,7 +391,7 @@ def test_batched_weights_do_not_depend_on_the_batch():
         assert (got.value, got.rcond, got.abs_error_estimate) == (value, rcond, value * 2.0**-52 * growth / rcond)
     # a tuple whose flow overflows while squaring leaves its block-mate untouched
     p = IEEE39_PARAMS
-    physical = ScaledParams.from_physical(p["d"], IEEE39_MODES[0], *IEEE39_OPTIMA[0], p["tau"])
+    physical = ScaledParams(*scaled_coordinates(p["d"], IEEE39_MODES[0], *IEEE39_OPTIMA[0], p["tau"]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mixed = weights([800.0, physical.s1], [1.0, physical.s2], [0.0, physical.k1], [0.0, physical.k2])

@@ -433,7 +433,7 @@ def test_classify_many_matches_the_reference_bit_for_bit():
     _assert_same_verdicts(classify_many(empty, 1.0, 0.0, 0.0), _reference_classify_many(empty, 1.0, 0.0, 0.0))
 
 
-def test_mode_verdicts_match_the_reference_bit_for_bit():
+def test_mode_verdicts_match_the_reference_bit_for_bit(line3_spectrum):
     # physical modes at tau > 0 through the scaled tuples, at tau = 0 through the delay-free rule
     rng = np.random.default_rng(2409)
     d, lam = rng.uniform(0.0, 0.5, 2000), rng.uniform(0.0, 120.0, 2000)
@@ -446,6 +446,20 @@ def test_mode_verdicts_match_the_reference_bit_for_bit():
     want = stability.Verdicts(stable, np.where(stable, REGIONS.index("delay-free"), 0),
                               np.full(2000, math.nan), np.zeros(2000, dtype=bool))
     _assert_same_verdicts(mode_verdicts(d, lam, mu, kappa, 0.0), want)
+
+    # a scalar damping against (n,) mode arrays gives the bytes of the explicitly broadcast call
+    def same_bytes(got, want):
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    for tau in (0.0, 0.03, 0.3):
+        same_bytes(mode_verdicts(0.2, lam, mu, kappa, tau), mode_verdicts(np.full(2000, 0.2), lam, mu, kappa, tau))
+        same_bytes(delay_windows(0.2, lam, mu, kappa, tau), delay_windows(np.full(2000, 0.2), lam, mu, kappa, tau))
+        net = network_verdict(line3_spectrum, GainSpec.uniform(0.3, 1.0), 0.2, tau)
+        full = (np.full(3, 0.2), net.gains.lambdas, net.gains.mu, net.gains.kappa)
+        same_bytes(net.verdicts, mode_verdicts(*full, tau))
+        same_bytes((net.tau_lo, net.tau_hi), delay_windows(*full, tau))
+        if tau > 0.0:
+            same_bytes((net.s1, net.s2, net.k1, net.k2), scaled_coordinates(*full, tau))
 
 
 @pytest.mark.parametrize(
@@ -942,7 +956,7 @@ def test_scale_consistency_delay_sweep():
     struct = _chain(ScaledParams(d, lam, mu, kappa))
     assert len(struct.windows) >= 2
     for tau in np.linspace(0.01, 3.0, 120):
-        sp = ScaledParams.from_physical(d, lam, mu, kappa, tau)
+        sp = ScaledParams(*scaled_coordinates(d, lam, mu, kappa, tau))
         holding = [(lo, hi) for lo, hi in struct.windows if lo < tau < hi]
         near_edge = min(
             (abs(tau - edge) for w in struct.windows for edge in w), default=math.inf
@@ -987,8 +1001,10 @@ def test_delay_window_edges_flip_verdict_and_root():
     for i in np.flatnonzero(np.isfinite(hi))[:50]:
         for edge, sign in ((hi[i], 1.0), (lo[i], -1.0)):
             if edge > 0.0:
-                below, above = (rightmost_root(ScaledParams.from_physical(d[i], lam[i], mu[i], kappa[i], edge * f)).real
-                                for f in (1.0 - 1e-6, 1.0 + 1e-6))
+                below, above = (
+                    rightmost_root(ScaledParams(*scaled_coordinates(d[i], lam[i], mu[i], kappa[i], edge * f))).real
+                    for f in (1.0 - 1e-6, 1.0 + 1e-6)
+                )
                 assert sign * below < 0.0 < sign * above, (i, edge, below, above)
                 checked += 1
     assert checked >= 60
@@ -1088,7 +1104,7 @@ def test_network_destabilises_at_large_delay(two_machine_spectrum):
         else:
             hi = mid
     # membership flips exactly where the mode root crosses the axis
-    sp = ScaledParams.from_physical(0.075, 1.584, 0.0, 1.0, 0.5 * (lo + hi))
+    sp = ScaledParams(*scaled_coordinates(0.075, 1.584, 0.0, 1.0, 0.5 * (lo + hi)))
     assert abs(rightmost_root(sp).real) < 1e-4
 
 
@@ -1118,7 +1134,7 @@ def test_mode_verdict_is_the_network_rule(line3_spectrum, gains, tau):
         one = delay_windows(0.075, lam, mu, kappa, tau)
         assert np.array_equal(one, (windows[0][l], windows[1][l]), equal_nan=True)
         if tau > 0.0:
-            assert ScaledParams(*coords[:, l]) == ScaledParams.from_physical(0.075, lam, mu, kappa, tau)
+            assert ScaledParams(*coords[:, l]) == ScaledParams(*scaled_coordinates(0.075, lam, mu, kappa, tau))
     if tau == 0.0:
         # all +0.0: scaling negative gains by tau = 0 would give -0.0 and change the CLI's bytes
         assert np.all(coords == 0.0) and not np.signbit(coords).any()

@@ -11,10 +11,12 @@ from wacrisk.errors import InfeasibleError, ValidationError
 from wacrisk.network import (
     GainSpec,
     GeneratorParams,
+    LaplacianSpectrum,
     NetworkModel,
     build_laplacian,
     load_network,
 )
+from wacrisk.stability import network_verdict
 from wacrisk.stats import (
     NoiseParams,
     incidence_matrix,
@@ -223,6 +225,16 @@ def test_unstable_mode_rejected(two_machine_spectrum):
         )
 
 
+def test_refused_weight_of_a_stable_mode_is_not_called_unstable():
+    # s1 = d tau = 17 is stable but past evaluate's strong-damping limit (about 16), so the
+    # weight is refused; at d = 100 (s1 = 10) the same loop has its deviation
+    spectrum, gains = LaplacianSpectrum.from_eigenvalues([1.0]), GainSpec.uniform(0.0, 0.5)
+    assert network_verdict(spectrum, gains, 170.0, 0.1).stable
+    with pytest.raises(InfeasibleError, match=r"^mode 2 is stable at tau=0\.1 but its weight is refused"):
+        pair_deviations(spectrum, gains, 170.0, 0.1, NoiseParams(1.0), 1.0)
+    assert np.isfinite(pair_deviations(spectrum, gains, 100.0, 0.1, NoiseParams(1.0), 1.0).sigma).all()
+
+
 def test_no_delay_requires_delay_free_stability(two_machine_spectrum):
     with pytest.raises(InfeasibleError):
         pair_deviations(
@@ -256,13 +268,13 @@ def test_load_noise_only_prefactor(two_machine_spectrum):
     # the perfect-measurement form is the spectral sum scaled by
     # tau^{3/2} eta / (J sqrt(2 pi))
     from wacrisk.spectral import evaluate
-    from wacrisk.stability import ScaledParams
+    from wacrisk.stability import ScaledParams, scaled_coordinates
 
     tau, eta = 0.1, 0.7
     stats = pair_deviations(
         two_machine_spectrum, GainSpec.uniform(0.0, 1.0), D2, tau, NoiseParams(eta), J2
     )
-    f_val = evaluate(ScaledParams.from_physical(D2, LAM2, 0.0, 1.0, tau), rel_tol=1e-8).value
+    f_val = evaluate(ScaledParams(*scaled_coordinates(D2, LAM2, 0.0, 1.0, tau)), rel_tol=1e-8).value
     expected = tau**1.5 * eta / (J2 * math.sqrt(2 * math.pi)) * math.sqrt(2.0 * f_val)
     assert stats.sigma[0] == pytest.approx(expected, rel=1e-6)
 

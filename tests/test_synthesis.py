@@ -8,7 +8,7 @@ from wacrisk.errors import InfeasibleError, ValidationError
 from wacrisk.network import GainSpec, effective_resistance
 from wacrisk.risk import SystemicSet, risk_profile
 from wacrisk.spectral import evaluate
-from wacrisk.stability import ScaledParams, classify
+from wacrisk.stability import ScaledParams, classify, scaled_coordinates
 from wacrisk.stats import NoiseParams, mode_weight, pair_deviations
 from wacrisk.synthesis import (
     deviation_floor,
@@ -42,7 +42,7 @@ def test_synthesize_two_machine_matches_direct_search(two_machine_spectrum):
     mu_s, kap_s, w_s = result.mu[1], result.kappa[1], result.weights[1]
 
     def weight(mu, kappa):
-        sp = ScaledParams.from_physical(D2, LAM2, mu, kappa, 0.1)
+        sp = ScaledParams(*scaled_coordinates(D2, LAM2, mu, kappa, 0.1))
         return 0.1**3 * noise.mode_intensity_sq(mu, kappa, J2) * evaluate(sp, rel_tol=1e-8).value
 
     step = 5e-3
@@ -148,7 +148,7 @@ def test_resistance_bounds_two_machine(two_machine_spectrum):
     assert bounds.bound_mu == pytest.approx(1.0 / (bounds.mu_max * LAM2), rel=1e-12)
     # any stable consensus gain keeps its effective resistance above the bound
     for kappa in (0.05, 0.3, 1.0, 3.0):
-        if classify(ScaledParams.from_physical(D2, LAM2, 0.0, LAM2 * kappa, 0.1)).stable:
+        if classify(ScaledParams(*scaled_coordinates(D2, LAM2, 0.0, LAM2 * kappa, 0.1))).stable:
             assert effective_resistance(kappa * np.array([LAM2])) > bounds.bound_kappa
     # two rays at least, counted by an integer
     assert resistance_bounds(two_machine_spectrum, D2, 0.1, rays=np.int64(2)).kappa_max > 0.0
@@ -231,7 +231,7 @@ def _per_ray_bounds(spectrum, d, tau, rays):
     """resistance_bounds as one doubling-then-bisection loop per ray."""
     lam_max = spectrum.lambda_max
     stable = lambda mu, kappa: classify(
-        ScaledParams.from_physical(d, lam_max, lam_max * mu, lam_max * kappa, tau)
+        ScaledParams(*scaled_coordinates(d, lam_max, lam_max * mu, lam_max * kappa, tau))
     ).stable
     mu_max = kappa_max = 0.0
     for angle in np.linspace(0.0, math.pi / 2.0, rays):
