@@ -8,9 +8,12 @@ the call.  The whole seed grid is one call.  The polish keeps every value it
 receives in a memo keyed on the exact bits of each point (so -0.0 and 0.0
 stay apart), looks seed-grid points up in the grid, and calls the objective
 only on the compass candidates found in neither, so a point already probed
-is never probed again.  Ties resolve to the lexicographically smallest
-point because the grid is scanned row-major over the first coordinate and
-only strict improvements are accepted.
+is never probed again.  Each call also probes the half-step ring, so a round
+after one without a move makes no call; the objective may therefore be asked
+for any point of the box, also one that a one-point-at-a-time walk never
+visits.  Ties resolve to the lexicographically smallest point because the
+grid is scanned row-major over the first coordinate and only strict
+improvements are accepted.
 """
 
 from __future__ import annotations
@@ -44,7 +47,13 @@ def grid_minimize(objective, box, step):
 
     A round takes the values of the remaining directions from the current
     point from the seed grid and a memo of every polish probe, and makes one
-    call on those it finds in neither; no point is probed twice.
+    call on those it finds in neither; no point is probed twice.  That call
+    also probes the eight points at half the step around the current point
+    (clipped to the box, and not found in the grid or the memo) unless that
+    half step would end the polish.  A round that does not move thus leaves
+    the next round's candidates known, and that round makes no call.  The
+    walk is unchanged, but the objective may be asked for points of the box
+    that it never visits.
 
     Returns ((x, y), value).  Raises ValidationError for a reversed or
     unbounded box, a step that is not a positive real or a pair of them, or
@@ -74,14 +83,21 @@ def grid_minimize(objective, box, step):
     known = {}
 
     hx, hy = sx / 2.0, sy / 2.0
+    end = min(sx, sy) / 64.0
     point = np.array([ax[seed // ay.size], ay[seed % ay.size]])
     for _ in range(_MAX_POLISH):
-        if max(hx, hy) < min(sx, sy) / 64.0:
+        if max(hx, hy) < end:
             break
         moved = False
         first = 0
         while first < len(_DIRECTIONS):
-            cand = np.minimum(np.maximum(point + _DIRECTIONS[first:] * (hx, hy), lo), hi)
+            steps = _DIRECTIONS[first:] * (hx, hy)
+            compass = len(steps)
+            # the half-step ring: the next round's candidates should this one not move,
+            # left out when the half step ends the polish
+            if max(hx, hy) / 2.0 >= end:
+                steps = np.concatenate((steps, _DIRECTIONS * (hx / 2.0, hy / 2.0)))
+            cand = np.minimum(np.maximum(point + steps, lo), hi)
             # memo keys: the bit patterns of both coordinates, so -0.0 and 0.0 stay apart
             keys = list(map(tuple, cand.view(np.int64).tolist()))
             # candidates in neither the memo nor the seed grid; a key names one point
@@ -93,10 +109,11 @@ def grid_minimize(objective, box, step):
                         known[bx, by] = float(values[x_at[bx], y_at[by]])
                     else:
                         off[bx, by] = i
-            if off:
+            # the ring rides only on a call that a compass candidate needs
+            if any(k in off for k in keys[:compass]):
                 px, py = np.ascontiguousarray(cand[list(off.values())].T)
                 known.update(zip(off, np.asarray(objective(px, py), dtype=float).tolist()))
-            better = next((i for i, k in enumerate(keys) if known[k] < best_val), None)
+            better = next((i for i, k in enumerate(keys[:compass]) if known[k] < best_val), None)
             if better is None:
                 break
             point, best_val = cand[better], known[keys[better]]

@@ -38,6 +38,7 @@ from wacrisk.spectral import (
 from wacrisk.stability import ScaledParams, classify, classify_many, scaled_coordinates
 from wacrisk.stability import _crossings_many as _crossing_kernel
 from wacrisk.stats import NoiseParams, mode_weight
+from wacrisk.synthesis import _FULL_REGION_BOX, _FULL_REGION_STEP
 
 from conftest import IEEE39_MODES, IEEE39_PARAMS
 
@@ -830,6 +831,12 @@ def _ieee39_mode_weight(lam):
     return lambda mu, kappa: mode_weight(lam, mu, kappa, p["d"], p["tau"], noise, p["inertia"])
 
 
+def _floor_mode_weight(lam, tau):
+    # deviation_floor's objective on two_machine or line3 (damping ratio 0.075): the
+    # delay-scaled mode at unit delay, noise and inertia
+    return lambda mu, kappa: mode_weight(lam * tau * tau, mu, kappa, 0.075 * tau, 1.0, NoiseParams(1.0), 1.0)
+
+
 def _lattice(seed):
     """Integers on the quarter lattice of [-1, 1]^2, 20 off it: local minima and
     ties everywhere, so the result depends on the order in which the polish
@@ -876,7 +883,14 @@ def _lattice(seed):
         # spans that are no multiple of the step end on an appended axis value, which
         # candidates clipped onto the upper bounds hit bit for bit
         (lambda x, y: (x - 1.2) ** 2 + (y - 0.95) ** 2, (0.0, 0.9, 0.0, 0.9), 0.25),
-    ],
+    ]
+    # the other eight IEEE-39 modes at the criterion-10 parameters, then modes 2 and 10
+    # at the study's finer steps: the half-step ring probes points the walk never visits
+    + [(_ieee39_mode_weight(lam), (0.0, 1.0, 0.0, 4.0), 0.25) for lam in IEEE39_MODES[:8]]
+    + [(_ieee39_mode_weight(IEEE39_MODES[i]), (0.0, 1.0, 0.0, 4.0), s) for i in (0, 8) for s in (0.1, 0.05)]
+    # the deviation floor's full-region search, where most probes are infeasible:
+    # two_machine at tau 0.1, and line3 mode 3 at tau 0.4, whose optimum lies on the k1 = 0 face
+    + [(_floor_mode_weight(lam, tau), _FULL_REGION_BOX, _FULL_REGION_STEP) for lam, tau in ((1.584, 0.1), (3.0, 0.4))],
 )
 def test_grid_minimize_equals_one_point_walk(objective, box, step):
     requested = []
@@ -900,3 +914,26 @@ def test_grid_minimize_equals_one_point_walk(objective, box, step):
     xs, ys = (np.array(v, dtype=np.int64).view(float) for v in zip(*requested))
     x_lo, x_hi, y_lo, y_hi = box
     assert np.all((x_lo <= xs) & (xs <= x_hi) & (y_lo <= ys) & (ys <= y_hi))
+
+
+@pytest.mark.parametrize(
+    "box, step, sizes",
+    [
+        # six polish rounds: the seed grid, then one call of eight compass and eight
+        # ring points per pair of rounds, where one call per round makes seven calls
+        ((0.0, 1.0, 0.0, 1.0), 0.25, [25, 16, 16, 16]),
+        # seven rounds: the ring of the last one would end the polish and is left out
+        ((0.0, 1.5, 0.0, 1.0), (0.75, 0.25), [15, 16, 16, 16, 8]),
+    ],
+)
+def test_grid_minimize_failed_rounds_share_calls(box, step, sizes):
+    # the seed-grid point is the minimum, so no polish round moves: each call carries
+    # the next round's half-step ring, and that round makes no call
+    calls = []
+
+    def objective(x, y):
+        calls.append(x.size)
+        return (x - box[1] / 2.0) ** 2 + (y - box[3] / 2.0) ** 2
+
+    assert grid_minimize(objective, box, step) == ((box[1] / 2.0, box[3] / 2.0), 0.0)
+    assert calls == sizes

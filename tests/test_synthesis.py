@@ -80,13 +80,29 @@ def test_synthesize_probes_each_gain_once(ieee39_spectrum, monkeypatch):
     box = (0.0, 1.0, 0.0, 4.0)
     synthesize(ieee39_spectrum, p["d"], p["tau"], NoiseParams(p["eta"], p["eta_meas"]), p["inertia"], box, 0.25)
     assert len(requested) == 9
-    # one call per polish step needed 159 calls here; the memo needs 116
-    assert sum(len(calls) for calls in requested.values()) <= 116
+    # one call per polish step needed 159 calls on 1,816 tuples here; the memo needs 116
+    # on 1,202, and the half-step ring 70 on 1,289
+    assert sum(len(calls) for calls in requested.values()) <= 70
+    assert sum(mu.size for calls in requested.values() for mu, _ in calls) <= 1289
     for calls in requested.values():
         mu, kappa = (np.concatenate(v) for v in zip(*calls))
         points = set(zip(mu.view(np.int64).tolist(), kappa.view(np.int64).tolist()))
         assert len(points) == mu.size
         assert np.all((box[0] <= mu) & (mu <= box[1]) & (box[2] <= kappa) & (kappa <= box[3]))
+
+
+def test_deviation_floor_call_count(two_machine_spectrum, monkeypatch):
+    calls = []
+
+    def recording(lam, mu, kappa, *args):
+        calls.append(mu.size)
+        return mode_weight(lam, mu, kappa, *args)
+
+    monkeypatch.setattr(synthesis, "mode_weight", recording)
+    deviation_floor(two_machine_spectrum, D2, 0.1, 0.7, J2)
+    # 37 calls on 1,569 tuples with one call per polish step, 31 on 1,423 with the memo
+    assert len(calls) <= 22
+    assert sum(calls) <= 1468
 
 
 def test_synthesize_no_stable_gain(two_machine_spectrum):
