@@ -19,17 +19,12 @@ import os
 
 import numpy as np
 
-from wacrisk.errors import InfeasibleError
-from wacrisk.network import GainSpec, GeneratorParams, NetworkModel, build_laplacian
+from wacrisk.network import build_laplacian, load_network
 from wacrisk.risk import SystemicSet, risk_value
-from wacrisk.stats import NoiseParams, pair_deviations
+from wacrisk.stats import NoiseParams, mode_weight, pair_sigma
 from wacrisk.synthesis import deviation_floor, risk_floor
 
-MODEL = NetworkModel(
-    generators=tuple(GeneratorParams(2.0, 0.15, e) for e in (1.2, 2.0)),
-    equilibrium_theta=np.zeros(2),
-    laplacian=[[0.792, -0.792], [-0.792, 0.792]],
-)
+MODEL = load_network(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "data", "two_machine.json"))
 SET_A = SystemicSet(zeta=math.pi / 3.0, c=1.5, eps=0.1)
 
 
@@ -41,47 +36,41 @@ def write_rows(path, header, rows):
     print(f"wrote {path} ({len(rows)} rows)")
 
 
+def gain_sweep(spectrum, d, mus, kappas, tau, noise):
+    """(mu, kappa, sigma) of every uniform gain pair on the mu-outer grid that has a stationary law.
+
+    One ``mode_weight`` call weighs the whole grid and one ``pair_sigma`` call
+    gives the deviations of its finite rows, as ``synthesis.tradeoff_scan`` does.
+    """
+    mus, kappas = (grid.ravel() for grid in np.meshgrid(mus, kappas, indexing="ij"))
+    weights = mode_weight(spectrum.eigenvalues[1:], mus[:, None], kappas[:, None], d, tau, noise, MODEL.inertia)
+    finite = np.isfinite(weights).all(axis=1)
+    sigma = pair_sigma(spectrum.eigenvectors, np.pad(weights[finite], ((0, 0), (1, 0))))[:, 0]
+    return mus[finite], kappas[finite], sigma
+
+
 def sync_sweep(spectrum, d, out):
     noise = NoiseParams(0.7, 0.3)
-    points = []
-    for mu in np.linspace(0.0, 2.0, 41):
-        for kappa in np.linspace(0.0, 3.0, 61):
-            try:
-                stats = pair_deviations(spectrum, GainSpec.uniform(mu, kappa), d, 0.0, noise, MODEL.inertia)
-            except InfeasibleError:
-                continue
-            points.append((mu, kappa, float(stats.sigma[0])))
-    risks = risk_value([sigma for _, _, sigma in points], SET_A)
+    mus, kappas, sigma = gain_sweep(spectrum, d, np.linspace(0.0, 2.0, 41), np.linspace(0.0, 3.0, 61), 0.0, noise)
     rows = [
-        (f"{mu:.4f}", f"{kappa:.4f}", f"{sigma:.6f}", f"{risk:.6g}") for (mu, kappa, sigma), risk in zip(points, risks)
+        (f"{mu:.4f}", f"{kappa:.4f}", f"{s:.6f}", f"{risk:.6g}")
+        for mu, kappa, s, risk in zip(mus, kappas, sigma, risk_value(sigma, SET_A))
     ]
     write_rows(os.path.join(out, "sync_sweep.csv"), ["mu", "kappa", "sigma", "risk"], rows)
 
 
 def delayed_sweep(spectrum, d, out, tau=0.1):
-    rows = []
-    for mu in np.linspace(-1.0, 30.0, 32):
-        for kappa in np.linspace(0.0, 30.0, 31):
-            try:
-                stats = pair_deviations(
-                    spectrum, GainSpec.uniform(mu, kappa), d, tau, NoiseParams(0.7), MODEL.inertia
-                )
-                sigma = float(stats.sigma[0])
-            except InfeasibleError:
-                continue
-            rows.append((f"{mu:.4f}", f"{kappa:.4f}", f"{sigma:.6f}"))
+    noise = NoiseParams(0.7)
+    mus, kappas, sigma = gain_sweep(spectrum, d, np.linspace(-1.0, 30.0, 32), np.linspace(0.0, 30.0, 31), tau, noise)
+    rows = [(f"{mu:.4f}", f"{kappa:.4f}", f"{s:.6f}") for mu, kappa, s in zip(mus, kappas, sigma)]
     write_rows(os.path.join(out, "delayed_sweep.csv"), ["mu", "kappa", "sigma"], rows)
 
 
 def risk_window(spectrum, d, out):
-    noise = NoiseParams(0.7, 0.3)
-    kappas = np.linspace(0.05, 4.0, 160)
-    sigmas = [
-        float(pair_deviations(spectrum, GainSpec.uniform(0.0, kappa), d, 0.0, noise, MODEL.inertia).sigma[0])
-        for kappa in kappas
+    _, kappas, sigma = gain_sweep(spectrum, d, np.zeros(1), np.linspace(0.05, 4.0, 160), 0.0, NoiseParams(0.7, 0.3))
+    rows = [
+        (f"{kappa:.4f}", f"{s:.6f}", f"{risk:.6g}") for kappa, s, risk in zip(kappas, sigma, risk_value(sigma, SET_A))
     ]
-    risks = risk_value(sigmas, SET_A)
-    rows = [(f"{kappa:.4f}", f"{sigma:.6f}", f"{risk:.6g}") for kappa, sigma, risk in zip(kappas, sigmas, risks)]
     write_rows(os.path.join(out, "risk_window.csv"), ["kappa", "sigma", "risk"], rows)
 
 
@@ -100,11 +89,8 @@ def main():
     args = parser.parse_args()
     os.makedirs(args.out, exist_ok=True)
     spectrum = build_laplacian(MODEL)
-    d = MODEL.damping_ratio
-    sync_sweep(spectrum, d, args.out)
-    delayed_sweep(spectrum, d, args.out)
-    risk_window(spectrum, d, args.out)
-    floor_by_delay(spectrum, d, args.out)
+    for study in (sync_sweep, delayed_sweep, risk_window, floor_by_delay):
+        study(spectrum, MODEL.damping_ratio, args.out)
 
 
 if __name__ == "__main__":

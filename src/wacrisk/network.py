@@ -61,7 +61,8 @@ class NetworkModel:
 
     Either ``susceptance`` or ``laplacian`` must be given; an explicit
     ``laplacian`` wins when both are present.  All machines must share the
-    same inertia and damping (uniform damping-ratio model).
+    same inertia and damping (uniform damping-ratio model).  Negative
+    susceptances within 1e-12 of zero count as zero; the laplacian is stored symmetrised.
     """
 
     generators: tuple[GeneratorParams, ...]
@@ -98,6 +99,7 @@ class NetworkModel:
                 raise ValidationError("susceptance diagonal must be zero")
             if np.any(y < -1e-12):
                 raise ValidationError("susceptance entries must be nonnegative")
+            y = np.where(y < 0.0, 0.0, y)  # negative entries within 1e-12 count as zero
             object.__setattr__(self, "susceptance", y)
             # equilibrium must keep every coupled pair inside the pi/2 cone
             gap = np.abs(theta[:, None] - theta)
@@ -112,7 +114,14 @@ class NetworkModel:
                 raise ValidationError(f"laplacian must be {n}x{n}, got {lap.shape}")
             if not np.all(np.isfinite(lap)):
                 raise ValidationError("laplacian entries must be finite")
-            object.__setattr__(self, "laplacian", lap)
+            sym = 0.5 * (lap + lap.T)
+            if not np.allclose(lap, sym, atol=1e-10):
+                raise ValidationError("laplacian must be symmetric")
+            if np.any(np.abs(sym.sum(axis=1)) > 1e-9 * max(1.0, np.abs(sym).max())):
+                raise ValidationError("laplacian rows must sum to zero")
+            if np.any(sym - np.diag(np.diag(sym)) > 1e-12):
+                raise ValidationError("laplacian off-diagonal entries must be nonpositive")
+            object.__setattr__(self, "laplacian", sym)
 
         inertias = {g.inertia for g in gens}
         dampings = {g.damping for g in gens}
@@ -208,21 +217,13 @@ def build_laplacian(model: NetworkModel) -> LaplacianSpectrum:
     """Assemble the inertia-normalised Laplacian and its spectrum.
 
     Off-diagonal coupling weights are E_i E_j Y_ij cos(theta_i - theta_j) / J;
-    an explicit laplacian on the model overrides the assembly.  Raises
-    ValidationError if the coupling graph is disconnected or the equilibrium
-    produces a negative coupling weight.
+    an explicit laplacian on the model overrides the assembly.  The model
+    has checked every entry and the pi/2 cone; raises ValidationError if the
+    coupling graph is disconnected.
     """
     n = model.n
-    if model.laplacian is not None:
-        lap = 0.5 * (model.laplacian + model.laplacian.T)
-        if not np.allclose(model.laplacian, lap, atol=1e-10):
-            raise ValidationError("laplacian must be symmetric")
-        row = np.abs(lap.sum(axis=1))
-        if np.any(row > 1e-9 * max(1.0, np.abs(lap).max())):
-            raise ValidationError("laplacian rows must sum to zero")
-        if np.any(lap - np.diag(np.diag(lap)) > 1e-12):
-            raise ValidationError("laplacian off-diagonal entries must be nonpositive")
-    else:
+    lap = model.laplacian
+    if lap is None:
         theta = model.equilibrium_theta
         volts = np.array([g.voltage for g in model.generators])
         weights = (
@@ -232,8 +233,6 @@ def build_laplacian(model: NetworkModel) -> LaplacianSpectrum:
             / model.inertia
         )
         np.fill_diagonal(weights, 0.0)
-        if np.any(weights < 0):
-            raise ValidationError("negative coupling weight: equilibrium outside the pi/2 cone")
         lap = np.diag(weights.sum(axis=1)) - weights
 
     lams, vecs = _deterministic_eigh(lap)

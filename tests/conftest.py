@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from wacrisk.network import (
@@ -10,6 +11,7 @@ from wacrisk.network import (
     NetworkModel,
     build_laplacian,
 )
+from wacrisk.stats import mode_weight, pair_sigma
 
 # two synchronous machines, uniform inertia 2 and damping 0.15, whose
 # linearised coupling matrix has mode eigenvalue 1.584 and damping ratio 0.075
@@ -42,6 +44,14 @@ IEEE39_MODES = [
     103.9912,
 ]
 IEEE39_PARAMS = {"d": 0.075, "tau": 0.03, "eta": 1.1, "eta_meas": 0.2, "inertia": 2.0}
+
+
+def uniform_gain_sigma(spectrum, mus, kappas, d, tau, noise, inertia):
+    """Pair deviations, one row per uniform gain pair of the mu-outer (mus, kappas) grid that has a
+    stationary law: one ``mode_weight`` and one ``pair_sigma`` call, as ``tradeoff_scan`` makes them."""
+    mu, kappa = (grid.ravel()[:, None] for grid in np.meshgrid(mus, kappas, indexing="ij"))
+    weights = mode_weight(spectrum.eigenvalues[1:], mu, kappa, d, tau, noise, inertia)
+    return pair_sigma(spectrum.eigenvectors, np.pad(weights[np.isfinite(weights).all(axis=1)], ((0, 0), (1, 0))))
 
 
 @pytest.fixture(scope="session")

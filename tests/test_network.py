@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -267,8 +268,6 @@ def test_dense_gains_round_trip_through_spectrum_basis(network, line3_spectrum):
 
 
 def test_load_network_laplacian_wins(tmp_path, two_machine_spectrum):
-    import json
-
     doc = {
         "generators": [{"J": 2.0, "beta": 0.15, "E": 1.0}, {"J": 2.0, "beta": 0.15, "E": 1.0}],
         "equilibrium_theta": [0.0, 0.0],
@@ -287,6 +286,55 @@ def test_load_network_missing_field(tmp_path):
     path.write_text('{"generators": []}')
     with pytest.raises(ValidationError):
         load_network(str(path))
+
+
+def _network_doc(n=2, **fields):
+    return {"generators": [{"J": 1.0, "beta": 0.1, "E": 1.0}] * n, "equilibrium_theta": [0.0] * n, **fields}
+
+
+_PAIR_LAPLACIAN = [[1.0, -1.0], [-1.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_network_doc(1, susceptance=[[0.0]]), "need at least 2 generators, got 1"),
+        ({**_network_doc(laplacian=_PAIR_LAPLACIAN), "equilibrium_theta": [0.0]}, "equilibrium_theta must have shape"),
+        (_network_doc(), "one of susceptance or laplacian is required"),
+        (_network_doc(susceptance=[[0.0, 1.0]]), "susceptance must be 2x2"),
+        (_network_doc(susceptance=[[0.0, 1.0], [0.5, 0.0]]), "susceptance matrix must be symmetric"),
+        (_network_doc(susceptance=[[1.0, 1.0], [1.0, 0.0]]), "susceptance diagonal must be zero"),
+        (_network_doc(susceptance=[[0.0, -1e-9], [-1e-9, 0.0]]), "susceptance entries must be nonnegative"),
+        (_network_doc(laplacian=[[1.0, -1.0]]), "laplacian must be 2x2"),
+        (_network_doc(laplacian=[[1.0, -1.0], [-0.5, 1.0]]), "laplacian must be symmetric"),
+        # refused when loaded, not first when the spectrum is built
+        (_network_doc(laplacian=[[1.0, 1.0], [1.0, 1.0]]), "laplacian rows must sum to zero"),
+        (_network_doc(laplacian=[[-1.0, 1.0], [1.0, -1.0]]), "laplacian off-diagonal entries must be nonpositive"),
+        ({"equilibrium_theta": [0.0, 0.0], "laplacian": _PAIR_LAPLACIAN}, "malformed network document: missing field"),
+        (
+            {**_network_doc(laplacian=_PAIR_LAPLACIAN), "generators": [{"J": "heavy", "beta": 0.1, "E": 1.0}] * 2},
+            "malformed network document: could not convert",
+        ),
+        ([_network_doc(laplacian=_PAIR_LAPLACIAN)], "must hold a JSON object, got list"),
+    ],
+)
+def test_load_network_refusals(tmp_path, doc, message):
+    path = tmp_path / "network.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=message):
+        load_network(str(path))
+
+
+def test_susceptance_within_tolerance_of_zero_counts_as_zero(tmp_path):
+    # -1e-13 passes the model's 1e-12 rule, so the spectrum builds as for an exact zero: the path 1-2-3
+    spectra = []
+    for y13 in (-1e-13, 0.0):
+        path = tmp_path / f"line3_{y13}.json"
+        path.write_text(json.dumps(_network_doc(3, susceptance=[[0.0, 1.0, y13], [1.0, 0.0, 1.0], [y13, 1.0, 0.0]])))
+        spectra.append(build_laplacian(load_network(str(path))))
+    for field in ("laplacian", "eigenvalues", "eigenvectors"):
+        assert np.array_equal(getattr(spectra[0], field), getattr(spectra[1], field))
+    assert np.allclose(spectra[0].eigenvalues, [0.0, 1.0, 3.0])
 
 
 _LINE3_LAPLACIAN = [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]
