@@ -283,17 +283,14 @@ def _cmd_stats(args, argv) -> int:
     return 0
 
 
-def _cmd_risk(args, argv) -> int:
-    sset = _systemic_set(args)
-    if args.from_stats:
-        conflicts = _given(args, "network", "gains", "mu", "kappa", "gain_mode", "tau", "eta", "etap")
-        if conflicts:
-            raise ValidationError(f"--from-stats cannot be combined with {', '.join(conflicts)}")
-        pairs, sigmas = [], []
-        with open(args.from_stats, "r", encoding="utf-8") as fh:
+def _read_stats_csv(path) -> tuple[list, list]:
+    """The pairs and sigmas of a stats CSV; a ValidationError names the file and, if any, the line."""
+    pairs, sigmas = [], []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
             if header[:3] != ["i", "j", "sigma"]:
-                raise ValidationError(f"{args.from_stats} is not a stats CSV")
+                raise ValidationError(f"{path} is not a stats CSV")
             for lineno, line in enumerate(fh, start=2):
                 if not line.strip():
                     continue
@@ -304,11 +301,22 @@ def _cmd_risk(args, argv) -> int:
                         raise ValueError(sigma)
                 except (IndexError, ValueError) as exc:
                     raise ValidationError(
-                        f"{args.from_stats} line {lineno}: expected i,j,sigma with sigma >= 0,"
-                        f" got {line.strip()!r}"
+                        f"{path} line {lineno}: expected i,j,sigma with sigma >= 0, got {line.strip()!r}"
                     ) from exc
                 pairs.append((i, j))
                 sigmas.append(sigma)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not a stats CSV: {exc}") from exc
+    return pairs, sigmas
+
+
+def _cmd_risk(args, argv) -> int:
+    sset = _systemic_set(args)
+    if args.from_stats:
+        conflicts = _given(args, "network", "gains", "mu", "kappa", "gain_mode", "tau", "eta", "etap")
+        if conflicts:
+            raise ValidationError(f"--from-stats cannot be combined with {', '.join(conflicts)}")
+        pairs, sigmas = _read_stats_csv(args.from_stats)
         columns = _pair_columns(pairs, np.array(sigmas), risk_value(sigmas, sset))
     elif not args.network:
         raise ValidationError("risk needs --network (or --from-stats)")

@@ -55,6 +55,23 @@ class GeneratorParams:
                 raise ValidationError(f"generator {name} must be a positive real, got {value!r}")
 
 
+def _symmetrised(value, n: int, name: str, noun: str) -> np.ndarray:
+    """``value`` as a finite n x n float matrix A, returned as (A + A^T) / 2.
+
+    An A farther from that than ``np.allclose`` allows at atol 1e-10 is refused, ``noun``
+    naming it; an exactly symmetric A comes back unchanged.
+    """
+    a = np.asarray(value, dtype=float)
+    if a.shape != (n, n):
+        raise ValidationError(f"{name} must be {n}x{n}, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError(f"{name} entries must be finite")
+    sym = 0.5 * (a + a.T)
+    if not np.allclose(a, sym, atol=1e-10):
+        raise ValidationError(f"{noun} must be symmetric")
+    return sym
+
+
 @dataclass(frozen=True)
 class NetworkModel:
     """Reduced network: machines, coupling susceptances, equilibrium angles.
@@ -62,7 +79,7 @@ class NetworkModel:
     Either ``susceptance`` or ``laplacian`` must be given; an explicit
     ``laplacian`` wins when both are present.  All machines must share the
     same inertia and damping (uniform damping-ratio model).  Negative
-    susceptances within 1e-12 of zero count as zero; the laplacian is stored symmetrised.
+    susceptances within 1e-12 of zero count as zero.  Both matrices are stored symmetrised.
     """
 
     generators: tuple[GeneratorParams, ...]
@@ -88,13 +105,7 @@ class NetworkModel:
             raise ValidationError("one of susceptance or laplacian is required")
 
         if self.susceptance is not None:
-            y = np.asarray(self.susceptance, dtype=float)
-            if y.shape != (n, n):
-                raise ValidationError(f"susceptance must be {n}x{n}, got {y.shape}")
-            if not np.all(np.isfinite(y)):
-                raise ValidationError("susceptance entries must be finite")
-            if not np.allclose(y, y.T, atol=1e-12):
-                raise ValidationError("susceptance matrix must be symmetric")
+            y = _symmetrised(self.susceptance, n, "susceptance", "susceptance matrix")
             if np.any(np.abs(np.diag(y)) > 1e-12):
                 raise ValidationError("susceptance diagonal must be zero")
             if np.any(y < -1e-12):
@@ -109,14 +120,7 @@ class NetworkModel:
                 raise ValidationError(f"equilibrium angle gap |theta_{i} - theta_{j}| = {gap[i, j]:.4f} >= pi/2")
 
         if self.laplacian is not None:
-            lap = np.asarray(self.laplacian, dtype=float)
-            if lap.shape != (n, n):
-                raise ValidationError(f"laplacian must be {n}x{n}, got {lap.shape}")
-            if not np.all(np.isfinite(lap)):
-                raise ValidationError("laplacian entries must be finite")
-            sym = 0.5 * (lap + lap.T)
-            if not np.allclose(lap, sym, atol=1e-10):
-                raise ValidationError("laplacian must be symmetric")
+            sym = _symmetrised(self.laplacian, n, "laplacian", "laplacian")
             if np.any(np.abs(sym.sum(axis=1)) > 1e-9 * max(1.0, np.abs(sym).max())):
                 raise ValidationError("laplacian rows must sum to zero")
             if np.any(sym - np.diag(np.diag(sym)) > 1e-12):
@@ -417,7 +421,7 @@ def _read_json_object(path, what: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
             raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} {path} must hold a JSON object, got {type(doc).__name__}")

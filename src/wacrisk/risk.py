@@ -10,12 +10,14 @@ the acceptance level eps; it evaluates in closed form to
     (sigma nu c - zeta)/(zeta - sigma nu)  in between
     +inf                                   if sigma >= zeta / nu
 
-where nu solves  integral_{-nu}^{nu} e^(-t^2/2) dt = sqrt(2 pi) (1 - eps).
+where nu solves  integral_{-nu}^{nu} e^(-t^2/2) dt = sqrt(2 pi) (1 - eps),
+the upper eps/2 quantile of the standard normal.
 ``risk_value`` evaluates it on a float or elementwise on an array, so a
 whole profile or scan is one call.  ``risk_search`` re-derives the same
 number from the probability definition by monotone bisection, one sigma at
-a time, and serves as the oracle for the closed form.  Boundary ties follow the closed form: equality at the lower
-threshold maps to 0 and at the upper threshold to +inf.
+a time, and serves as the oracle for the closed form.  Boundary ties follow
+the closed form: equality at the lower threshold maps to 0 and at the upper
+threshold to +inf.
 """
 
 from __future__ import annotations
@@ -29,36 +31,19 @@ import numpy as np
 from .errors import ValidationError
 from .stats import PairStats
 
-# near machine precision: the closed-form risk amplifies quantile error
-# quadratically close to its pole, so the root is resolved essentially exactly
-_NU_TOL = 1e-14
-
 
 def acceptance_quantile(eps: float) -> float:
     """Root nu of the two-sided Gaussian condition for acceptance level eps.
 
-    Solved by bracketing bisection on the integral (via erf), not by an
-    inverse-CDF lookup, so the tests can cross-check it independently.
+    nu is the upper eps/2 quantile of the standard normal, taken from the tail
+    probability eps/2 itself: forming 1 - eps would round away eps's digits.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValidationError(f"acceptance level must lie in (0, 1), got {eps}")
-    target = 1.0 - eps  # integral / sqrt(2 pi)
+    # imported here: ``statistics`` pulls in ``fractions`` and ``decimal``, which no set-up needs
+    from statistics import NormalDist
 
-    def gap(nu: float) -> float:
-        return math.erf(nu / math.sqrt(2.0)) - target
-
-    lo, hi = 0.0, 1.0
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e3:
-            raise ValidationError("acceptance quantile bracket failed")
-    while hi - lo > _NU_TOL:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if not 0.0 < 0.5 * eps < 0.5:  # also refuses 5e-324, whose half rounds to 0
+        raise ValidationError(f"acceptance level must lie in (0, 1) with a nonzero half, got {eps}")
+    return -NormalDist().inv_cdf(0.5 * eps)
 
 
 @dataclass(frozen=True)

@@ -149,14 +149,14 @@ def deviation_floor(spectrum: LaplacianSpectrum, d: float, tau: float, eta: floa
 
 
 def risk_floor(sigma_star: float, sset: SystemicSet) -> LimitReport:
-    """Classify the least achievable risk implied by the deviation floor."""
-    if sigma_star < 0:
-        raise ValidationError("sigma_star must be nonnegative")
-    if sigma_star <= sset.zero_risk_threshold:
-        return LimitReport(sigma_star=sigma_star, regime="reducible", risk_floor=0.0)
-    if sigma_star >= sset.infinite_risk_threshold:
-        return LimitReport(sigma_star=sigma_star, regime="infinite", risk_floor=math.inf)
-    return LimitReport(sigma_star=sigma_star, regime="floored", risk_floor=risk_value(sigma_star, sset))
+    """Classify the least achievable risk implied by the deviation floor.
+
+    The regime is read off the one ``risk_value``, so it follows that function's tie rules:
+    reducible where the risk is 0, infinite where it is +inf, floored in between.
+    """
+    floor = risk_value(sigma_star, sset)
+    regime = "reducible" if floor == 0.0 else "infinite" if math.isinf(floor) else "floored"
+    return LimitReport(sigma_star=sigma_star, regime=regime, risk_floor=floor)
 
 
 def resistance_bounds(

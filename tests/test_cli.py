@@ -454,17 +454,29 @@ def test_exit_codes(tmp_path, two_machine_path):
         assert proc.returncode == 2
         assert str(path) in proc.stderr and field in proc.stderr and "Traceback" not in proc.stderr
 
-    # files that are not valid JSON -> validation error naming the file, exit 2
+    # files that are not valid JSON, truncated or not UTF-8 (a UTF-16 byte-order mark) -> validation error
+    # naming the file, exit 2
     truncated = tmp_path / "truncated.json"
     truncated.write_text('{"mode": ')
-    for argv in (
-        [*stats_argv, "--gains", str(truncated)],
-        ["stats", "--network", str(truncated), "--tau", "0.1", "--eta", "0.7"],
-        ["--from-manifest", str(truncated)],
-    ):
-        proc = subprocess.run([sys.executable, "-m", "wacrisk.cli", *argv], capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert str(truncated) in proc.stderr and "not valid JSON" in proc.stderr and "Traceback" not in proc.stderr
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe" + '{"mode": "eigen"}'.encode("utf-16-le"))
+    for bad in (truncated, utf16):
+        for argv in (
+            [*stats_argv, "--gains", str(bad)],
+            ["stats", "--network", str(bad), "--tau", "0.1", "--eta", "0.7"],
+            ["--from-manifest", str(bad)],
+        ):
+            proc = subprocess.run([sys.executable, "-m", "wacrisk.cli", *argv], capture_output=True, text=True)
+            assert proc.returncode == 2
+            assert str(bad) in proc.stderr and "not valid JSON" in proc.stderr and "Traceback" not in proc.stderr
+    utf16.write_bytes(b"\xff\xfe" + "i,j,sigma\n0,1,0.5\n".encode("utf-16-le"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wacrisk.cli", "risk", "--from-stats", str(utf16), "--zeta", "1.0"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert str(utf16) in proc.stderr and "Traceback" not in proc.stderr
 
     # non-finite equilibrium angle -> validation error naming the field, exit 2
     nan_theta = tmp_path / "nan_theta.json"

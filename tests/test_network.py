@@ -316,6 +316,8 @@ _PAIR_LAPLACIAN = [[1.0, -1.0], [-1.0, 1.0]]
             "malformed network document: could not convert",
         ),
         ([_network_doc(laplacian=_PAIR_LAPLACIAN)], "must hold a JSON object, got list"),
+        # an asymmetry beyond round-off is refused, not symmetrised
+        (_network_doc(susceptance=[[0.0, 1.0], [1.0 + 1e-3, 0.0]]), "susceptance matrix must be symmetric"),
     ],
 )
 def test_load_network_refusals(tmp_path, doc, message):
@@ -335,6 +337,24 @@ def test_susceptance_within_tolerance_of_zero_counts_as_zero(tmp_path):
     for field in ("laplacian", "eigenvalues", "eigenvectors"):
         assert np.array_equal(getattr(spectra[0], field), getattr(spectra[1], field))
     assert np.allclose(spectra[0].eigenvalues, [0.0, 1.0, 3.0])
+
+
+def test_susceptance_round_off_asymmetry_is_symmetrised_when_loaded(tmp_path):
+    # a complete graph on three machines with y[1, 0] = 1 + 1e-6: loaded and symmetrised, it builds the
+    # spectrum of the exactly symmetric document holding the mean of the two entries
+    skewed = [[0.0, 1.0, 1.0], [1.0 + 1e-6, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    mean = 0.5 * (1.0 + (1.0 + 1e-6))
+    exact = [[0.0, mean, 1.0], [mean, 0.0, 1.0], [1.0, 1.0, 0.0]]
+    models = []
+    for name, y in (("skewed", skewed), ("exact", exact)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(_network_doc(3, susceptance=y)))
+        models.append(load_network(str(path)))
+    assert np.array_equal(models[0].susceptance, models[0].susceptance.T)
+    assert np.array_equal(models[1].susceptance, np.array(exact))  # an exactly symmetric matrix is kept as given
+    spectra = [build_laplacian(model) for model in models]
+    for field in ("laplacian", "eigenvalues", "eigenvectors"):
+        assert np.array_equal(getattr(spectra[0], field), getattr(spectra[1], field))
 
 
 _LINE3_LAPLACIAN = [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]]

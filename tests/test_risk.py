@@ -30,9 +30,15 @@ def test_acceptance_quantile_values():
 
 
 def test_acceptance_quantile_domain():
-    for bad in (0.0, 1.0, -0.2, 1.5):
+    for bad in (0.0, 1.0, -0.2, 1.5, 5e-324):  # 5e-324 / 2 rounds to 0, a quantile at probability 0
         with pytest.raises(ValidationError):
             acceptance_quantile(bad)
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-6, 1e-12, 1e-20, 1e-100, 1e-300])
+def test_acceptance_quantile_matches_isf_at_small_eps(eps):
+    # eps/2 keeps every digit of eps, so nu is exact to the last bits however small eps is
+    assert acceptance_quantile(eps) == pytest.approx(norm.isf(0.5 * eps), rel=1e-15, abs=0.0)
 
 
 def test_systemic_set_validation():
@@ -176,6 +182,19 @@ def test_risk_oracle_equivalence_sweep():
                 assert math.isinf(searched)
             else:
                 assert searched == pytest.approx(closed, abs=1e-6)
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-6, 1e-12, 1e-20])
+def test_risk_oracle_equivalence_at_small_eps(eps):
+    # criterion 08's rule on a dense grid from half the zero-risk threshold past the pole
+    sset = SystemicSet(zeta=0.6, c=1.5, eps=eps)
+    sigmas = np.linspace(0.5 * sset.zero_risk_threshold, 1.2 * sset.infinite_risk_threshold, 4001)
+    for sigma, closed in zip(sigmas, risk_value(sigmas, sset)):
+        searched = risk_search(float(sigma), sset)
+        if math.isinf(closed):
+            assert math.isinf(searched), sigma
+        else:
+            assert abs(closed - searched) <= 1e-6, sigma
 
 
 def test_risk_profile_zero_sigma():

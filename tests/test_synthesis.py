@@ -151,6 +151,17 @@ def test_risk_floor_trichotomy():
     assert report.regime == "infinite" and math.isinf(report.risk_floor)
 
 
+def test_risk_floor_regime_agrees_with_its_value_above_zero_risk_threshold():
+    # just above zeta / (c nu) the closed form rounds to 0, and the regime must then read reducible
+    sigma = SET_A.zero_risk_threshold
+    for _ in range(20):
+        sigma = float(np.nextafter(sigma, math.inf))
+        report = risk_floor(sigma, SET_A)
+        assert report.risk_floor >= 0.0
+        assert (report.regime == "reducible") == (report.risk_floor == 0.0), sigma
+        assert report.regime != "infinite"
+
+
 def test_resistance_bounds_two_machine(two_machine_spectrum):
     bounds = resistance_bounds(two_machine_spectrum, D2, 0.1, rays=90)
     # single nonzero mode: the bound collapses to 1 / (gain_max * lambda_2)
