@@ -401,7 +401,7 @@ def main() -> None:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         sys.exit(3)
-    except (ValidationError, OSError, KeyError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
     sys.exit(code)

@@ -18,9 +18,9 @@ Conventions fixed here and relied upon elsewhere:
   decomposition deterministic;
 * gain matrices are accepted as per-mode eigenvalue lists, as scalar
   multiples of the Laplacian ("consensus"), as a uniform gain on every
-  non-consensus mode, or as explicit dense symmetric matrices, which the
-  spectrum's eigenbasis (refined only inside tied eigenvalue groups) must
-  diagonalise; their round-off consensus-mode gains are stored as exactly 0.
+  non-consensus mode, or as dense matrices symmetrised like the Laplacian,
+  which the spectrum's eigenbasis (refined only inside tied eigenvalue
+  groups) must diagonalise; round-off consensus-mode gains become exactly 0.
 """
 
 from __future__ import annotations
@@ -331,6 +331,7 @@ class ModeGains:
 def _dense_mode_gains(M: np.ndarray, K: np.ndarray, spectrum: LaplacianSpectrum) -> ModeGains:
     """Per-mode values of dense gains in the spectrum's eigenbasis.
 
+    M and K pass ``_symmetrised`` and are kept as their symmetric parts.
     Columns 1..n-1 inside tied Laplacian eigenvalue groups are refined
     against M and then K; the consensus column stays ones/sqrt(n).  Gains
     this basis does not diagonalise do not commute with the Laplacian (or
@@ -338,11 +339,7 @@ def _dense_mode_gains(M: np.ndarray, K: np.ndarray, spectrum: LaplacianSpectrum)
     round-off of zero become exactly zero, as the Laplacian's own does.
     """
     n = spectrum.n
-    for A in (M, K):
-        if A.shape != (n, n):
-            raise ValidationError(f"dense gain matrices must be {n}x{n}, got {A.shape}")
-        if not np.allclose(A, A.T, atol=1e-10 * max(1.0, np.abs(A).max())):
-            raise ValidationError("dense gain matrices must be symmetric")
+    M, K = (_symmetrised(A, n, "dense gain matrices", "dense gain matrices") for A in (M, K))
     scale = max(1.0, *(float(np.linalg.norm(A)) for A in (spectrum.laplacian, M, K)))
     vecs = spectrum.eigenvectors.copy()
     groups = _split_ties(spectrum.eigenvalues, [(1, n)], max(1.0, spectrum.lambda_max))
@@ -417,10 +414,11 @@ def _require_finite(**gains: np.ndarray) -> None:
 
 
 def _read_json_object(path, what: str) -> dict:
-    """The JSON object held by the file at ``path``; a ValidationError names ``what`` and the path."""
+    """The JSON object held by the file at ``path``, every number read as a float (an integer past 1e308
+    as inf, which the entry's own check refuses); a ValidationError names ``what`` and the path."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=float)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
             raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

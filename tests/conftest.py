@@ -1,34 +1,18 @@
 """Shared fixtures: the benchmark networks used across the suite."""
 
-import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wacrisk.network import (
-    GeneratorParams,
-    LaplacianSpectrum,
-    NetworkModel,
-    build_laplacian,
-)
+from wacrisk.network import LaplacianSpectrum, NetworkModel, build_laplacian, load_network
 from wacrisk.stats import mode_weight, pair_sigma
 
-# two synchronous machines, uniform inertia 2 and damping 0.15, whose
-# linearised coupling matrix has mode eigenvalue 1.584 and damping ratio 0.075
-TWO_MACHINE_DOC = {
-    "generators": [
-        {"J": 2.0, "beta": 0.15, "E": 1.2},
-        {"J": 2.0, "beta": 0.15, "E": 2.0},
-    ],
-    "equilibrium_theta": [0.0, 0.0],
-    "laplacian": [[0.792, -0.792], [-0.792, 0.792]],
-}
-
-LINE3_DOC = {
-    "generators": [{"J": 2.0, "beta": 0.15, "E": 1.0} for _ in range(3)],
-    "equilibrium_theta": [0.0, 0.0, 0.0],
-    "laplacian": [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]],
-}
+# the committed network documents: two_machine.json, two machines with uniform inertia 2 and damping 0.15
+# whose linearised coupling matrix has mode eigenvalue 1.584 (damping ratio 0.075), and line3.json, the
+# path 1-2-3 on three machines of the same inertia and damping
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 # ten-machine benchmark: nonzero Laplacian mode eigenvalues of the reduced
 # New England grid; the eigenbasis is the package's deterministic completion
@@ -56,15 +40,7 @@ def uniform_gain_sigma(spectrum, mus, kappas, d, tau, noise, inertia):
 
 @pytest.fixture(scope="session")
 def two_machine_model() -> NetworkModel:
-    gens = tuple(
-        GeneratorParams(inertia=g["J"], damping=g["beta"], voltage=g["E"])
-        for g in TWO_MACHINE_DOC["generators"]
-    )
-    return NetworkModel(
-        generators=gens,
-        equilibrium_theta=TWO_MACHINE_DOC["equilibrium_theta"],
-        laplacian=TWO_MACHINE_DOC["laplacian"],
-    )
+    return load_network(DATA / "two_machine.json")
 
 
 @pytest.fixture(scope="session")
@@ -74,15 +50,7 @@ def two_machine_spectrum(two_machine_model) -> LaplacianSpectrum:
 
 @pytest.fixture(scope="session")
 def line3_model() -> NetworkModel:
-    gens = tuple(
-        GeneratorParams(inertia=g["J"], damping=g["beta"], voltage=g["E"])
-        for g in LINE3_DOC["generators"]
-    )
-    return NetworkModel(
-        generators=gens,
-        equilibrium_theta=LINE3_DOC["equilibrium_theta"],
-        laplacian=LINE3_DOC["laplacian"],
-    )
+    return load_network(DATA / "line3.json")
 
 
 @pytest.fixture(scope="session")
@@ -97,13 +65,9 @@ def ieee39_spectrum() -> LaplacianSpectrum:
 
 @pytest.fixture()
 def two_machine_path(tmp_path):
-    path = tmp_path / "two_machine.json"
-    path.write_text(json.dumps(TWO_MACHINE_DOC))
-    return str(path)
+    return shutil.copy(DATA / "two_machine.json", tmp_path)
 
 
 @pytest.fixture()
 def line3_path(tmp_path):
-    path = tmp_path / "line3.json"
-    path.write_text(json.dumps(LINE3_DOC))
-    return str(path)
+    return shutil.copy(DATA / "line3.json", tmp_path)

@@ -478,6 +478,32 @@ def test_exit_codes(tmp_path, two_machine_path):
     assert proc.returncode == 2
     assert str(utf16) in proc.stderr and "Traceback" not in proc.stderr
 
+    # integer literals past 1e308, one of them past Python's 4,300-digit int parsing limit, are read as inf
+    # and refused by their entry's own check, exit 2
+    network = json.loads(Path(two_machine_path).read_text())
+    for digits in ("1" * 400, "1" * 5000):
+        long_j = json.loads(json.dumps(network))
+        long_j["generators"][0]["J"] = "LONG"
+        long_entry = json.loads(json.dumps(network))
+        long_entry["laplacian"][0][0] = "LONG"
+        long_cases = [
+            ("network", long_j, "generator inertia must be a positive real, got inf"),
+            ("network", long_entry, "laplacian entries must be finite"),
+            ("gains", {"mode": "uniform", "mu": "LONG", "kappa": 0.5}, "gain mu must be finite"),
+            ("manifest", {"argv": "LONG"}, "field 'argv' must be a list of strings"),
+        ]
+        for idx, (kind, content, message) in enumerate(long_cases):
+            path = tmp_path / f"long_{kind}_{idx}_{len(digits)}.json"
+            path.write_text(json.dumps(content).replace('"LONG"', digits))
+            argv = {
+                "network": ["stats", "--network", str(path), "--tau", "0.1", "--eta", "0.7"],
+                "gains": [*stats_argv, "--gains", str(path)],
+                "manifest": ["--from-manifest", str(path)],
+            }[kind]
+            proc = subprocess.run([sys.executable, "-m", "wacrisk.cli", *argv], capture_output=True, text=True)
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error: ") and message in proc.stderr and "Traceback" not in proc.stderr
+
     # non-finite equilibrium angle -> validation error naming the field, exit 2
     nan_theta = tmp_path / "nan_theta.json"
     nan_theta.write_text(

@@ -20,6 +20,7 @@ from wacrisk.network import (
 )
 from wacrisk.stability import network_verdict
 from wacrisk.stats import NoiseParams, pair_deviations
+from wacrisk.synthesis import synthesize
 
 from conftest import IEEE39_MODES, IEEE39_PARAMS
 
@@ -265,6 +266,42 @@ def test_dense_gains_round_trip_through_spectrum_basis(network, line3_spectrum):
     expected = pair_deviations(spectrum, GainSpec.eigen(mu, kappa), d, tau, noise, 2.0).sigma
     sigma = pair_deviations(spectrum, dense, d, tau, noise, 2.0).sigma
     assert sigma == pytest.approx(expected, rel=1e-12)
+
+
+def _line3_polynomial_gains(spectrum, skew=0.0):
+    # M = 0.2 L + 0.05 L^2 and K = 0.5 L commute with L; M gets the round-off E[0, 1] = -E[1, 0] = skew
+    lap = spectrum.laplacian
+    m = 0.2 * lap + 0.05 * lap @ lap
+    m[0, 1] += skew
+    m[1, 0] -= skew
+    return GainSpec.dense(m, 0.5 * lap)
+
+
+@pytest.mark.parametrize("skew", [1e-7, 1e-6, 3e-6])
+def test_dense_round_off_asymmetry_resolves_as_its_symmetric_part(skew, line3_spectrum):
+    # the symmetric part still commutes exactly: the skewed gains resolve as the symmetric ones do
+    # and are stored exactly symmetric, as the susceptance and the Laplacian are
+    resolved = resolve_gains(_line3_polynomial_gains(line3_spectrum, skew), line3_spectrum)
+    assert np.array_equal(resolved.M, resolved.M.T) and np.array_equal(resolved.K, resolved.K.T)
+    expected = resolve_gains(_line3_polynomial_gains(line3_spectrum), line3_spectrum)
+    np.testing.assert_allclose([resolved.mu, resolved.kappa], [expected.mu, expected.kappa], rtol=1e-14, atol=0.0)
+    sigma, expected_sigma = (
+        pair_deviations(line3_spectrum, gains, 0.075, 0.05, NoiseParams(0.7, 0.3), 2.0).sigma
+        for gains in (resolved, expected)
+    )
+    np.testing.assert_allclose(sigma, expected_sigma, rtol=1e-14, atol=0.0)
+
+
+def test_dense_asymmetry_beyond_round_off_refused(line3_spectrum):
+    with pytest.raises(ValidationError, match="dense gain matrices must be symmetric"):
+        resolve_gains(_line3_polynomial_gains(line3_spectrum, 1e-5), line3_spectrum)
+
+
+def test_dense_symmetric_gains_kept_byte_for_byte(line3_spectrum):
+    result = synthesize(line3_spectrum, 0.075, 0.05, NoiseParams(0.7, 0.3), 2.0, grid_step=0.25)
+    assert np.array_equal(result.M, result.M.T) and np.array_equal(result.K, result.K.T)
+    resolved = resolve_gains(GainSpec.dense(result.M, result.K), line3_spectrum)
+    assert resolved.M.tobytes() == result.M.tobytes() and resolved.K.tobytes() == result.K.tobytes()
 
 
 def test_load_network_laplacian_wins(tmp_path, two_machine_spectrum):
