@@ -58,16 +58,19 @@ class GeneratorParams:
 def _symmetrised(value, n: int, name: str, noun: str) -> np.ndarray:
     """``value`` as a finite n x n float matrix A, returned as (A + A^T) / 2.
 
-    An A farther from that than ``np.allclose`` allows at atol 1e-10 is refused, ``noun``
-    naming it; an exactly symmetric A comes back unchanged.
+    The one place a symmetric part is formed, for the documents' matrices and for those built
+    from them.  An A farther from it than ``np.allclose`` allows at atol 1e-10 * max(1, max|A|)
+    is refused, ``noun`` naming it; an exactly symmetric A comes back bit for bit at any magnitude.
     """
     a = np.asarray(value, dtype=float)
     if a.shape != (n, n):
         raise ValidationError(f"{name} must be {n}x{n}, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{name} entries must be finite")
-    sym = 0.5 * (a + a.T)
-    if not np.allclose(a, sym, atol=1e-10):
+    with np.errstate(over="ignore"):  # where a + a^T overflows, halving first is exact
+        sym = 0.5 * (a + a.T)
+    sym = np.where(np.isfinite(sym), sym, 0.5 * a + 0.5 * a.T)
+    if not np.allclose(a, sym, atol=1e-10 * max(1.0, float(np.abs(a).max()))):
         raise ValidationError(f"{noun} must be symmetric")
     return sym
 
@@ -182,8 +185,7 @@ class LaplacianSpectrum:
         u /= np.linalg.norm(u)
         q = np.eye(n) - 2.0 * np.outer(u, u)  # symmetric orthogonal, q[:,0] = ones
         full = np.concatenate([[0.0], lams])
-        lap = (q * full) @ q.T
-        lap = 0.5 * (lap + lap.T)
+        lap = _symmetrised((q * full) @ q.T, n, "laplacian", "laplacian")
         return cls(laplacian=lap, eigenvalues=full, eigenvectors=q)
 
 
@@ -345,12 +347,12 @@ def _dense_mode_gains(M: np.ndarray, K: np.ndarray, spectrum: LaplacianSpectrum)
     groups = _split_ties(spectrum.eigenvalues, [(1, n)], max(1.0, spectrum.lambda_max))
     for matrix in (M, K):
         values = np.empty(n)
+        # the blocks of the whole rotated matrix: their round-off is checked against its largest entry
+        rotated = _symmetrised(vecs.T @ matrix @ vecs, n, "dense gain matrices", "dense gain matrices")
         for a, b in groups:
             if b - a > 1:
-                block = vecs[:, a:b]
-                sub = block.T @ matrix @ block
-                values[a:b], sub_vecs = _deterministic_eigh(0.5 * (sub + sub.T))
-                vecs[:, a:b] = block @ sub_vecs
+                values[a:b], sub_vecs = _deterministic_eigh(rotated[a:b, a:b])
+                vecs[:, a:b] = vecs[:, a:b] @ sub_vecs
         groups = _split_ties(values, groups, max(1.0, float(np.abs(matrix).max())))
 
     diags = []
@@ -399,11 +401,9 @@ def resolve_gains(gains: GainSpec | ModeGains, spectrum: LaplacianSpectrum) -> M
         raise ValidationError(f"unknown gain mode {gains.mode!r}")
 
     _require_finite(mu=mu, kappa=kappa)
-    M = (q * mu) @ q.T
-    K = (q * kappa) @ q.T
-    return ModeGains(
-        lambdas=lams, mu=mu, kappa=kappa, eigenvectors=q, M=0.5 * (M + M.T), K=0.5 * (K + K.T)
-    )
+    M = _symmetrised((q * mu) @ q.T, n, "gain M", "gain M")
+    K = _symmetrised((q * kappa) @ q.T, n, "gain K", "gain K")
+    return ModeGains(lambdas=lams, mu=mu, kappa=kappa, eigenvectors=q, M=M, K=K)
 
 
 def _require_finite(**gains: np.ndarray) -> None:

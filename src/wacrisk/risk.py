@@ -98,9 +98,7 @@ def risk_value(sigma, sset: SystemicSet):
 
 
 def _tail_probability(sigma: float, threshold: float) -> float:
-    """P(|N(0, sigma^2)| > threshold)."""
-    if sigma == 0.0:
-        return 0.0
+    """P(|N(0, sigma^2)| > threshold) for sigma > 0."""
     return math.erfc(threshold / (sigma * math.sqrt(2.0)))
 
 
@@ -139,10 +137,9 @@ def risk_search(sigma: float, sset: SystemicSet) -> float:
 class RiskProfile:
     """Per-pair risk values in row-wise pair order; entries may be +inf."""
 
-    pairs: tuple[tuple[int, int], ...]
     values: np.ndarray
 
 
 def risk_profile(stats: PairStats, sset: SystemicSet) -> RiskProfile:
     """Apply the closed-form risk to every pair deviation in one ``risk_value`` call."""
-    return RiskProfile(pairs=stats.pairs, values=risk_value(stats.sigma, sset))
+    return RiskProfile(values=risk_value(stats.sigma, sset))

@@ -193,7 +193,8 @@ def simulate(
     inertia = model.inertia
     verdict = network_verdict(spectrum, gains, d, tau)
     if not verdict.stable:
-        raise InfeasibleError("closed loop is unstable; stationary statistics undefined")
+        mode = np.flatnonzero(~verdict.verdicts.stable)[0]
+        raise InfeasibleError(f"mode {mode + 1} is unstable at tau={tau}; stationary statistics undefined")
 
     n = spectrum.n
     r = n * (n - 1) // 2

@@ -789,6 +789,42 @@ def test_unstable_consensus_mode_exits_3_at_zero_delay(two_machine_path, tmp_pat
     assert "mode 1 is unstable" in proc.stderr
 
 
+def test_simulate_names_the_unstable_mode_as_stats_does(line3_path):
+    loop = ["--network", line3_path, "--tau", "1.0", "--kappa", "1.0", "--eta", "0.7"]
+    stderr = []
+    for argv in (["simulate", *loop, "--T", "10", "--paths", "10"], ["stats", *loop]):
+        proc = subprocess.run([sys.executable, "-m", "wacrisk.cli", *argv], capture_output=True, text=True)
+        assert proc.returncode == 3
+        stderr.append(proc.stderr)
+    assert stderr[0] == stderr[1] == "infeasible: mode 3 is unstable at tau=1.0; stationary statistics undefined\n"
+
+
+def test_spectral_refuses_a_negative_coordinate():
+    proc = subprocess.run(
+        [sys.executable, "-m", "wacrisk.cli", "spectral", "--s1", "-1", "--s2", "1"], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: s1 and s2 must be nonnegative\n"
+
+
+def test_huge_symmetric_susceptance_runs_without_a_warning(tmp_path):
+    # entries of 1e308 are exactly symmetric: a + a^T would overflow, and the document is kept as given
+    doc = {
+        "generators": [{"J": 2.0, "beta": 0.15, "E": 1.0}, {"J": 2.0, "beta": 0.15, "E": 1.0}],
+        "equilibrium_theta": [0.0, 0.0],
+        "susceptance": [[0.0, 1e308], [1e308, 0.0]],
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "wacrisk.cli", "stability", "--network", str(path),
+         "--tau", "0.1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("flag", ["--tau", "--eta", "--etap"])
 def test_risk_from_stats_refuses_network_path_flags(tmp_path, flag):
     stats = tmp_path / "stats.csv"

@@ -13,6 +13,7 @@ from wacrisk.network import (
     GeneratorParams,
     LaplacianSpectrum,
     NetworkModel,
+    _symmetrised,
     build_laplacian,
     effective_resistance,
     load_network,
@@ -304,6 +305,57 @@ def test_dense_symmetric_gains_kept_byte_for_byte(line3_spectrum):
     assert resolved.M.tobytes() == result.M.tobytes() and resolved.K.tobytes() == result.K.tobytes()
 
 
+def test_symmetrised_keeps_a_symmetric_input_bit_for_bit_at_any_magnitude():
+    # a + a^T overflows above about 9e307: an exactly symmetric matrix comes back as given, subnormal
+    # entries included, with no warning; differing entries that large are averaged by halving first
+    big = 1e308 * np.eye(3)
+    below = np.nextafter(1.7e308, 0.0)
+    skewed = np.array([[0.0, 1.7e308, 5e-324], [below, 0.0, -1e308], [5e-324, -1e308, 2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _symmetrised(big, 3, "m", "m").tobytes() == big.tobytes()
+        sym = _symmetrised(skewed, 3, "m", "m")
+    assert np.array_equal(sym, sym.T)
+    assert sym[0, 1] == 0.5 * 1.7e308 + 0.5 * below
+    assert sym[0, 2] == 5e-324 and sym[1, 2] == -1e308 and sym[2, 2] == 2.0
+
+
+def test_huge_symmetric_susceptance_loads_and_builds_its_spectrum(tmp_path):
+    y = [[0.0, 1e308], [1e308, 0.0]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**_network_doc(susceptance=y), "generators": [{"J": 2.0, "beta": 0.15, "E": 1.0}] * 2}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = load_network(str(path))
+        spectrum = build_laplacian(model)
+    assert model.susceptance.tobytes() == np.array(y).tobytes()
+    assert spectrum.eigenvalues[0] == 0.0 and spectrum.eigenvalues[1] == pytest.approx(1e308, rel=1e-14)
+
+
+@pytest.mark.parametrize("gain", [1e7, 1e12])
+def test_assembled_gain_matrices_are_the_symmetric_part_of_the_product(gain, line3_spectrum):
+    # the round-off asymmetry of q diag(mu) q^T grows with the gain; the symmetry rule scales with the
+    # matrix, so a large consensus gain is not refused, and M is (P + P^T) / 2 of the product P bit for bit
+    q = line3_spectrum.eigenvectors
+    resolved = resolve_gains(GainSpec.consensus(gain, 1.0), line3_spectrum)
+    product = (q * resolved.mu) @ q.T
+    assert resolved.M.tobytes() == (0.5 * (product + product.T)).tobytes()
+    assert np.array_equal(resolved.M, resolved.M.T)
+
+
+def test_tied_dense_gains_resolve_at_a_large_gain_ratio():
+    # a star on five machines ties eigenvalue 1 three times; M is 1 on the tie and 1e10 on the top mode,
+    # so the tie block's round-off is about 1e-6 against entries of 1: the refinement still resolves it
+    lap = 5.0 * np.eye(5) - np.ones((5, 5))
+    lap[1:, 1:] = np.eye(4)
+    gens = tuple(GeneratorParams(1.0, 0.1, 1.0) for _ in range(5))
+    spectrum = build_laplacian(NetworkModel(generators=gens, equilibrium_theta=np.zeros(5), laplacian=lap))
+    q = spectrum.eigenvectors
+    m = (q * [0.0, 1.0, 1.0, 1.0, 1e10]) @ q.T
+    resolved = resolve_gains(GainSpec.dense(0.5 * (m + m.T), 0.5 * lap), spectrum)
+    np.testing.assert_allclose(resolved.mu, [0.0, 1.0, 1.0, 1.0, 1e10], rtol=1e-6, atol=0.0)
+
+
 def test_load_network_laplacian_wins(tmp_path, two_machine_spectrum):
     doc = {
         "generators": [{"J": 2.0, "beta": 0.15, "E": 1.0}, {"J": 2.0, "beta": 0.15, "E": 1.0}],
@@ -417,3 +469,16 @@ def test_resolve_gains_refuses_non_finite_gains(gains, field, line3_spectrum):
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match=f"gain {field} must be finite"):
             resolve_gains(gains, line3_spectrum)
+
+
+@pytest.mark.parametrize(
+    "gains, message",
+    [
+        (GainSpec.eigen([0.0, 0.5], [0.0, 1.0]), "eigen gains must have length 3"),
+        (GainSpec.eigen([0.0, 0.5, 0.5], [0.0, 1.0, 1.0, 1.0]), "eigen gains must have length 3"),
+        (GainSpec(mode="diagonal", mu=0.5, kappa=1.0), "unknown gain mode 'diagonal'"),
+    ],
+)
+def test_resolve_gains_refuses_malformed_specs(gains, message, line3_spectrum):
+    with pytest.raises(ValidationError, match=message):
+        resolve_gains(gains, line3_spectrum)

@@ -62,6 +62,13 @@ def test_non_finite_history_rejected(line3_model, phi):
         simulate(line3_model, GainSpec.consensus(0.2, 0.5), 0.05, NoiseParams(0.7, 0.3), config)
 
 
+@pytest.mark.parametrize("phi", [{"phi_theta": [0.0, 0.0]}, {"phi_omega": [0.0, 0.0, 0.0, 0.0]}])
+def test_history_of_the_wrong_shape_rejected(line3_model, phi):
+    config = SimConfig(step=0.01, horizon=1.0, trajectories=2, **{k: np.array(v) for k, v in phi.items()})
+    with pytest.raises(ValidationError, match=r"initial history vectors must have shape \(3,\)"):
+        simulate(line3_model, GainSpec.consensus(0.2, 0.5), 0.05, NoiseParams(0.7, 0.3), config)
+
+
 def _assert_same_law(M, K, noise, h=0.005):
     # Sigma of the three independent channels (eta/J) z0 + eta' (z1 @ M + z2 @ K)
     g = np.vstack([noise.eta / J2 * np.eye(M.shape[0]), noise.eta_meas * M, noise.eta_meas * K])

@@ -481,6 +481,22 @@ def test_classify_many_validates_like_the_reference(values):
             _assert_same_verdicts(classify_many(*values), want)
 
 
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ((math.nan, 1.0, 0.0, 0.0), "s1 must be finite"),
+        ((0.5, math.inf, 0.0, 0.0), "s2 must be finite"),
+        ((0.5, 1.0, -math.inf, 0.0), "k1 must be finite"),
+        ((0.5, 1.0, 0.0, math.nan), "k2 must be finite"),
+        ((-0.1, 1.0, 0.0, 0.0), "s1 and s2 must be nonnegative"),
+        ((0.5, -1e-300, 0.0, 0.0), "s1 and s2 must be nonnegative"),
+    ],
+)
+def test_scaled_params_refuses_non_finite_or_negative_fields(values, message):
+    with pytest.raises(ValidationError, match=message):
+        ScaledParams(*values)
+
+
 # --- delay-free conditions ----------------------------------------------------
 
 

@@ -201,6 +201,43 @@ def test_reversed_gain_box_rejected(two_machine_spectrum):
             tradeoff_scan(two_machine_spectrum, D2, 0.1, noise, J2, SET_A, box)
 
 
+@pytest.mark.parametrize("box", [(0.0, 1.0, 0.1, 1.0), (0.1, 1.0, -0.1, 1.0)])
+def test_tradeoff_scan_refuses_a_nonpositive_lower_corner(two_machine_spectrum, box):
+    with pytest.raises(ValidationError, match="consensus scalings must be strictly positive in the scan box"):
+        tradeoff_scan(two_machine_spectrum, D2, 0.1, NoiseParams(0.7, 0.3), J2, SET_A, box)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.1])
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda sp, tau: synthesize(sp, D2, tau, NoiseParams(0.7, 0.3), J2),
+            "synthesis needs a positive delay",
+            id="synthesize",
+        ),
+        pytest.param(
+            lambda sp, tau: deviation_floor(sp, D2, tau, 0.7, J2),
+            "the deviation floor is a delay effect; tau must be positive",
+            id="deviation_floor",
+        ),
+        pytest.param(
+            lambda sp, tau: resistance_bounds(sp, D2, tau),
+            "resistance bounds are a delay effect; tau must be positive",
+            id="resistance_bounds",
+        ),
+        pytest.param(
+            lambda sp, tau: tradeoff_scan(sp, D2, tau, NoiseParams(0.7, 0.3), J2, SET_A, (0.1, 1.0, 0.1, 1.0)),
+            "trade-off scan needs a positive delay",
+            id="tradeoff_scan",
+        ),
+    ],
+)
+def test_delay_effects_refuse_a_nonpositive_delay(two_machine_spectrum, call, message, tau):
+    with pytest.raises(ValidationError, match=message):
+        call(two_machine_spectrum, tau)
+
+
 @pytest.mark.parametrize("grid", [(-5, 5), (0, 5), (5, 0), (3163, 3163), (10**9, 10**9)])
 def test_tradeoff_scan_rejects_empty_grid(two_machine_spectrum, grid):
     with pytest.raises(ValidationError, match="grid counts"):
