@@ -330,6 +330,17 @@ class ModeGains:
     K: np.ndarray
 
 
+def _frobenius(a: np.ndarray) -> float:
+    """Frobenius norm of a finite matrix, taken with max|a| scaled into [0.5, 1) by a power of two.
+
+    The scaling is exact, so the value is ``np.linalg.norm``'s wherever that neither overflows nor
+    underflows; it overflows only where the norm itself does, not where the squares of the entries do.
+    """
+    exponent = math.frexp(float(np.abs(a).max()))[1]
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(a, -exponent)), exponent))
+
+
 def _dense_mode_gains(M: np.ndarray, K: np.ndarray, spectrum: LaplacianSpectrum) -> ModeGains:
     """Per-mode values of dense gains in the spectrum's eigenbasis.
 
@@ -342,7 +353,7 @@ def _dense_mode_gains(M: np.ndarray, K: np.ndarray, spectrum: LaplacianSpectrum)
     """
     n = spectrum.n
     M, K = (_symmetrised(A, n, "dense gain matrices", "dense gain matrices") for A in (M, K))
-    scale = max(1.0, *(float(np.linalg.norm(A)) for A in (spectrum.laplacian, M, K)))
+    scale = max(1.0, *(_frobenius(A) for A in (spectrum.laplacian, M, K)))
     vecs = spectrum.eigenvectors.copy()
     groups = _split_ties(spectrum.eigenvalues, [(1, n)], max(1.0, spectrum.lambda_max))
     for matrix in (M, K):
@@ -358,7 +369,7 @@ def _dense_mode_gains(M: np.ndarray, K: np.ndarray, spectrum: LaplacianSpectrum)
     diags = []
     for A in (M, K):
         diag = np.einsum("ji,jk,ki->i", vecs, A, vecs)
-        if np.linalg.norm(vecs.T @ A @ vecs - np.diag(diag)) > _COMMUTE_TOL * scale * 10:
+        if _frobenius(vecs.T @ A @ vecs - np.diag(diag)) > _COMMUTE_TOL * scale * 10:
             raise ValidationError("dense gain matrices do not commute with the Laplacian")
         if abs(diag[0]) <= _COMMUTE_TOL * scale:
             diag[0] = 0.0

@@ -13,6 +13,7 @@ from wacrisk.network import (
     GeneratorParams,
     LaplacianSpectrum,
     NetworkModel,
+    _frobenius,
     _symmetrised,
     build_laplacian,
     effective_resistance,
@@ -354,6 +355,38 @@ def test_tied_dense_gains_resolve_at_a_large_gain_ratio():
     m = (q * [0.0, 1.0, 1.0, 1.0, 1e10]) @ q.T
     resolved = resolve_gains(GainSpec.dense(0.5 * (m + m.T), 0.5 * lap), spectrum)
     np.testing.assert_allclose(resolved.mu, [0.0, 1.0, 1.0, 1.0, 1e10], rtol=1e-6, atol=0.0)
+
+
+def test_dense_gains_past_the_square_root_of_the_float_range(line3_spectrum):
+    # entries of 1e200 overflow the squares of a Frobenius norm (above about 1.3e154); the commutation
+    # norms are taken at a scaled magnitude, so a matrix that does not commute is still refused, with no
+    # warning, and commuting ones keep every per-mode gain, the consensus gain of 1e200 I included
+    m = 1e200 * np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.1], [0.0, 0.1, 0.5]])
+    zero = np.zeros((3, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="do not commute"):
+            resolve_gains(GainSpec.dense(m, zero), line3_spectrum)
+        identity = resolve_gains(GainSpec.dense(1e200 * np.eye(3), zero), line3_spectrum)
+        laplacian = resolve_gains(GainSpec.dense(1e200 * line3_spectrum.laplacian, zero), line3_spectrum)
+    np.testing.assert_allclose(identity.mu, [1e200, 1e200, 1e200], rtol=1e-14, atol=0.0)
+    assert laplacian.mu[0] == 0.0
+    np.testing.assert_allclose(laplacian.mu[1:], 1e200 * line3_spectrum.eigenvalues[1:], rtol=1e-14, atol=0.0)
+    assert not identity.kappa.any() and not laplacian.kappa.any()
+
+
+def test_frobenius_is_the_plain_norm_where_that_is_finite():
+    rng = np.random.default_rng(3)
+    for magnitude in (0.0, 1e-150, 1e-8, 1.0, 3.0, 1e12, 1e150):
+        a = magnitude * rng.normal(size=(4, 4))
+        assert _frobenius(a) == float(np.linalg.norm(a))
+    # where the squares underflow or overflow, the scaled norm still reads the norm
+    assert float(np.linalg.norm(np.full((2, 2), 5e-324))) == 0.0
+    assert _frobenius(np.full((2, 2), 5e-324)) == 1e-323
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _frobenius(np.full((2, 2), 1e200)) == pytest.approx(2e200, rel=1e-15)
+        assert _frobenius(np.full((2, 2), 1e308)) == math.inf
 
 
 def test_load_network_laplacian_wins(tmp_path, two_machine_spectrum):

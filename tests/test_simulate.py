@@ -565,11 +565,12 @@ def _impulse_response_numpy_loop(sp, step=0.002, t_max=4000.0):
     ],
 )
 def test_impulse_response_bit_identical_to_numpy_loop(sp):
-    # the affine recurrence reorders the Heun arithmetic: its steps and time
+    # the block recurrence reorders the Heun arithmetic: its steps and time
     # grid are the loop's bit for bit, its integral_sq agrees within 1e-10
     assert rightmost_root(sp).real <= -0.05
-    # 1/150: a 25-unit block is 3749 steps, not a whole number of 150-step units
-    for step in (0.002, 0.003, 1.0 / 150.0):
+    # 1/150: a 25-unit block is 3749 steps, not a whole number of 150-step units;
+    # 1/499: a prime unit, so no chunk length divides it and the last chunk is padded
+    for step in (0.002, 0.003, 1.0 / 150.0, 1.0 / 499.0):
         steps, integral_sq = _impulse_response_numpy_loop(sp, step)
         ir = impulse_response(sp, step)
         assert ir.steps == steps
@@ -608,20 +609,33 @@ def test_impulse_response_overflow_in_first_block_is_growth():
             impulse_response(ScaledParams(0.0, 0.0, -1e300, -1e300), t_max=100.0)
 
 
-def test_impulse_response_memory_bounded_by_one_block():
-    # a slow decay (rate 0.2) runs 125 time units, 1 MB of samples; the loop
-    # keeps one unit delay of u (501 floats) and one unit of x and x' as raw
-    # doubles, and the envelope is a running max, so the peak stays near 35 KB,
-    # not one 25-unit block
-    sp = ScaledParams(0.4, 1.0, 0.0, 0.0)
+def _traced_peak_bytes(sp, step):
     tracemalloc.start()
     try:
-        ir = impulse_response(sp)
+        ir = impulse_response(sp, step)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return ir, peak
+
+
+def test_impulse_response_memory_bounded_by_one_block():
+    # a slow decay (rate 0.2) runs 125 time units, 1 MB of samples; a run keeps
+    # one unit delay of u (507 floats with the chunk padding), one unit of x and
+    # x' and the product matrices of 23-step chunks, and the envelope is a
+    # running max, so the peak stays near 65 KB, not one 25-unit block
+    ir, peak = _traced_peak_bytes(ScaledParams(0.4, 1.0, 0.0, 0.0), 0.002)
     assert ir.steps == 62_500
     assert peak < 100_000
+
+
+def test_impulse_response_memory_linear_in_the_unit():
+    # 10,000 steps a unit: chunks of 100 steps keep the two Toeplitz matrices
+    # near 160 KB and 320 KB, and the peak near 1 MB; a fixed 20-step chunk
+    # would need a 1000 x 1000 carry matrix, 8 MB
+    ir, peak = _traced_peak_bytes(ScaledParams(0.4, 1.0, 0.0, 0.0), 1e-4)
+    assert ir.steps == 1_250_000
+    assert peak < 1_500_000
 
 
 def test_impulse_response_unstable_raises():
